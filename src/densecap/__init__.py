@@ -23,7 +23,7 @@ from .fusion import (CandidatePool, FusionConfig, FusedProposal,
                      HeuristicPointwiseScorer, HeuristicSequentialScorer,
                      enumerate_sliding_windows, fuse_select)
 from .intervals import (MatchResult, PRTable, best_match, match_all,
-                        precision_recall, tiou)
+                        precision_recall, tiou, tiou_matrix)
 from .metrics import (DenseEvalReport, DiversityReport, bleu4, cider_d,
                       dense_eval, diversity_report, repetition, self_bleu,
                       tokenize)

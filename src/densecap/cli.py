@@ -93,7 +93,7 @@ def _cmd_gen_synthetic(args) -> int:
 def _cmd_eval_proposals(args) -> int:
     corpus = _load_corpus(args.gt)
     _, skipped = core.load_predictions(args.pred, corpus=corpus)
-    table = intervals.precision_recall(corpus, args.tiou, jobs=args.jobs)
+    table = intervals.precision_recall(corpus, args.tiou)
     header = f"{'tIoU':>6} {'precision':>10} {'recall':>10}"
     print(header)
     for t, p, r in table.rows():
@@ -161,7 +161,7 @@ def _cmd_fuse(args) -> int:
         scores = json.load(f)
     cfg = fusion.FusionConfig(k=args.k, max_steps=args.max_steps,
                               candidate_cap=args.cap)
-    predictions: Dict[str, List[PredictionEntry]] = {}
+    selected: Dict[str, List[fusion.FusedProposal]] = {}
     mode = scores.get("mode")
     if mode == "heuristic":
         for vid, pairs in sorted(scores["attractors"].items()):
@@ -172,11 +172,7 @@ def _cmd_fuse(args) -> int:
             f_e = fusion.HeuristicSequentialScorer(attractors)
             windows = fusion.enumerate_sliding_windows(metas[vid])
             pool = fusion.CandidatePool.from_windows(windows, f_s, cap=cfg.candidate_cap)
-            selected = fusion.fuse_select(pool, f_s, f_e, cfg)
-            predictions[vid] = [
-                PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
-                for p in selected
-            ]
+            selected[vid] = fusion.fuse_select(pool, f_s, f_e, cfg)
     elif mode == "tables":
         for vid, table in sorted(scores["videos"].items()):
             candidates = [TimeInterval(s, e) for s, e in table["candidates"]]
@@ -184,16 +180,13 @@ def _cmd_fuse(args) -> int:
             steps = [({int(i): p for i, p in step["probs"].items()}, step["eos"])
                      for step in table["f_e_steps"]]
             f_e = fusion.TableSequentialScorer(steps)
-            f_s = fusion.TablePointwiseScorer(pool, table["f_s"])
-            selected = fusion.fuse_select(pool, f_s, f_e, cfg)
-            predictions[vid] = [
-                PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
-                for p in selected
-            ]
+            selected[vid] = fusion.fuse_select(pool, None, f_e, cfg)
     else:
         print(f"error: scores file mode must be 'heuristic' or 'tables', "
               f"got {mode!r}", file=sys.stderr)
         return 1
+    predictions = {vid: [PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
+                         for p in fused] for vid, fused in selected.items()}
     core.save_predictions(predictions, args.out)
     total = sum(len(v) for v in predictions.values())
     print(f"selected {total} proposals over {len(predictions)} videos")
@@ -406,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", action="append", required=True,
                    help="groundtruth file; repeat for a second annotation set")
     p.add_argument("--tiou", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
-    p.add_argument("--jobs", type=_positive_int("jobs"), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_proposals)
 

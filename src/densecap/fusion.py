@@ -9,13 +9,14 @@ candidate, and appends the top-K candidates by fused score to the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .core import SegmentGrid, TimeInterval, VideoMeta
-from .intervals import tiou
+from .intervals import as_bounds, tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEDUP_TOL_S = 1e-6
@@ -27,8 +28,9 @@ class FusionError(RuntimeError):
 
 
 class PointwiseScorer(Protocol):
-    def score(self, candidate: TimeInterval, grid: Optional[SegmentGrid]) -> float:
-        """Deterministic ranking score in (0, 1]."""
+    def scores(self, candidates: Sequence[TimeInterval],
+               grid: Optional[SegmentGrid]) -> np.ndarray:
+        """Deterministic ranking score in (0, 1] per candidate, as a float array."""
 
 
 class SequentialScorer(Protocol):
@@ -56,8 +58,8 @@ class CandidatePool:
                      grid: Optional[SegmentGrid] = None,
                      cap: int = 80) -> "CandidatePool":
         """Score windows, keep the top `cap` by f_s, dedup near-identical ones."""
-        windows = _dedup(windows)
-        scores = np.array([scorer.score(w, grid) for w in windows])
+        windows = [w for w, k in zip(windows, _dedup(as_bounds(windows)).tolist()) if k]
+        scores = np.asarray(scorer.scores(windows, grid), dtype=float)
         order = np.argsort(-scores, kind="stable")[:cap]
         keep = sorted(order.tolist())  # preserve enumeration order
         return cls([windows[i] for i in keep], scores[keep])
@@ -85,13 +87,19 @@ class FusedProposal:
     step: int
 
 
-def _dedup(windows: Sequence[TimeInterval]) -> List[TimeInterval]:
-    out: List[TimeInterval] = []
-    for w in windows:
-        if not any(abs(w.start_s - o.start_s) <= DEDUP_TOL_S
-                   and abs(w.end_s - o.end_s) <= DEDUP_TOL_S for o in out):
-            out.append(w)
-    return out
+def _dedup(bounds: np.ndarray) -> np.ndarray:
+    """Greedy dedup of (n, 2) bounds: True for the rows to keep.
+
+    A row is dropped when both its ends lie within DEDUP_TOL_S of an earlier
+    row that was kept.
+    """
+    near = ((np.abs(bounds[:, None, 0] - bounds[None, :, 0]) <= DEDUP_TOL_S)
+            & (np.abs(bounds[:, None, 1] - bounds[None, :, 1]) <= DEDUP_TOL_S))
+    near &= np.tri(len(bounds), k=-1, dtype=bool)  # row i only looks at rows j < i
+    keep = np.ones(len(bounds), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)).tolist():
+        keep[i] = not (near[i] & keep).any()
+    return keep
 
 
 def enumerate_sliding_windows(meta: VideoMeta,
@@ -108,7 +116,7 @@ def enumerate_sliding_windows(meta: VideoMeta,
     if not (0 < stride_ratio <= 1):
         raise ValueError("stride_ratio must lie in (0, 1]")
     duration = meta.duration_s
-    windows: List[TimeInterval] = []
+    spans: List[Tuple[float, float]] = []
     for scale in scales:
         length = scale * duration
         stride = stride_ratio * length
@@ -117,29 +125,35 @@ def enumerate_sliding_windows(meta: VideoMeta,
         while k * stride + length <= duration + DEDUP_TOL_S:
             start = k * stride
             end = min(start + length, duration)
-            windows.append(TimeInterval(start, end))
+            spans.append((start, end))
             last_end = end
             k += 1
         if last_end < duration - DEDUP_TOL_S:
-            windows.append(TimeInterval(duration - length, duration))
-    windows = _dedup(windows)
+            spans.append((duration - length, duration))
+    keep = _dedup(np.array(spans, dtype=float).reshape(-1, 2)).tolist()
+    windows = [TimeInterval(s, e) for (s, e), k in zip(spans, keep) if k]
     windows.sort(key=lambda w: (w.start_s, w.length_s))
     return windows
 
 
-def _checked_distribution(f_e: SequentialScorer, prefix, pool, grid):
+def _checked_distribution(f_e: SequentialScorer, prefix, pool, grid, remaining):
+    """The scorer's distribution as (probabilities aligned with `remaining`, EOS)."""
     probs, eos = f_e.distribution(prefix, pool, grid)
-    remaining = set(range(len(pool))) - set(prefix)
-    if set(probs) != remaining:
+    remaining = remaining.tolist()
+    if set(probs) != set(remaining):
         raise FusionError("sequential scorer must cover exactly the remaining candidates")
+    p = np.array([probs[i] for i in remaining], dtype=float)
     total = sum(probs.values()) + eos
-    if abs(total - 1.0) > DISTRIBUTION_TOL or eos < 0 or any(p < 0 for p in probs.values()):
-        raise FusionError(f"sequential scorer returned a non-distribution (sum={total})")
-    return probs, eos
+    # written so that NaN fails every comparison
+    if not (abs(total - 1.0) <= DISTRIBUTION_TOL and 0.0 <= eos < math.inf
+            and np.all((p >= 0.0) & (p < math.inf))):
+        raise FusionError(f"sequential scorer returned a non-distribution "
+                          f"(sum={total}, eos={eos})")
+    return p, eos
 
 
-def fuse_select(pool: CandidatePool, f_s: PointwiseScorer, f_e: SequentialScorer,
-                cfg: FusionConfig = FusionConfig(),
+def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: SequentialScorer,
+                cfg: Optional[FusionConfig] = None,
                 grid: Optional[SegmentGrid] = None) -> List[FusedProposal]:
     """Fused inference over a candidate pool.
 
@@ -147,32 +161,38 @@ def fuse_select(pool: CandidatePool, f_s: PointwiseScorer, f_e: SequentialScorer
     remaining candidates plus EOS); the per-step selection uses the product
     f_s * f_e. The prefix grows by exactly one candidate per step while the
     output gains up to `cfg.k` (deduplicated), so with k=1 the output equals
-    the prefix sequence.
+    the prefix sequence. `f_s` is consulted only when `pool.scores` is None;
+    `cfg` defaults to `FusionConfig()`.
     """
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
-    f_s_vals = pool.scores if pool.scores is not None else np.array(
-        [f_s.score(c, grid) for c in pool.candidates])
+    cfg = cfg if cfg is not None else FusionConfig()
+    f_s_vals = np.asarray(pool.scores if pool.scores is not None
+                          else f_s.scores(pool.candidates, grid), dtype=float)
+    if f_s_vals.shape != (len(pool),) or not np.isfinite(f_s_vals).all():
+        raise FusionError("pointwise scores must be one finite value per candidate")
 
     prefix: List[int] = []
+    in_prefix = np.zeros(len(pool), dtype=bool)
     selected: List[FusedProposal] = []
     selected_idx: set = set()
     for step in range(cfg.max_steps):
-        remaining = [i for i in range(len(pool)) if i not in prefix]
-        if not remaining:
+        remaining = np.flatnonzero(~in_prefix)
+        if remaining.size == 0:
             break
-        probs, eos = _checked_distribution(f_e, prefix, pool, grid)
+        probs, eos = _checked_distribution(f_e, prefix, pool, grid, remaining)
         # raw-f_e stopping rule; candidate ties beat EOS ties deterministically
-        best_cand = max(remaining, key=lambda i: (probs[i], -i))
-        if eos > probs[best_cand]:
+        if eos > probs.max():
             break
-        fused = {i: f_s_vals[i] * probs[i] for i in remaining}
-        ranked = sorted(remaining, key=lambda i: (-fused[i], i))
-        prefix.append(ranked[0])
-        for i in ranked[:cfg.k]:
+        fused = f_s_vals[remaining] * probs
+        ranked = np.argsort(-fused, kind="stable")  # ties: smaller index first
+        prefix.append(int(remaining[ranked[0]]))
+        in_prefix[prefix[-1]] = True
+        for j in ranked[:cfg.k].tolist():
+            i = int(remaining[j])
             if i not in selected_idx:
                 selected_idx.add(i)
-                selected.append(FusedProposal(pool.candidates[i], fused[i], step))
+                selected.append(FusedProposal(pool.candidates[i], float(fused[j]), step))
     return selected
 
 
@@ -188,10 +208,9 @@ class HeuristicPointwiseScorer:
     attractors: List[TimeInterval]
     floor: float = 1e-3
 
-    def score(self, candidate: TimeInterval, grid=None) -> float:
-        if not self.attractors:
-            return self.floor
-        return max(self.floor, max(tiou(candidate, a) for a in self.attractors))
+    def scores(self, candidates: Sequence[TimeInterval], grid=None) -> np.ndarray:
+        m = tiou_matrix(as_bounds(candidates), as_bounds(self.attractors))
+        return m.max(axis=1, initial=self.floor)
 
 
 @dataclass
@@ -206,24 +225,22 @@ class HeuristicSequentialScorer:
     attractors: List[TimeInterval]
     cover_tiou: float = 0.5
     eos_weight_open: float = 0.05
+    _bounds: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def distribution(self, prefix, pool: CandidatePool, grid=None):
-        covered = [
-            any(tiou(pool.candidates[p], a) >= self.cover_tiou for p in prefix)
-            for a in self.attractors
-        ]
-        uncovered = [a for a, c in zip(self.attractors, covered) if not c]
-        remaining = [i for i in range(len(pool)) if i not in prefix]
-        if uncovered:
-            weights = {i: max((tiou(pool.candidates[i], a) for a in uncovered),
-                              default=0.0)
-                       for i in remaining}
-            eos = self.eos_weight_open
-        else:
-            weights = {i: 0.0 for i in remaining}
-            eos = 1.0
-        total = sum(weights.values()) + eos
-        return {i: w / total for i, w in weights.items()}, eos / total
+        if self._bounds[0] is not pool:  # selection asks about one pool at every step
+            self._bounds = (pool, as_bounds(pool.candidates))
+        bounds, attractors = self._bounds[1], as_bounds(self.attractors)
+        covered = (tiou_matrix(bounds[prefix], attractors)
+                   >= self.cover_tiou).any(axis=0)
+        in_prefix = np.zeros(len(pool), dtype=bool)
+        in_prefix[prefix] = True
+        remaining = np.flatnonzero(~in_prefix)
+        weights = tiou_matrix(bounds[remaining],
+                              attractors[~covered]).max(axis=1, initial=0.0)
+        eos = 1.0 if covered.all() else self.eos_weight_open
+        total = sum(weights.tolist()) + eos
+        return dict(zip(remaining.tolist(), (weights / total).tolist())), eos / total
 
 
 @dataclass
@@ -250,18 +267,3 @@ class TableSequentialScorer:
         if total <= 0:
             raise FusionError("table step has zero total mass")
         return {i: p / total for i, p in kept.items()}, eos / total
-
-
-@dataclass
-class TablePointwiseScorer:
-    """Pointwise scores looked up from a precomputed table by candidate index."""
-
-    pool: CandidatePool
-    values: Sequence[float]
-
-    def score(self, candidate: TimeInterval, grid=None) -> float:
-        for i, c in enumerate(self.pool.candidates):
-            if (abs(c.start_s - candidate.start_s) <= DEDUP_TOL_S
-                    and abs(c.end_s - candidate.end_s) <= DEDUP_TOL_S):
-                return float(self.values[i])
-        raise KeyError(f"candidate {candidate} not in score table")

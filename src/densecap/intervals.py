@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import Corpus, TimeInterval
 
 
@@ -39,6 +41,24 @@ def tiou(a: TimeInterval, b: TimeInterval) -> float:
     return inter / union
 
 
+def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
+    """(n, 2) float array of [start_s, end_s] rows."""
+    return np.array([(iv.start_s, iv.end_s) for iv in intervals],
+                    dtype=float).reshape(-1, 2)
+
+
+def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) tIoU of every row of `a` against every row of `b`.
+
+    Both are (n, 2) [start, end] arrays. Each element is computed with the
+    same operations as `tiou`, so it equals the scalar value bit for bit.
+    """
+    a_start, a_end = a[:, 0, None], a[:, 1, None]
+    inter = np.minimum(a_end, b[:, 1]) - np.maximum(a_start, b[:, 0])
+    union = np.maximum(a_end, b[:, 1]) - np.minimum(a_start, b[:, 0])
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
+
+
 def best_match(pred: TimeInterval, gts: Sequence[TimeInterval]) -> Tuple[int, float]:
     """Index and tIoU of the groundtruth best matching `pred`.
 
@@ -56,12 +76,19 @@ def best_match(pred: TimeInterval, gts: Sequence[TimeInterval]) -> Tuple[int, fl
 
 def match_all(preds: Sequence[TimeInterval],
               gts: Sequence[TimeInterval]) -> List[MatchResult]:
-    """Independent best match per prediction (no one-to-one assignment)."""
-    out = []
-    for p_idx, pred in enumerate(preds):
-        gt_idx, v = best_match(pred, gts)
-        out.append(MatchResult(p_idx, gt_idx if v > 0 else None, v))
-    return out
+    """Independent best match per prediction (no one-to-one assignment).
+
+    Ties break toward the smaller index; a prediction overlapping no
+    groundtruth gets `gt_index` None.
+    """
+    if not preds:
+        return []
+    if not gts:
+        raise ValueError("best_match needs a non-empty groundtruth list")
+    m = tiou_matrix(as_bounds(preds), as_bounds(gts))
+    idx = m.argmax(axis=1)
+    return [MatchResult(p, g if v > 0 else None, v) for p, (g, v) in
+            enumerate(zip(idx.tolist(), m[np.arange(len(m)), idx].tolist()))]
 
 
 def video_precision_recall(preds: Sequence[TimeInterval],
@@ -73,21 +100,20 @@ def video_precision_recall(preds: Sequence[TimeInterval],
     tIoU >= t}). Each side matches independently against the other, which is
     the challenge evaluator's convention.
     """
-    pred_best = [best_match(p, gt_union)[1] if gt_union else 0.0 for p in preds]
-    gt_best = [best_match(g, preds)[1] if preds else 0.0 for g in gt_union]
-    pred_hits = {t: sum(1 for v in pred_best if v >= t) for t in thresholds}
-    gt_hits = {t: sum(1 for v in gt_best if v >= t) for t in thresholds}
+    m = tiou_matrix(as_bounds(preds), as_bounds(gt_union))
+    pred_best = m.max(axis=1, initial=0.0)
+    gt_best = m.max(axis=0, initial=0.0)
+    pred_hits = {t: int(np.count_nonzero(pred_best >= t)) for t in thresholds}
+    gt_hits = {t: int(np.count_nonzero(gt_best >= t)) for t in thresholds}
     return pred_hits, gt_hits
 
 
-def precision_recall(corpus: Corpus, thresholds: Sequence[float],
-                     jobs: int = 1) -> PRTable:
+def precision_recall(corpus: Corpus, thresholds: Sequence[float]) -> PRTable:
     """Corpus-level PRTable: per-video precision/recall averaged over videos.
 
     The groundtruth for each video is the union (concatenation) of all its
     annotation sets. Videos with zero predictions count as precision 0 and
-    are flagged in `zero_prediction_videos`. `jobs > 1` evaluates videos in
-    parallel; results are identical either way.
+    are flagged in `zero_prediction_videos`.
     """
     thresholds = list(thresholds)
     prec_sum = {t: 0.0 for t in thresholds}
@@ -95,38 +121,21 @@ def precision_recall(corpus: Corpus, thresholds: Sequence[float],
     n_videos = 0
     zero_pred = 0
     total_props = 0
-
-    def one_video(video_id):
+    for video_id in corpus.video_ids():
         record = corpus.videos[video_id]
         gt_union = [iv for ann in record.annotation_sets for iv in ann.intervals]
         if not gt_union:
-            return None
-        preds = [p.interval for p in record.predictions]
-        if not preds:
-            return len(preds), None, None, 0
-        pred_hits, gt_hits = video_precision_recall(preds, gt_union, thresholds)
-        return len(preds), pred_hits, gt_hits, len(gt_union)
-
-    video_ids = corpus.video_ids()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_video, video_ids))
-    else:
-        results = [one_video(v) for v in video_ids]
-
-    for result in results:
-        if result is None:
             continue
-        n_preds, pred_hits, gt_hits, n_gt = result
+        preds = [p.interval for p in record.predictions]
         n_videos += 1
-        total_props += n_preds
-        if pred_hits is None:
+        total_props += len(preds)
+        if not preds:
             zero_pred += 1
             continue  # contributes 0 to both sums
+        pred_hits, gt_hits = video_precision_recall(preds, gt_union, thresholds)
         for t in thresholds:
-            prec_sum[t] += pred_hits[t] / n_preds
-            rec_sum[t] += gt_hits[t] / n_gt
+            prec_sum[t] += pred_hits[t] / len(preds)
+            rec_sum[t] += gt_hits[t] / len(gt_union)
     if n_videos == 0:
         raise ValueError("corpus has no videos with groundtruth")
     return PRTable(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .concepts import ConceptVocabulary
 from .core import AnnotationSet, PredictionEntry, TimeInterval, VideoMeta
-from .intervals import best_match
+from .intervals import match_all
 from .metrics import tokenize
 
 AUGMENT_TIOU = 0.3
@@ -145,10 +145,7 @@ def augment(predictions: Sequence[TimeInterval],
     only when tIoU is strictly greater than `min_tiou`; its caption is the
     matched groundtruth sentence.
     """
-    pairs = []
-    for pred in predictions:
-        gt_idx, v = best_match(pred, annotation_set.intervals)
-        if v > min_tiou:
-            pairs.append(AugmentedPair(pred, gt_idx, v,
-                                       annotation_set.sentences[gt_idx]))
-    return pairs
+    return [AugmentedPair(predictions[m.pred_index], m.gt_index, m.tiou,
+                          annotation_set.sentences[m.gt_index])
+            for m in match_all(predictions, annotation_set.intervals)
+            if m.gt_index is not None and m.tiou > min_tiou]

@@ -47,8 +47,49 @@ def oracle_best_match(pred, gts):
     return best_idx, best_val
 
 
+def oracle_dedup(spans, tol):
+    """Greedy dedup of (start, end) pairs, in order.
+
+    A span is dropped when both its ends lie within `tol` of a span kept
+    earlier; spans compared only to dropped ones survive.
+    """
+    kept = []
+    for s in spans:
+        if not any(abs(s[0] - o[0]) <= tol and abs(s[1] - o[1]) <= tol for o in kept):
+            kept.append(s)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # fused selection (step-by-step re-simulation of the selection algorithm)
+
+def oracle_heuristic_distribution(prefix, candidates, attractors, cover_tiou,
+                                  eos_weight_open):
+    """The attractor-driven sequential distribution, one pair at a time.
+
+    An attractor is covered once a prefix member reaches `cover_tiou` with
+    it. Each remaining candidate weighs its best tIoU to an uncovered
+    attractor; EOS weighs `eos_weight_open` while any attractor is open and
+    1 otherwise. Returns ({candidate index: prob}, eos prob).
+    """
+    uncovered = []
+    for a in attractors:
+        if not any(oracle_tiou(candidates[p], a) >= cover_tiou for p in prefix):
+            uncovered.append(a)
+    weights = {}
+    for i in range(len(candidates)):
+        if i in prefix:
+            continue
+        best = 0.0
+        for a in uncovered:
+            v = oracle_tiou(candidates[i], a)
+            if v > best:
+                best = v
+        weights[i] = best
+    eos = eos_weight_open if uncovered else 1.0
+    total = sum(weights.values()) + eos
+    return {i: w / total for i, w in weights.items()}, eos / total
+
 
 def resimulate_selection(f_s_values, f_e_step_tables, k=1, max_steps=20):
     """Replay the fused selection loop on explicit score tables.

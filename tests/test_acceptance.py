@@ -111,8 +111,8 @@ class _TableF:
     def __init__(self, pool, values):
         self._values = {c: v for c, v in zip(pool.candidates, values)}
 
-    def score(self, candidate, grid=None):
-        return self._values[candidate]
+    def scores(self, candidates, grid=None):
+        return np.array([self._values[c] for c in candidates])
 
 
 @criterion("2 fused selection replays the reference loop on 1000 tables "

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import interval_lists
 from densecap import (CandidatePool, FusionConfig, HeuristicPointwiseScorer,
                       HeuristicSequentialScorer, TimeInterval, VideoMeta,
                       enumerate_sliding_windows, fuse_select, tiou)
-from densecap.fusion import FusionError, TableSequentialScorer
-from oracles import resimulate_selection
+from densecap.fusion import DEDUP_TOL_S, FusionError, TableSequentialScorer, _dedup
+from densecap.synthetic import gen_synthetic
+from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
+                     resimulate_selection)
 
 
 def iv(a, b):
@@ -52,11 +58,8 @@ class TestSlidingWindows:
 
 def table_scorer_pair(pool, f_s_vals, steps):
     class _FS:
-        def score(self, c, grid=None):
-            for i, cand in enumerate(pool.candidates):
-                if cand == c:
-                    return f_s_vals[i]
-            raise KeyError(c)
+        def scores(self, candidates, grid=None):
+            return np.array([f_s_vals[pool.candidates.index(c)] for c in candidates])
     return _FS(), TableSequentialScorer(steps)
 
 
@@ -120,6 +123,61 @@ class TestFuseSelect:
         with pytest.raises(FusionError):
             fuse_select(pool, f_s, BadScorer())
 
+    @pytest.mark.parametrize("probs, eos", [
+        ({0: math.nan}, 0.1),
+        ({0: math.nan, 1: 0.5}, 0.5),
+        ({0: 1.0}, math.nan),
+        ({0: 0.5, 1: math.inf}, 0.0),
+        ({0: 1.1, 1: 0.0}, -0.1),
+        ({0: -0.1, 1: 0.6}, 0.5),
+    ])
+    def test_non_finite_or_negative_mass_is_hard_error(self, probs, eos):
+        pool = CandidatePool([iv(i, i + 1) for i in range(len(probs))],
+                             np.full(len(probs), 0.5))
+
+        class BadScorer:
+            def distribution(self, prefix, pool, grid=None):
+                return dict(probs), eos
+
+        with pytest.raises(FusionError):
+            fuse_select(pool, None, BadScorer())
+
+    @pytest.mark.parametrize("f_s_vals", [[math.nan, 0.5], [0.5, math.inf], [0.5]])
+    def test_bad_pointwise_scores_are_hard_error(self, f_s_vals):
+        pool = CandidatePool([iv(0, 1), iv(1, 2)], np.array(f_s_vals))
+        f_e = TableSequentialScorer([({0: 0.6, 1: 0.3}, 0.1)])
+        with pytest.raises(FusionError):
+            fuse_select(pool, None, f_e)
+
+    def test_candidate_beats_eos_on_tie(self):
+        pool = CandidatePool([iv(0, 1)], np.array([0.5]))
+        f_e = TableSequentialScorer([({0: 0.5}, 0.5)])
+        assert [p.interval for p in fuse_select(pool, None, f_e)] == [iv(0, 1)]
+
+    def test_fused_ties_break_toward_smaller_index(self):
+        n = 40
+        f_s_vals = np.resize([0.25, 0.5, 0.75], n)  # three tied groups, interleaved
+        pool = CandidatePool([iv(i, i + 1) for i in range(n)], f_s_vals)
+        f_e = TableSequentialScorer([({i: 1.0 for i in range(n)}, 0.0)])
+        out = fuse_select(pool, None, f_e, FusionConfig(k=n, max_steps=1))
+        want = sorted(range(n), key=lambda i: (-f_s_vals[i], i))
+        assert [int(p.interval.start_s) for p in out] == want
+
+    def test_scores_are_plain_floats(self):
+        pool = CandidatePool([iv(0, 1), iv(1, 2)], np.array([0.9, 0.5]))
+        f_e = TableSequentialScorer([({0: 0.6, 1: 0.3}, 0.1)])
+        out = fuse_select(pool, None, f_e, FusionConfig(k=2))
+        assert [type(p.score) for p in out] == [float, float]
+        assert [p.score for p in out] == pytest.approx([0.9 * 0.6, 0.5 * 0.3])
+
+    def test_scores_fallback_when_pool_has_none(self):
+        attractors = [iv(0, 10), iv(20, 30)]
+        f_s = HeuristicPointwiseScorer(attractors)
+        f_e = HeuristicSequentialScorer(attractors)
+        cands = [iv(0, 10), iv(5, 15), iv(20, 30)]
+        scored = CandidatePool(cands, f_s.scores(cands))
+        assert fuse_select(CandidatePool(cands), f_s, f_e) == fuse_select(scored, f_s, f_e)
+
     def test_terminates_and_no_duplicates(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -170,15 +228,15 @@ class TestFuseSelect:
 class TestHeuristicScorers:
     def test_pointwise_exact_match(self):
         scorer = HeuristicPointwiseScorer([iv(0, 10)])
-        assert scorer.score(iv(0, 10)) == 1.0
+        assert scorer.scores([iv(0, 10)]).tolist() == [1.0]
 
     def test_pointwise_floor(self):
         scorer = HeuristicPointwiseScorer([iv(0, 10)])
-        assert scorer.score(iv(20, 30)) == 1e-3
+        assert scorer.scores([iv(20, 30)]).tolist() == [1e-3]
 
     def test_pointwise_partial(self):
         scorer = HeuristicPointwiseScorer([iv(5, 15)])
-        assert scorer.score(iv(0, 10)) == pytest.approx(1 / 3, abs=1e-6)
+        assert scorer.scores([iv(0, 10)])[0] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_sequential_eos_when_covered(self):
         attractors = [iv(0, 10)]
@@ -215,5 +273,65 @@ class TestHeuristicScorers:
         pool = CandidatePool.from_windows(windows, scorer, cap=10)
         assert len(pool) == 10
         kept_min = pool.scores.min()
-        all_scores = sorted((scorer.score(w) for w in windows), reverse=True)
+        all_scores = sorted(scorer.scores(windows).tolist(), reverse=True)
         assert kept_min >= all_scores[9] - 1e-12
+
+
+def _pairs(intervals):
+    return [(x.start_s, x.end_s) for x in intervals]
+
+
+def _dedup_pairs(pairs):
+    keep = _dedup(np.array(pairs, dtype=float).reshape(-1, 2)).tolist()
+    return [p for p, k in zip(pairs, keep) if k]
+
+
+class TestArrayKernelsMatchOracles:
+    def test_dedup_keeps_chain_ends(self):
+        # A ~ B and B ~ C, but A and C are 1.2 tolerances apart: greedy keeps A and C
+        d = 0.6 * DEDUP_TOL_S
+        chain = [(1.0, 2.0), (1.0 + d, 2.0 + d), (1.0 + 2 * d, 2.0 + 2 * d)]
+        assert _dedup_pairs(chain) == [chain[0], chain[2]]
+
+    @given(interval_lists(max_size=16))
+    def test_dedup_matches_greedy_oracle(self, windows):
+        assert _dedup_pairs(_pairs(windows)) == oracle_dedup(_pairs(windows), DEDUP_TOL_S)
+
+    @given(interval_lists(max_size=16))
+    def test_pool_dedups_before_scoring(self, windows):
+        scorer = HeuristicPointwiseScorer(windows[:2])
+        pool = CandidatePool.from_windows(windows, scorer, cap=len(windows) + 1)
+        assert _pairs(pool.candidates) == oracle_dedup(_pairs(windows), DEDUP_TOL_S)
+
+    @given(interval_lists(), interval_lists(max_size=5))
+    def test_pointwise_scores_match_oracle(self, cands, attractors):
+        want = [max([1e-3] + [oracle_tiou(c, a) for a in _pairs(attractors)])
+                for c in _pairs(cands)]
+        assert HeuristicPointwiseScorer(attractors).scores(cands).tolist() == want
+
+    def test_sequential_distribution_matches_oracle_on_synthetic_pools(self):
+        corpus = gen_synthetic(10, seed=3)
+        for record in corpus.videos.values():
+            attractors = record.annotation_sets[0].intervals
+            scorer = HeuristicSequentialScorer(attractors)
+            pool = CandidatePool.from_windows(enumerate_sliding_windows(record.meta),
+                                              HeuristicPointwiseScorer(attractors))
+            picked = [p.interval for p in fuse_select(pool, None, scorer)]
+            prefixes = [[pool.candidates.index(x) for x in picked[:t]]
+                        for t in range(len(picked) + 1)]
+            for prefix in prefixes:
+                want = oracle_heuristic_distribution(
+                    prefix, _pairs(pool.candidates), _pairs(attractors),
+                    scorer.cover_tiou, scorer.eos_weight_open)
+                assert scorer.distribution(prefix, pool) == want
+
+    @given(interval_lists(), interval_lists(max_size=5), st.data())
+    def test_sequential_distribution_matches_oracle(self, cands, attractors, data):
+        if not cands:
+            return
+        prefix = data.draw(st.lists(st.integers(0, len(cands) - 1), unique=True))
+        scorer = HeuristicSequentialScorer(attractors)
+        got = scorer.distribution(prefix, CandidatePool(cands))
+        want = oracle_heuristic_distribution(prefix, _pairs(cands), _pairs(attractors),
+                                             scorer.cover_tiou, scorer.eos_weight_open)
+        assert got == want

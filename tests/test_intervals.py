@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import (PredictionEntry, TimeInterval, best_match,
-                      precision_recall, tiou)
-from conftest import make_corpus, make_video
-from oracles import oracle_pr_counts, oracle_tiou
+from densecap import (PredictionEntry, TimeInterval, best_match, match_all,
+                      precision_recall, tiou, tiou_matrix)
+from densecap.intervals import as_bounds
+from conftest import interval_lists, make_corpus, make_video
+from oracles import oracle_best_match, oracle_pr_counts, oracle_tiou
 
 
 def iv(a, b):
@@ -35,6 +36,44 @@ class TestTiou:
         assert 0.0 <= v <= 1.0
         assert v == tiou(b, a)
         assert v == pytest.approx(oracle_tiou((a0, a1), (b0, b1)), abs=1e-12)
+
+
+class TestTiouMatrix:
+    def test_hand_values(self):
+        m = tiou_matrix(as_bounds([iv(0, 10), iv(5, 15)]),
+                        as_bounds([iv(0, 10), iv(10, 20), iv(5, 15)]))
+        assert m.shape == (2, 3)
+        assert m.tolist() == [[1.0, 0.0, 5 / 15], [5 / 15, 5 / 15, 1.0]]
+
+    def test_empty_sides(self):
+        assert tiou_matrix(as_bounds([]), as_bounds([iv(0, 1)])).shape == (0, 1)
+        assert tiou_matrix(as_bounds([iv(0, 1)]), as_bounds([])).shape == (1, 0)
+
+    @given(interval_lists(), interval_lists())
+    def test_bit_identical_to_scalar(self, a, b):
+        m = tiou_matrix(as_bounds(a), as_bounds(b))
+        want = np.array([[tiou(x, y) for y in b] for x in a], dtype=float)
+        assert m.shape == (len(a), len(b))
+        assert m.tobytes() == want.reshape(len(a), len(b)).tobytes()
+
+
+class TestMatchAll:
+    def test_no_overlap_has_no_index(self):
+        got = match_all([iv(0, 10), iv(50, 60)], [iv(0, 10), iv(20, 30)])
+        assert [(r.pred_index, r.gt_index, r.tiou) for r in got] == [
+            (0, 0, 1.0), (1, None, 0.0)]
+
+    @given(interval_lists(), interval_lists(max_size=6))
+    def test_matches_best_match_oracle(self, preds, gts):
+        if not gts:
+            return
+        got = [(r.gt_index, r.tiou) for r in match_all(preds, gts)]
+        want = []
+        for p in preds:
+            idx, v = oracle_best_match((p.start_s, p.end_s),
+                                       [(g.start_s, g.end_s) for g in gts])
+            want.append((idx if v > 0 else None, v))
+        assert got == want
 
 
 class TestBestMatch:
@@ -109,14 +148,6 @@ class TestPrecisionRecall:
         for lo, hi in zip(table.thresholds, table.thresholds[1:]):
             assert table.precision[hi] <= table.precision[lo] + 1e-12
             assert table.recall[hi] <= table.recall[lo] + 1e-12
-
-    def test_jobs_equivalence(self):
-        rng = np.random.default_rng(5)
-        corpus = _random_corpus(rng, n_videos=15)
-        serial = precision_recall(corpus, [0.3, 0.7])
-        parallel = precision_recall(corpus, [0.3, 0.7], jobs=4)
-        assert serial.precision == parallel.precision
-        assert serial.recall == parallel.recall
 
     def test_matches_brute_force_oracle(self):
         thresholds = [0.3, 0.5, 0.7, 0.9]
