@@ -64,6 +64,12 @@ def _load_meta_map(path) -> Dict[str, VideoMeta]:
     return metas
 
 
+def _load_features_dir(path) -> Dict[str, core.SegmentGrid]:
+    """Every feature file in a directory, keyed by the video id in its header."""
+    grids = (core.load_features(os.path.join(path, name)) for name in os.listdir(path))
+    return {grid.meta.video_id: grid for grid in grids}
+
+
 def _write_json(payload, path):
     if path:
         with open(path, "w") as f:
@@ -118,7 +124,7 @@ def _cmd_eval_proposals(args) -> int:
 def _cmd_eval_captions(args) -> int:
     corpus = _load_corpus(args.gt)
     core.load_predictions(args.pred, corpus=corpus)
-    report = metrics.dense_eval(corpus, args.tiou, jobs=args.jobs)
+    report = metrics.dense_eval(corpus, args.tiou)
     print(f"{'tIoU':>6} {'BLEU4':>8} {'BLEU4raw':>9} {'CIDEr':>8} "
           f"{'matched':>8} {'unmatched':>10}")
     for t in report.thresholds:
@@ -223,11 +229,8 @@ def _cmd_rerank_captions(args) -> int:
     params = rerank.CaptionRerankParams(args.alpha,
                                         args.beta if model else 0.0,
                                         args.top_concepts)
-    grids = {}
-    if model is not None and args.features_dir:
-        for name in os.listdir(args.features_dir):
-            grid = core.load_features(os.path.join(args.features_dir, name))
-            grids[grid.meta.video_id] = grid
+    grids = (_load_features_dir(args.features_dir)
+             if model is not None and args.features_dir else {})
 
     out: Dict[str, List[PredictionEntry]] = {}
     vids = sorted(set().union(*[set(p) for p in all_preds])) if all_preds else []
@@ -286,10 +289,7 @@ def _cmd_concepts_train(args) -> int:
     with open(args.labels) as f:
         labels_doc = json.load(f)
     vocab = concepts_mod.ConceptVocabulary(labels_doc["vocabulary"])
-    grids = {}
-    for name in os.listdir(args.features_dir):
-        grid = core.load_features(os.path.join(args.features_dir, name))
-        grids[grid.meta.video_id] = grid
+    grids = _load_features_dir(args.features_dir)
     examples = []
     for vid, rows in sorted(labels_doc["examples"].items()):
         if vid not in grids:
@@ -333,11 +333,7 @@ def _cmd_concepts_predict(args) -> int:
 
 def _cmd_contexts(args) -> int:
     corpus = _load_corpus([args.events], meta_path=args.meta)
-    grids = {}
-    if args.features_dir:
-        for name in os.listdir(args.features_dir):
-            grid = core.load_features(os.path.join(args.features_dir, name))
-            grids[grid.meta.video_id] = grid
+    grids = _load_features_dir(args.features_dir) if args.features_dir else {}
     payload = {}
     for vid in corpus.video_ids():
         record = corpus.videos[vid]
@@ -406,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", action="append", required=True)
     p.add_argument("--tiou", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
-    p.add_argument("--jobs", type=_positive_int("jobs"), default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_captions)
 

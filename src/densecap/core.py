@@ -150,8 +150,14 @@ class Corpus:
         return sorted(self.videos)
 
 
-def _clamp_interval(start, end, duration_s, where):
+def _read_interval(pair, duration_s, where):
     """Validate one raw [start, end] pair against the video duration."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise CorpusFormatError(f"bad timestamp {where}")
+    try:
+        start, end = float(pair[0]), float(pair[1])
+    except (TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"bad timestamp {where}") from exc
     if start >= end:
         raise CorpusFormatError(f"inverted interval {where}")
     if start < 0:
@@ -161,6 +167,14 @@ def _clamp_interval(start, end, duration_s, where):
             f"interval end {end} exceeds duration {duration_s} at {where}"
         )
     return TimeInterval(start, min(end, duration_s))
+
+
+def _optional_field(entry: dict, key: str, types, where: str):
+    """`entry[key]`, or None when absent; any other type than `types` is an error."""
+    value = entry.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+        raise CorpusFormatError(f"{where}: bad {key} {value!r}")
+    return value
 
 
 def load_ground_truth(path, meta_source=None, corpus: Optional[Corpus] = None) -> Corpus:
@@ -199,17 +213,8 @@ def load_ground_truth(path, meta_source=None, corpus: Optional[Corpus] = None) -
             fps=float(overrides.get("fps", 25.0)),
             frames_per_segment=int(overrides.get("frames_per_segment", 64)),
         )
-        intervals = []
-        for i, pair in enumerate(timestamps):
-            try:
-                intervals.append(
-                    _clamp_interval(float(pair[0]), float(pair[1]), duration,
-                                    f"{video_id}[{i}]")
-                )
-            except CorpusFormatError:
-                raise
-            except (TypeError, ValueError, IndexError) as exc:
-                raise CorpusFormatError(f"{video_id}[{i}]: bad timestamp") from exc
+        intervals = [_read_interval(pair, duration, f"{video_id}[{i}]")
+                     for i, pair in enumerate(timestamps)]
         ann = AnnotationSet(intervals, [str(s) for s in sentences])
         record = corpus.videos.get(video_id)
         if record is None:
@@ -254,7 +259,7 @@ def load_predictions(path, corpus: Optional[Corpus] = None,
             raw = json.load(f)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"{path}: not valid JSON ({exc})") from exc
-    results = raw.get("results")
+    results = raw.get("results") if isinstance(raw, dict) else None
     if not isinstance(results, dict):
         raise CorpusFormatError(f"{path}: missing 'results' map")
 
@@ -268,18 +273,18 @@ def load_predictions(path, corpus: Optional[Corpus] = None,
             continue
         duration = (corpus.videos[video_id].meta.duration_s
                     if corpus is not None else math.inf)
+        if not isinstance(entries, list):
+            raise CorpusFormatError(f"{video_id}: expected a list of predictions")
         parsed = []
         for i, entry in enumerate(entries):
-            ts = entry.get("timestamp")
-            if not ts or len(ts) != 2:
-                raise CorpusFormatError(f"{video_id}[{i}]: missing timestamp")
-            interval = _clamp_interval(float(ts[0]), float(ts[1]), duration,
-                                       f"{video_id}[{i}]")
+            where = f"{video_id}[{i}]"
+            if not isinstance(entry, dict):
+                raise CorpusFormatError(f"{where}: expected an object")
             parsed.append(PredictionEntry(
-                interval,
-                sentence=entry.get("sentence"),
-                proposal_score=entry.get("proposal_score"),
-                caption_logprob=entry.get("caption_logprob"),
+                _read_interval(entry.get("timestamp"), duration, where),
+                sentence=_optional_field(entry, "sentence", str, where),
+                proposal_score=_optional_field(entry, "proposal_score", (int, float), where),
+                caption_logprob=_optional_field(entry, "caption_logprob", (int, float), where),
             ))
         predictions[video_id] = parsed
         if corpus is not None:
@@ -368,7 +373,10 @@ def load_features(path) -> SegmentGrid:
         if magic == _FEATURE_MAGIC:
             (header_len,) = struct.unpack("<I", f.read(4))
             header = json.loads(f.read(header_len).decode())
-            data = np.frombuffer(f.read(), dtype="<f4")
+            payload = f.read()
+            if len(payload) % 4:
+                raise CorpusFormatError(f"{path}: truncated feature payload")
+            data = np.frombuffer(payload, dtype="<f4")
         else:
             f.seek(0)
             header = json.loads(f.read().decode())
@@ -382,5 +390,7 @@ def load_features(path) -> SegmentGrid:
     rows, dim = header["segment_count"], header["dim"]
     if meta.segment_count != rows:
         raise CorpusFormatError(f"{meta.video_id}: header segment_count mismatch")
+    if data.size != rows * dim:
+        raise CorpusFormatError(f"{path}: {data.size} feature values for {rows} x {dim}")
     features = np.asarray(data, dtype=np.float64).reshape(rows, dim)
     return SegmentGrid(meta, features, feature_tag=header.get("feature_tag", "basic"))

@@ -16,12 +16,12 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Corpus
-from .intervals import tiou
+from .intervals import as_bounds, tiou_matrix
 
 _STRIP = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
 
@@ -44,6 +44,46 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+class _Sentence(NamedTuple):
+    """A tokenized sentence's length and its n-gram counts for n = 1..MAX_N."""
+
+    length: int
+    grams: Tuple[Counter, ...]
+
+
+def _sentence(tokens: Sequence[str]) -> _Sentence:
+    return _Sentence(len(tokens), tuple(_ngrams(tokens, n) for n in range(1, MAX_N + 1)))
+
+
+def _bleu_counts(cand: _Sentence, refs: Sequence[_Sentence]):
+    """Per-n clipped and total n-gram counts, candidate and closest reference length."""
+    clipped, total = [], []
+    for n in range(MAX_N):
+        ref_max = Counter()
+        for ref in refs:
+            ref_max |= ref.grams[n]
+        clipped.append(sum(min(count, ref_max[gram])
+                           for gram, count in cand.grams[n].items()))
+        total.append(sum(cand.grams[n].values()))
+    r = min((ref.length for ref in refs), key=lambda L: (abs(L - cand.length), L))
+    return clipped, total, cand.length, r
+
+
+def _bleu_from_counts(clipped, total, c: int, r: int, smoothing: bool) -> float:
+    """BLEU-4 from n-gram counts; a zero precision or no candidate n-gram scores 0."""
+    log_p_sum = 0.0
+    for n in range(MAX_N):
+        m, t = clipped[n], total[n]
+        if smoothing and n >= 1:
+            m += 1
+            t += 1
+        if t == 0 or m == 0:
+            return 0.0
+        log_p_sum += math.log(m / t)
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return bp * math.exp(log_p_sum / MAX_N)
+
+
 def bleu4(candidate: Sequence[str], references: Sequence[Sequence[str]],
           smoothing: bool = True) -> float:
     """Sentence BLEU-4 with brevity penalty.
@@ -54,71 +94,51 @@ def bleu4(candidate: Sequence[str], references: Sequence[Sequence[str]],
     """
     if not references:
         raise ValueError("references must be non-empty")
-    candidate = list(candidate)
-    if not candidate:
-        return 0.0
-    c = len(candidate)
-    r = min((len(ref) for ref in references),
-            key=lambda L: (abs(L - c), L))
-    log_p_sum = 0.0
-    for n in range(1, MAX_N + 1):
-        cand_grams = _ngrams(candidate, n)
-        total = sum(cand_grams.values())
-        clipped = 0
-        for gram, count in cand_grams.items():
-            clipped += min(count, max(_ngrams(ref, n)[gram] for ref in references))
-        if smoothing and n >= 2:
-            clipped += 1
-            total += 1
-        if total == 0 or clipped == 0:
-            return 0.0
-        log_p_sum += math.log(clipped / total)
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * math.exp(log_p_sum / MAX_N)
+    counts = _bleu_counts(_sentence(list(candidate)), [_sentence(r) for r in references])
+    return _bleu_from_counts(*counts, smoothing)
+
+
+def _pooled_bleu(counts) -> float:
+    """Unsmoothed BLEU-4 of `_bleu_counts` results summed over pairs."""
+    clipped = [sum(m[n] for m, _, _, _ in counts) for n in range(MAX_N)]
+    total = [sum(t[n] for _, t, _, _ in counts) for n in range(MAX_N)]
+    return _bleu_from_counts(clipped, total, sum(c for _, _, c, _ in counts),
+                             sum(r for _, _, _, r in counts), smoothing=False)
 
 
 def corpus_bleu4(pairs: Sequence[Tuple[Sequence[str], Sequence[Sequence[str]]]]) -> float:
     """Corpus-level BLEU-4: n-gram counts pooled over all pairs, unsmoothed."""
-    clipped = [0] * MAX_N
-    total = [0] * MAX_N
-    c_len = 0
-    r_len = 0
-    for candidate, references in pairs:
-        candidate = list(candidate)
-        if not references:
-            continue
-        c_len += len(candidate)
-        r_len += min((len(ref) for ref in references),
-                     key=lambda L: (abs(L - len(candidate)), L)) if candidate else \
-            min(len(ref) for ref in references)
-        for n in range(1, MAX_N + 1):
-            grams = _ngrams(candidate, n)
-            total[n - 1] += sum(grams.values())
-            for gram, count in grams.items():
-                clipped[n - 1] += min(
-                    count, max(_ngrams(ref, n)[gram] for ref in references))
-    if any(t == 0 for t in total) or any(m == 0 for m in clipped):
-        return 0.0
-    log_p = sum(math.log(m / t) for m, t in zip(clipped, total)) / MAX_N
-    bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / max(c_len, 1))
-    return bp * math.exp(log_p)
+    return _pooled_bleu([_bleu_counts(_sentence(list(cand)), [_sentence(r) for r in refs])
+                         for cand, refs in pairs if refs])
 
 
 # ---------------------------------------------------------------------------
 # CIDEr-D
 
-def _cider_vector(tokens: Sequence[str], df: Dict, log_n_docs: float):
+def _cider_vector(sent: _Sentence, df: Dict, log_n_docs: float):
     """Per-n TF-IDF vectors, their norms, and the token length."""
     vecs = []
     norms = []
-    for n in range(1, MAX_N + 1):
+    for grams in sent.grams:
         vec = {}
-        for gram, count in _ngrams(tokens, n).items():
+        for gram, count in grams.items():
             idf = log_n_docs - math.log(max(df.get(gram, 0.0), 1.0))
             vec[gram] = count * idf
         vecs.append(vec)
         norms.append(math.sqrt(sum(v * v for v in vec.values())))
-    return vecs, norms, len(tokens)
+    return vecs, norms, sent.length
+
+
+def _document_frequency(docs: Sequence[Sequence[_Sentence]]):
+    df: Dict = {}
+    for doc in docs:
+        seen = set()
+        for sent in doc:
+            for grams in sent.grams:
+                seen.update(grams)
+        for gram in seen:
+            df[gram] = df.get(gram, 0.0) + 1.0
+    return df, len(docs)
 
 
 def build_document_frequency(reference_docs: Sequence[Sequence[Sequence[str]]]):
@@ -127,15 +147,25 @@ def build_document_frequency(reference_docs: Sequence[Sequence[Sequence[str]]]):
     One document is one event's reference sentence set; an n-gram counts
     once per document it appears in. Returns (df, number of documents).
     """
-    df: Dict = {}
-    for doc in reference_docs:
-        seen = set()
-        for ref in doc:
-            for n in range(1, MAX_N + 1):
-                seen.update(_ngrams(ref, n))
-        for gram in seen:
-            df[gram] = df.get(gram, 0.0) + 1.0
-    return df, len(reference_docs)
+    return _document_frequency([[_sentence(ref) for ref in doc] for doc in reference_docs])
+
+
+def _cider(cand_vec, ref_vecs, sigma: float = CIDER_SIGMA) -> float:
+    """CIDEr-D of one candidate vector against a non-empty list of reference vectors."""
+    cand_vecs, cand_norms, cand_len = cand_vec
+    scores = np.zeros(MAX_N)
+    for ref_vecs_n, ref_norms, ref_len in ref_vecs:
+        penalty = math.exp(-((cand_len - ref_len) ** 2) / (2.0 * sigma ** 2))
+        for n in range(MAX_N):
+            num = 0.0
+            for gram, cv in cand_vecs[n].items():
+                rv = ref_vecs_n[n].get(gram, 0.0)
+                num += min(cv, rv) * rv
+            if cand_norms[n] > 0 and ref_norms[n] > 0:
+                num /= cand_norms[n] * ref_norms[n]
+            scores[n] += num * penalty
+    scores /= len(ref_vecs)
+    return float(10.0 * scores.mean())
 
 
 def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -144,21 +174,9 @@ def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
     if not references:
         raise ValueError("references must be non-empty")
     log_n = math.log(max(n_docs, 1))
-    cand_vecs, cand_norms, cand_len = _cider_vector(candidate, df, log_n)
-    scores = np.zeros(MAX_N)
-    for ref in references:
-        ref_vecs, ref_norms, ref_len = _cider_vector(ref, df, log_n)
-        penalty = math.exp(-((cand_len - ref_len) ** 2) / (2.0 * sigma ** 2))
-        for n in range(MAX_N):
-            num = 0.0
-            for gram, cv in cand_vecs[n].items():
-                rv = ref_vecs[n].get(gram, 0.0)
-                num += min(cv, rv) * rv
-            if cand_norms[n] > 0 and ref_norms[n] > 0:
-                num /= cand_norms[n] * ref_norms[n]
-            scores[n] += num * penalty
-    scores /= len(references)
-    return float(10.0 * scores.mean())
+    return _cider(_cider_vector(_sentence(candidate), df, log_n),
+                  [_cider_vector(_sentence(ref), df, log_n) for ref in references],
+                  sigma)
 
 
 def cider_d(predictions_by_video: Dict[str, Sequence[str]],
@@ -169,21 +187,22 @@ def cider_d(predictions_by_video: Dict[str, Sequence[str]],
     k-th event of the video; document frequencies come from those reference
     sets. Returns the mean over all (prediction, reference set) pairs.
     """
-    docs = []
-    for vid, ref_sets in references_by_video.items():
-        for refs in ref_sets:
-            docs.append([tokenize(r) for r in refs])
+    docs = [[_sentence(tokenize(r)) for r in refs]
+            for ref_sets in references_by_video.values() for refs in ref_sets]
     if not docs:
         raise ValueError("empty reference corpus")
-    df, n_docs = build_document_frequency(docs)
+    df, n_docs = _document_frequency(docs)
+    log_n = math.log(max(n_docs, 1))
     scores = []
     doc_iter = iter(docs)
     for vid, ref_sets in references_by_video.items():
         cands = predictions_by_video.get(vid, [])
-        for k, refs in enumerate(ref_sets):
+        for k in range(len(ref_sets)):
             doc = next(doc_iter)
             if k < len(cands):
-                scores.append(cider_d_pair(tokenize(cands[k]), doc, df, n_docs))
+                scores.append(_cider(
+                    _cider_vector(_sentence(tokenize(cands[k])), df, log_n),
+                    [_cider_vector(ref, df, log_n) for ref in doc]))
     if not scores:
         raise ValueError("no prediction/reference pairs to score")
     return float(np.mean(scores))
@@ -230,84 +249,63 @@ class DenseEvalReport:
 
 
 def dense_eval(corpus: Corpus,
-               thresholds: Sequence[float] = DENSE_EVAL_THRESHOLDS,
-               jobs: int = 1) -> DenseEvalReport:
+               thresholds: Sequence[float] = DENSE_EVAL_THRESHOLDS) -> DenseEvalReport:
     """tIoU-thresholded caption evaluation.
 
     Per threshold: each prediction is scored against the groundtruth
     sentences (across all annotation sets) whose intervals reach the
     threshold; unmatched predictions score zero. Scores average over a
-    video's predictions, then over videos. `jobs > 1` evaluates videos in
-    parallel with identical results.
+    video's predictions, then over videos.
     """
     thresholds = list(thresholds)
     # document frequencies over all groundtruth events, one doc per event
-    docs = []
-    for vid in corpus.video_ids():
-        for ann in corpus.videos[vid].annotation_sets:
-            for sent in ann.sentences:
-                docs.append([tokenize(sent)])
-    df, n_docs = build_document_frequency(docs)
+    gt_sents = {vid: [_sentence(tokenize(sent)) for ann in record.annotation_sets
+                      for sent in ann.sentences]
+                for vid, record in sorted(corpus.videos.items())}
+    df, n_docs = _document_frequency([[s] for sents in gt_sents.values() for s in sents])
+    log_n = math.log(max(n_docs, 1))
 
     b_s = {t: [] for t in thresholds}
     b_u = {t: [] for t in thresholds}
     cid = {t: [] for t in thresholds}
-    corpus_pairs = {t: [] for t in thresholds}
+    corpus_counts = {t: [] for t in thresholds}
     matched = {t: 0 for t in thresholds}
     unmatched = {t: 0 for t in thresholds}
 
-    def one_video(vid):
+    for vid, gt in gt_sents.items():
         record = corpus.videos[vid]
-        gt = [(iv, sent) for ann in record.annotation_sets
-              for iv, sent in zip(ann.intervals, ann.sentences)]
         preds = record.predictions
         if not preds:
-            return None
+            continue
         for pred in preds:
             if pred.sentence is None:
                 raise ValueError(f"{vid}: prediction without sentence")
-        out = {}
+        gt_vecs = [_cider_vector(s, df, log_n) for s in gt]
+        cands = [_sentence(tokenize(pred.sentence)) for pred in preds]
+        cand_vecs = [_cider_vector(c, df, log_n) for c in cands]
+        tious = tiou_matrix(
+            as_bounds([pred.interval for pred in preds]),
+            as_bounds([iv for ann in record.annotation_sets for iv in ann.intervals])
+        ).tolist()
         for t in thresholds:
-            vb_s, vb_u, vc, pairs = [], [], [], []
-            n_matched = n_unmatched = 0
-            for pred in preds:
-                refs = [tokenize(sent) for iv, sent in gt
-                        if tiou(pred.interval, iv) >= t]
-                cand = tokenize(pred.sentence)
-                if refs:
-                    n_matched += 1
-                    vb_s.append(bleu4(cand, refs, smoothing=True))
-                    vb_u.append(bleu4(cand, refs, smoothing=False))
-                    vc.append(cider_d_pair(cand, refs, df, n_docs))
-                    pairs.append((cand, refs))
-                else:
-                    n_unmatched += 1
+            vb_s, vb_u, vc = [], [], []
+            for cand, cand_vec, row in zip(cands, cand_vecs, tious):
+                refs = [j for j, v in enumerate(row) if v >= t]
+                if not refs:
+                    unmatched[t] += 1
                     vb_s.append(0.0)
                     vb_u.append(0.0)
                     vc.append(0.0)
-            out[t] = (float(np.mean(vb_s)), float(np.mean(vb_u)),
-                      float(np.mean(vc)), pairs, n_matched, n_unmatched)
-        return out
-
-    video_ids = corpus.video_ids()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_video, video_ids))
-    else:
-        results = [one_video(v) for v in video_ids]
-
-    for out in results:
-        if out is None:
-            continue
-        for t in thresholds:
-            v_bs, v_bu, v_c, pairs, n_m, n_u = out[t]
-            b_s[t].append(v_bs)
-            b_u[t].append(v_bu)
-            cid[t].append(v_c)
-            corpus_pairs[t].extend(pairs)
-            matched[t] += n_m
-            unmatched[t] += n_u
+                    continue
+                matched[t] += 1
+                counts = _bleu_counts(cand, [gt[j] for j in refs])
+                corpus_counts[t].append(counts)
+                vb_s.append(_bleu_from_counts(*counts, smoothing=True))
+                vb_u.append(_bleu_from_counts(*counts, smoothing=False))
+                vc.append(_cider(cand_vec, [gt_vecs[j] for j in refs]))
+            b_s[t].append(float(np.mean(vb_s)))
+            b_u[t].append(float(np.mean(vb_u)))
+            cid[t].append(float(np.mean(vc)))
 
     def avg(per_video):
         return {t: (float(np.mean(v)) if v else 0.0) for t, v in per_video.items()}
@@ -316,7 +314,7 @@ def dense_eval(corpus: Corpus,
         thresholds=thresholds,
         bleu4_smoothed=avg(b_s),
         bleu4_unsmoothed=avg(b_u),
-        bleu4_corpus={t: corpus_bleu4(corpus_pairs[t]) for t in thresholds},
+        bleu4_corpus={t: _pooled_bleu(corpus_counts[t]) for t in thresholds},
         cider=avg(cid),
         matched=matched,
         unmatched=unmatched,
@@ -350,10 +348,10 @@ def _video_self_bleu(captions: Sequence[Sequence[str]]) -> Optional[float]:
     """Mean smoothed BLEU-4 of each caption against the rest, times 100."""
     if len(captions) < 2:
         return None
-    scores = []
-    for i, cand in enumerate(captions):
-        rest = [c for j, c in enumerate(captions) if j != i]
-        scores.append(bleu4(cand, rest, smoothing=True))
+    sents = [_sentence(cap) for cap in captions]
+    scores = [_bleu_from_counts(*_bleu_counts(cand, sents[:i] + sents[i + 1:]),
+                                smoothing=True)
+              for i, cand in enumerate(sents)]
     return 100.0 * float(np.mean(scores))
 
 
@@ -412,15 +410,18 @@ def _tokenized(captions_by_set_by_video):
             for vid, sets in captions_by_set_by_video.items()}
 
 
+def _corpus_value(captions_by_set_by_video, metric, mode: str) -> float:
+    """The per-set or the combined corpus value of a per-video metric."""
+    if mode not in ("per_set", "combined"):
+        raise ValueError(f"unknown mode {mode!r}")
+    per_set, combined, _, _ = _per_set_then_combined(
+        _tokenized(captions_by_set_by_video), metric)
+    return per_set if mode == "per_set" else combined
+
+
 def self_bleu(captions_by_set_by_video, mode: str = "per_set") -> float:
     """Corpus Self-BLEU in [0, 100]; lower means more diverse captions."""
-    tok = _tokenized(captions_by_set_by_video)
-    per_set, combined, _, _ = _per_set_then_combined(tok, _video_self_bleu)
-    if mode == "per_set":
-        return per_set
-    if mode == "combined":
-        return combined
-    raise ValueError(f"unknown mode {mode!r}")
+    return _corpus_value(captions_by_set_by_video, _video_self_bleu, mode)
 
 
 def repetition(captions_by_set_by_video, n: int = 4,
@@ -428,14 +429,8 @@ def repetition(captions_by_set_by_video, n: int = 4,
     """Corpus n-gram repetition score in [0, 100]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tok = _tokenized(captions_by_set_by_video)
-    per_set, combined, _, _ = _per_set_then_combined(
-        tok, lambda caps: _video_repetition(caps, n))
-    if mode == "per_set":
-        return per_set
-    if mode == "combined":
-        return combined
-    raise ValueError(f"unknown mode {mode!r}")
+    return _corpus_value(captions_by_set_by_video,
+                         lambda caps: _video_repetition(caps, n), mode)
 
 
 def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:

@@ -173,6 +173,38 @@ def oracle_bleu4(candidate, references, smoothed):
     return bp * geo
 
 
+def oracle_corpus_bleu4(pairs):
+    """Unsmoothed BLEU-4 with counts pooled over (candidate, references) pairs.
+
+    Pairs without references are skipped; an empty candidate adds its
+    shortest reference length to the reference total.
+    """
+    clipped = [0, 0, 0, 0]
+    total = [0, 0, 0, 0]
+    c_len = 0
+    r_len = 0
+    for candidate, references in pairs:
+        if not references:
+            continue
+        c_len += len(candidate)
+        if candidate:
+            r_len += sorted((abs(len(r) - len(candidate)), len(r)) for r in references)[0][1]
+        else:
+            r_len += min(len(r) for r in references)
+        for n in (1, 2, 3, 4):
+            cand = _gram_counts(candidate, n)
+            ref_tables = [_gram_counts(r, n) for r in references]
+            total[n - 1] += sum(cand.values())
+            for g, c in cand.items():
+                best = max(table.get(g, 0) for table in ref_tables)
+                clipped[n - 1] += c if c < best else best
+    if any(t == 0 for t in total) or any(m == 0 for m in clipped):
+        return 0.0
+    log_p = sum(math.log(m / t) for m, t in zip(clipped, total)) / 4
+    bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / c_len)
+    return bp * math.exp(log_p)
+
+
 def oracle_cider_d(candidate, references, all_documents, sigma=6.0):
     """Step-by-step CIDEr-D for one candidate against one reference set.
 

@@ -7,6 +7,7 @@ import pytest
 from densecap import (SegmentGrid, VideoMeta, load_features, load_ground_truth,
                       load_predictions, save_features, save_predictions)
 from densecap.cli import dispatch
+from densecap.concepts import ConceptVocabulary, LinearConceptModel, save_model
 
 
 @pytest.fixture
@@ -51,6 +52,29 @@ class TestDispatchBasics:
     def test_missing_file_exits_2(self, tmp_path):
         assert dispatch(["eval-proposals", "--pred", str(tmp_path / "nope.json"),
                          "--gt", str(tmp_path / "nope2.json")]) == 2
+
+
+    @pytest.mark.parametrize("payload", [
+        [{"results": {}}],
+        {"results": {"v1": [[0, 5]]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "proposal_score": "high"}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "caption_logprob": "low"}]}},
+    ])
+    def test_malformed_predictions_exit_2(self, tmp_path, payload):
+        path = tmp_path / "pred.json"
+        path.write_text(json.dumps(payload))
+        assert dispatch(["eval-diversity", "--pred", str(path)]) == 2
+
+    def test_truncated_feature_file_exits_2(self, tmp_path):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        feat = tmp_path / "v1.feat"
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), feat)
+        feat.write_bytes(feat.read_bytes()[:-6])
+        model = tmp_path / "model.bin"
+        save_model(LinearConceptModel(np.zeros((1, 3)), np.zeros(1),
+                                      ConceptVocabulary(["run"])), model)
+        assert dispatch(["concepts", "predict", "--model", str(model),
+                         "--features", str(feat), "--timestamps", "0,8"]) == 2
 
 
 class TestGenSynthetic:

@@ -94,6 +94,26 @@ class TestPredictionLoading:
         with pytest.raises(CorpusFormatError, match="score out of range"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("payload", [
+        [{"results": {}}],                                       # top level is a list
+        {"results": {"v1": [[0, 5]]}},                           # row is a list
+        {"results": {"v1": {"timestamp": [0, 5]}}},              # rows are not a list
+        {"results": {"v1": [{"timestamp": [0, 5], "proposal_score": "high"}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "proposal_score": True}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "caption_logprob": "low"}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "sentence": 5}]}},
+        {"results": {"v1": [{"timestamp": {"start": 0, "end": 5}}]}},
+        {"results": {"v1": [{"timestamp": 5}]}},
+        {"results": {"v1": [{"timestamp": [0, 5, 9]}]}},
+        {"results": {"v1": [{"timestamp": ["a", 5]}]}},
+        {"results": {"v1": [{"sentence": "no timestamp"}]}},
+    ])
+    def test_malformed_rows_raise_format_error(self, tmp_path, payload):
+        path = tmp_path / "pred.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusFormatError):
+            load_predictions(path)
+
     def test_unknown_video_skipped_or_strict(self, tmp_path):
         gt = write_gt(tmp_path, "gt.json", {
             "v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}})
@@ -201,6 +221,15 @@ class TestRoundTrip:
         save_features(loaded, path, binary=binary)
         again = load_features(path)
         np.testing.assert_array_equal(again.features, loaded.features)
+
+    @pytest.mark.parametrize("cut", [6, 8])
+    def test_truncated_binary_features_rejected(self, tmp_path, cut):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        path = tmp_path / "v1.feat"
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(CorpusFormatError):
+            load_features(path)
 
     def test_feature_row_count_enforced(self):
         meta = VideoMeta("v1", 16.0, fps=16.0)

@@ -11,8 +11,8 @@ from densecap.metrics import (build_document_frequency, cider_d_pair,
                               corpus_bleu4)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
-from oracles import (oracle_bleu4, oracle_cider_d, oracle_repetition_video,
-                     oracle_self_bleu_video)
+from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4,
+                     oracle_repetition_video, oracle_self_bleu_video, oracle_tiou)
 
 
 class TestTokenize:
@@ -71,6 +71,29 @@ class TestBleu4:
             for smoothing in (False, True):
                 assert bleu4(cand, refs, smoothing=smoothing) == pytest.approx(
                     oracle_bleu4(cand, refs, smoothing), abs=1e-9)
+
+
+class TestCorpusBleu4:
+    def test_matches_oracle_randomized(self):
+        rng = np.random.default_rng(29)
+        vocab = list("abc")  # small vocabulary: n-grams repeat within sentences
+
+        def sentence(lo):
+            return [vocab[i] for i in rng.integers(0, 3, int(rng.integers(lo, 7)))]
+
+        empties = ties = 0
+        for _ in range(300):
+            pairs = []
+            for _ in range(int(rng.integers(1, 5))):
+                cand = sentence(0)
+                refs = [sentence(1) for _ in range(int(rng.integers(0, 4)))]
+                lengths = [abs(len(r) - len(cand)) for r in refs]
+                empties += not cand
+                ties += len({len(r) for r in refs
+                             if abs(len(r) - len(cand)) == min(lengths)}) > 1
+                pairs.append((cand, refs))
+            assert corpus_bleu4(pairs) == oracle_corpus_bleu4(pairs)
+        assert empties > 0 and ties > 0
 
 
 class TestCiderD:
@@ -156,18 +179,75 @@ class TestDenseEval:
         assert report.avg_bleu4_smoothed == pytest.approx(
             float(np.mean([report.bleu4_smoothed[t] for t in report.thresholds])))
 
+    def test_matches_oracles_on_matched_and_decoy_predictions(self):
+        corpus = gen_synthetic(4, seed=21)
+        rng = np.random.default_rng(21)
+        for record in corpus.videos.values():
+            duration = record.meta.duration_s
+            second = record.annotation_sets[1]
+            preds = [PredictionEntry(second.intervals[0], second.sentences[0])]
+            for iv, sentence in zip(second.intervals, second.sentences):
+                w = 0.3 * iv.length_s
+                start = max(0.0, iv.start_s + rng.uniform(-w, w))
+                end = min(duration, iv.end_s + rng.uniform(-w, w))
+                preds.append(PredictionEntry(TimeInterval(start, end), sentence))
+            for sentence in ("a dog sleeps near the door", "the crowd cheers"):
+                start = rng.uniform(0.0, 0.99 * duration)
+                preds.append(PredictionEntry(
+                    TimeInterval(start, start + 0.01 * duration), sentence))
+            record.predictions = preds
+        # tIoU exactly 0.3, 0.5, 0.7 and 0.9 against [0, 10]
+        corpus.videos["edge"] = make_video(
+            "edge", 20, [([[0, 10]], ["a man runs down the street"])],
+            predictions=[pred(0, k, "a man runs down a street") for k in (3, 5, 7, 9)])
+        thresholds = [0.3, 0.5, 0.7, 0.9]
+        report = dense_eval(corpus, thresholds)
+
+        def span(iv):
+            return (iv.start_s, iv.end_s)
+
+        docs = [[tokenize(s)] for vid in corpus.video_ids()
+                for ann in corpus.videos[vid].annotation_sets for s in ann.sentences]
+        for t in thresholds:
+            per_video = {"bleu4_smoothed": [], "bleu4_unsmoothed": [], "cider": []}
+            pairs = []
+            n_matched = n_unmatched = 0
+            for vid in corpus.video_ids():
+                record = corpus.videos[vid]
+                gts = [(span(iv), s) for ann in record.annotation_sets
+                       for iv, s in zip(ann.intervals, ann.sentences)]
+                scores = {key: [] for key in per_video}
+                for p in record.predictions:
+                    cand = tokenize(p.sentence)
+                    refs = [tokenize(s) for g, s in gts
+                            if oracle_tiou(span(p.interval), g) >= t]
+                    if refs:
+                        n_matched += 1
+                        pairs.append((cand, refs))
+                    else:
+                        n_unmatched += 1
+                    scores["bleu4_smoothed"].append(
+                        oracle_bleu4(cand, refs, True) if refs else 0.0)
+                    scores["bleu4_unsmoothed"].append(
+                        oracle_bleu4(cand, refs, False) if refs else 0.0)
+                    scores["cider"].append(
+                        oracle_cider_d(cand, refs, docs) if refs else 0.0)
+                for key, values in scores.items():
+                    per_video[key].append(sum(values) / len(values))
+            assert n_matched > 0 and n_unmatched > 0
+            assert (report.matched[t], report.unmatched[t]) == (n_matched, n_unmatched)
+            for key, values in per_video.items():
+                assert getattr(report, key)[t] == pytest.approx(
+                    sum(values) / len(values), abs=1e-9)
+            assert report.bleu4_corpus[t] == pytest.approx(
+                oracle_corpus_bleu4(pairs), abs=1e-9)
+
     def test_missing_sentence_rejected(self):
         corpus = make_corpus(v1=make_video(
             "v1", 100, [([[0, 10]], ["a"])],
             predictions=[PredictionEntry(TimeInterval(0, 10))]))
         with pytest.raises(ValueError):
             dense_eval(corpus, [0.5])
-
-    def test_jobs_equivalence(self):
-        corpus = identity_predictions(gen_synthetic(6, seed=4))
-        a = dense_eval(corpus, jobs=1)
-        b = dense_eval(corpus, jobs=3)
-        assert a.to_dict() == b.to_dict()
 
 
 class TestSelfBleu:
