@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, segment_range
+from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read_field,
+                   read_header, segment_range)
 
 LOGIT_CLAMP = 30.0
 PROB_CLAMP = 1e-7
@@ -25,7 +26,7 @@ PROB_CLAMP = 1e-7
 _MODEL_MAGIC = b"CONM"
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(ValueError):
     def __init__(self, epoch: int):
         super().__init__(f"loss became non-finite at epoch {epoch}")
         self.epoch = epoch
@@ -103,10 +104,17 @@ class TrainConfig:
     weight_init_scale: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.k_segments < 1:
+        # written so that NaN fails every check
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not self.epochs >= 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.batch_size >= 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.k_segments >= 1:
             raise ValueError("k_segments must be >= 1")
+        if not (math.isfinite(self.weight_init_scale) and self.weight_init_scale >= 0):
+            raise ValueError("weight_init_scale must be finite and >= 0")
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -149,11 +157,43 @@ def predict_proposal(model: LinearConceptModel, grid: SegmentGrid,
     return _sigmoid(logits).max(axis=0)
 
 
-def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross entropy over concepts, with probability clamping."""
+def _bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """BCE averaged over the last (concept) axis, with probability clamping."""
     p = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1 - PROB_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+    return -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=-1)
+
+
+def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross entropy over concepts, with probability clamping."""
+    return float(_bce_rows(probs, labels))
+
+
+def _pooled_forward(W: np.ndarray, b: np.ndarray, bags: np.ndarray,
+                    labels: np.ndarray):
+    """Forward pass over stacked (n, K, D) bags.
+
+    Returns the per-bag BCE losses (n,), the first argmax segment of the
+    clamped logits per bag and concept (n, C), the logits there (n, C) and
+    the max-pooled probabilities (n, C).
+    """
+    logits = bags @ W.T + b  # (n, K, C)
+    first = np.argmax(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP), axis=1)
+    top = np.take_along_axis(logits, first[:, None, :], axis=1)[:, 0]
+    pooled = _sigmoid(top)
+    return _bce_rows(pooled, labels), first, top, pooled
+
+
+def _sum_over_bags(terms: np.ndarray, total=0.0):
+    """`total` plus the terms along the leading (bag) axis, added one bag
+    after another as the per-bag definition does.
+
+    numpy's own sum pairs terms up where the bag axis is the only one left
+    (per-bag losses, or C = 1), which rounds differently.
+    """
+    for term in terms:
+        total += term
+    return total
 
 
 def objective_and_gradient(W: np.ndarray, b: np.ndarray,
@@ -161,43 +201,53 @@ def objective_and_gradient(W: np.ndarray, b: np.ndarray,
                            labels: np.ndarray):
     """Batch BCE objective and its analytic (sub)gradient.
 
-    `feature_bags` holds one (K, D) array per example. The loss is the mean
-    over examples of the mean over concepts of BCE on the max-pooled
+    `feature_bags` is a sequence of (K, D) arrays, one per example, or the
+    same bags stacked as one (n, K, D) array. The loss is the mean over
+    examples of the mean over concepts of BCE on the max-pooled
     probabilities; the gradient of each max flows through the first argmax
-    segment of that concept.
+    segment of that concept. All bags go through one vectorized step that
+    does the arithmetic of a per-bag loop in the same order, so results
+    are bit-identical to it.
     """
     W = np.asarray(W, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    bags = np.asarray(feature_bags, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    n, c = len(feature_bags), W.shape[0]
-    dW = np.zeros_like(W)
-    db = np.zeros_like(b)
+    (n, k, d), c = bags.shape, W.shape[0]
+    losses, first, top, pooled = _pooled_forward(W, b, bags, labels)
+    # d(BCE)/d(logit) at the pooled probability; clamps and the BCE
+    # probability clip kill the gradient outside their linear region
+    p_clip = np.clip(pooled, PROB_CLAMP, 1 - PROB_CLAMP)
+    active = (pooled == p_clip) & (np.abs(top) < LOGIT_CLAMP)
+    g = (pooled - labels) / (c * n) * active  # (n, C)
+    # per bag and concept: the argmax segment's features times g
+    at = first + k * np.arange(n)[:, None]  # rows of the (n * K, D) view
+    rows = np.take(bags.reshape(n * k, d), at, axis=0)
+    rows *= g[:, :, None]  # (n, C, D)
+    return float(_sum_over_bags(losses)) / n, _sum_over_bags(rows), _sum_over_bags(g)
+
+
+def _dataset_loss(W: np.ndarray, b: np.ndarray, bags: Sequence[np.ndarray],
+                  labels: np.ndarray, stacked: np.ndarray) -> float:
+    """Mean BCE over all bags, stacked a chunk at a time into `stacked`."""
     total = 0.0
-    for bag, y in zip(feature_bags, labels):
-        logits = bag @ W.T + b  # (K, C)
-        clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
-        probs = 1.0 / (1.0 + np.exp(-clamped))
-        k_star = np.argmax(clamped, axis=0)  # first argmax per concept
-        pooled = probs[k_star, np.arange(c)]
-        total += bce_loss(pooled, y)
-        # d(BCE)/d(logit) at the pooled probability; clamps and the BCE
-        # probability clip kill the gradient outside their linear region
-        p_clip = np.clip(pooled, PROB_CLAMP, 1 - PROB_CLAMP)
-        active = ((pooled == p_clip)
-                  & (np.abs(logits[k_star, np.arange(c)]) < LOGIT_CLAMP))
-        g = (pooled - y) / (c * n) * active
-        dW += g[:, None] * bag[k_star]  # (C, D)
-        db += g
-    return total / n, dW, db
+    chunk = len(stacked)
+    for lo in range(0, len(bags), chunk):
+        part = bags[lo:lo + chunk]
+        losses = _pooled_forward(W, b, np.stack(part, out=stacked[:len(part)]),
+                                 labels[lo:lo + chunk])[0]
+        total = _sum_over_bags(losses, total)
+    return float(total) / len(bags)
 
 
-def train(examples: Sequence[MimlExample], cfg: TrainConfig = TrainConfig(),
+def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
           vocabulary: Optional[ConceptVocabulary] = None):
     """Mini-batch gradient descent on proposal-level BCE.
 
     Deterministic for a fixed seed. Returns (model, per-epoch loss trace);
     the trace holds the full-dataset loss after each epoch.
     """
+    cfg = cfg if cfg is not None else TrainConfig()
     if not examples:
         raise ValueError("no training examples")
     c = len(examples[0].labels)
@@ -211,17 +261,21 @@ def train(examples: Sequence[MimlExample], cfg: TrainConfig = TrainConfig(),
     W = rng.normal(scale=cfg.weight_init_scale, size=(c, d))
     b = np.zeros(c)
 
+    # one batch-sized buffer serves every mini-batch and loss chunk: a fresh
+    # (n, K, D) stack per step, beside the (n, C, D) gradient rows, makes the
+    # heap hand its pages back and fault them in again on every step
+    stacked = np.empty((min(cfg.batch_size, len(bags)),) + bags[0].shape)
     trace = []
     order = np.arange(len(examples))
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            _, dW, db = objective_and_gradient(W, b, [bags[i] for i in idx],
-                                               labels[idx])
+            batch = np.stack([bags[i] for i in idx], out=stacked[:len(idx)])
+            _, dW, db = objective_and_gradient(W, b, batch, labels[idx])
             W -= cfg.learning_rate * dW
             b -= cfg.learning_rate * db
-        loss, _, _ = objective_and_gradient(W, b, bags, labels)
+        loss = _dataset_loss(W, b, bags, labels, stacked)
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
         trace.append(loss)
@@ -282,19 +336,21 @@ def save_model(model: LinearConceptModel, path, binary: bool = True) -> None:
 
 def load_model(path) -> LinearConceptModel:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic == _MODEL_MAGIC:
-            (header_len,) = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(header_len).decode())
-            c, d = header["n_concepts"], header["dim"]
-            data = np.frombuffer(f.read(), dtype="<f8")
-            if data.size != c * d + c:
+        header, binary = read_header(f, _MODEL_MAGIC, path)
+        vocabulary = read_field(header, "vocabulary", list, path)
+        if binary:
+            c = read_field(header, "n_concepts", int, path)
+            d = read_field(header, "dim", int, path)
+            payload = f.read()
+            if len(payload) % 8:
                 raise CorpusFormatError(f"{path}: truncated model payload")
+            data = np.frombuffer(payload, dtype="<f8")
+            if c < 1 or d < 0 or data.size != c * d + c:
+                raise CorpusFormatError(
+                    f"{path}: {data.size} model values for {c} x {d} weights and {c} biases")
             W = data[:c * d].reshape(c, d).copy()
             b = data[c * d:].copy()
         else:
-            f.seek(0)
-            header = json.loads(f.read().decode())
-            W = np.asarray(header["W"], dtype=np.float64)
-            b = np.asarray(header["b"], dtype=np.float64)
-    return LinearConceptModel(W, b, ConceptVocabulary(header["vocabulary"]))
+            W = np.asarray(read_field(header, "W", list, path), dtype=np.float64)
+            b = np.asarray(read_field(header, "b", list, path), dtype=np.float64)
+    return LinearConceptModel(W, b, ConceptVocabulary(vocabulary))

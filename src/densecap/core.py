@@ -61,10 +61,10 @@ class VideoMeta:
     frames_per_segment: int = 64
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise CorpusFormatError(f"{self.video_id}: duration must be > 0")
-        if self.fps <= 0:
-            raise CorpusFormatError(f"{self.video_id}: fps must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise CorpusFormatError(f"{self.video_id}: duration must be finite and > 0")
+        if not 0 < self.fps < math.inf:
+            raise CorpusFormatError(f"{self.video_id}: fps must be finite and > 0")
         if self.frames_per_segment < 1:
             raise CorpusFormatError(f"{self.video_id}: frames_per_segment must be >= 1")
 
@@ -169,12 +169,53 @@ def _read_interval(pair, duration_s, where):
     return TimeInterval(start, min(end, duration_s))
 
 
-def _optional_field(entry: dict, key: str, types, where: str):
-    """`entry[key]`, or None when absent; any other type than `types` is an error."""
-    value = entry.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+_REQUIRED = object()
+
+
+def read_field(record: dict, key: str, types, where, default=_REQUIRED):
+    """`record[key]`, checked against `types` (booleans never pass).
+
+    An absent or null field gives `default`; without a default it is a
+    CorpusFormatError, as is a value of any other type.
+    """
+    value = record.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise CorpusFormatError(f"{where}: missing {key}")
+        return default
+    if isinstance(value, bool) or not isinstance(value, types):
         raise CorpusFormatError(f"{where}: bad {key} {value!r}")
     return value
+
+
+def _json_object(blob: bytes, path) -> dict:
+    try:
+        header = json.loads(blob.decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorpusFormatError(f"{path}: header is not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CorpusFormatError(f"{path}: header is not a JSON object")
+    return header
+
+
+def read_header(f, magic: bytes, path):
+    """Header of a file in either layout of the binary containers.
+
+    A binary file is `magic`, a little-endian u32 length, that many bytes of
+    JSON header and then the payload, where `f` is left. Any other file is
+    one JSON object that carries header and data together. Returns
+    (header, binary).
+    """
+    if f.read(4) != magic:
+        f.seek(0)
+        return _json_object(f.read(), path), False
+    prefix = f.read(4)
+    if len(prefix) == 4:
+        (length,) = struct.unpack("<I", prefix)
+        blob = f.read(length)
+        if len(blob) == length:
+            return _json_object(blob, path), True
+    raise CorpusFormatError(f"{path}: truncated header")
 
 
 def load_ground_truth(path, meta_source=None, corpus: Optional[Corpus] = None) -> Corpus:
@@ -202,10 +243,10 @@ def load_ground_truth(path, meta_source=None, corpus: Optional[Corpus] = None) -
     for video_id, entry in raw.items():
         try:
             duration = float(entry["duration"])
-            timestamps = entry["timestamps"]
-            sentences = entry["sentences"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{video_id}: malformed entry ({exc})") from exc
+        timestamps = read_field(entry, "timestamps", list, video_id)
+        sentences = read_field(entry, "sentences", list, video_id)
         overrides = meta_source.get(video_id, {})
         meta = VideoMeta(
             video_id,
@@ -282,9 +323,10 @@ def load_predictions(path, corpus: Optional[Corpus] = None,
                 raise CorpusFormatError(f"{where}: expected an object")
             parsed.append(PredictionEntry(
                 _read_interval(entry.get("timestamp"), duration, where),
-                sentence=_optional_field(entry, "sentence", str, where),
-                proposal_score=_optional_field(entry, "proposal_score", (int, float), where),
-                caption_logprob=_optional_field(entry, "caption_logprob", (int, float), where),
+                sentence=read_field(entry, "sentence", str, where, None),
+                proposal_score=read_field(entry, "proposal_score", (int, float), where, None),
+                caption_logprob=read_field(entry, "caption_logprob", (int, float),
+                                           where, None),
             ))
         predictions[video_id] = parsed
         if corpus is not None:
@@ -369,28 +411,27 @@ def save_features(grid: SegmentGrid, path, binary: bool = True) -> None:
 def load_features(path) -> SegmentGrid:
     """Read a feature file written by save_features (either layout)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic == _FEATURE_MAGIC:
-            (header_len,) = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(header_len).decode())
+        header, binary = read_header(f, _FEATURE_MAGIC, path)
+        if binary:
             payload = f.read()
             if len(payload) % 4:
                 raise CorpusFormatError(f"{path}: truncated feature payload")
             data = np.frombuffer(payload, dtype="<f4")
         else:
-            f.seek(0)
-            header = json.loads(f.read().decode())
-            data = np.asarray(header.pop("features"), dtype=np.float64)
+            data = np.asarray(read_field(header, "features", list, path),
+                              dtype=np.float64)
     meta = VideoMeta(
-        header["video_id"],
-        header["duration"],
-        fps=header.get("fps", 25.0),
-        frames_per_segment=header.get("frames_per_segment", 64),
+        read_field(header, "video_id", str, path),
+        read_field(header, "duration", (int, float), path),
+        fps=read_field(header, "fps", (int, float), path, 25.0),
+        frames_per_segment=read_field(header, "frames_per_segment", int, path, 64),
     )
-    rows, dim = header["segment_count"], header["dim"]
+    rows = read_field(header, "segment_count", int, path)
+    dim = read_field(header, "dim", int, path)
     if meta.segment_count != rows:
         raise CorpusFormatError(f"{meta.video_id}: header segment_count mismatch")
     if data.size != rows * dim:
         raise CorpusFormatError(f"{path}: {data.size} feature values for {rows} x {dim}")
     features = np.asarray(data, dtype=np.float64).reshape(rows, dim)
-    return SegmentGrid(meta, features, feature_tag=header.get("feature_tag", "basic"))
+    tag = read_field(header, "feature_tag", str, path, "basic")
+    return SegmentGrid(meta, features, feature_tag=tag)

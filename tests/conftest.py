@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -66,3 +68,16 @@ def pytest_terminal_summary(terminalreporter):
 def simple_meta():
     # 16 s at 16 fps with 64-frame segments: four 4 s segments
     return VideoMeta("v1", 16.0, fps=16.0, frames_per_segment=64)
+
+
+@pytest.fixture
+def rewrite_header():
+    """Edit, in place, the JSON header of a binary feature or model file."""
+    def rewrite(path, edit):
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + length])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length:])
+    return rewrite

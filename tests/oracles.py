@@ -6,6 +6,8 @@ dicts, deliberately not sharing code paths with the package.
 
 import math
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # interval matching
@@ -277,3 +279,68 @@ def oracle_repetition_video(captions, n=4):
         return None
     repeats = sum(c - 1 for c in counts.values() if c > 1)
     return 100.0 * repeats / total
+
+
+# ---------------------------------------------------------------------------
+# MIML concept training (the per-bag loop the vectorized trainer replaced)
+
+LOGIT_CLAMP = 30.0
+PROB_CLAMP = 1e-7
+
+
+def oracle_bce_loss(probs, labels):
+    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1 - PROB_CLAMP)
+    y = np.asarray(labels, dtype=np.float64)
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+
+
+def oracle_objective_and_gradient(W, b, feature_bags, labels):
+    """Batch BCE objective and its (sub)gradient, one bag at a time."""
+    W = np.asarray(W, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n, c = len(feature_bags), W.shape[0]
+    dW = np.zeros_like(W)
+    db = np.zeros_like(b)
+    total = 0.0
+    for bag, y in zip(feature_bags, labels):
+        logits = bag @ W.T + b  # (K, C)
+        clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
+        probs = 1.0 / (1.0 + np.exp(-clamped))
+        k_star = np.argmax(clamped, axis=0)  # first argmax per concept
+        pooled = probs[k_star, np.arange(c)]
+        total += oracle_bce_loss(pooled, y)
+        # d(BCE)/d(logit) at the pooled probability; clamps and the BCE
+        # probability clip kill the gradient outside their linear region
+        p_clip = np.clip(pooled, PROB_CLAMP, 1 - PROB_CLAMP)
+        active = ((pooled == p_clip)
+                  & (np.abs(logits[k_star, np.arange(c)]) < LOGIT_CLAMP))
+        g = (pooled - y) / (c * n) * active
+        dW += g[:, None] * bag[k_star]  # (C, D)
+        db += g
+    return total / n, dW, db
+
+
+def oracle_train(bags, labels, learning_rate, epochs, batch_size, seed,
+                 weight_init_scale):
+    """Mini-batch gradient descent over (K, D) bags with the per-bag objective.
+
+    Returns (W, b, per-epoch full-dataset loss trace).
+    """
+    c, d = labels.shape[1], bags[0].shape[1]
+    rng = np.random.default_rng(seed)
+    W = rng.normal(scale=weight_init_scale, size=(c, d))
+    b = np.zeros(c)
+    trace = []
+    order = np.arange(len(bags))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for lo in range(0, len(order), batch_size):
+            idx = order[lo:lo + batch_size]
+            _, dW, db = oracle_objective_and_gradient(W, b, [bags[i] for i in idx],
+                                                      labels[idx])
+            W -= learning_rate * dW
+            b -= learning_rate * db
+        loss, _, _ = oracle_objective_and_gradient(W, b, bags, labels)
+        trace.append(loss)
+    return W, b, trace

@@ -66,15 +66,20 @@ class TestDispatchBasics:
         assert dispatch(["eval-diversity", "--pred", str(path)]) == 2
 
     def test_truncated_feature_file_exits_2(self, tmp_path):
-        meta = VideoMeta("v1", 16.0, fps=16.0)
-        feat = tmp_path / "v1.feat"
-        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), feat)
+        model, feat = one_concept_files(tmp_path)
         feat.write_bytes(feat.read_bytes()[:-6])
-        model = tmp_path / "model.bin"
-        save_model(LinearConceptModel(np.zeros((1, 3)), np.zeros(1),
-                                      ConceptVocabulary(["run"])), model)
-        assert dispatch(["concepts", "predict", "--model", str(model),
-                         "--features", str(feat), "--timestamps", "0,8"]) == 2
+        assert dispatch(predict_args(model, feat)) == 2
+
+    @pytest.mark.parametrize("entry", [
+        {"duration": 30, "timestamps": 5, "sentences": ["s"]},
+        {"duration": 30, "timestamps": [[0, 10]], "sentences": 5},
+    ])
+    def test_non_list_groundtruth_fields_exit_2(self, tmp_path, entry):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"v1": entry}))
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"results": {}}))
+        assert dispatch(["eval-captions", "--pred", str(pred), "--gt", str(gt)]) == 2
 
 
 class TestGenSynthetic:
@@ -209,28 +214,50 @@ class TestRerankCli:
                 assert row["tiou"] > 0.3
 
 
+def concept_training_args(tmp_path, features):
+    """`concepts train` arguments for one 16-segment video, "run" in its
+    first half and "jump" in its second."""
+    feat_dir = tmp_path / "feats"
+    feat_dir.mkdir()
+    meta = VideoMeta("v1", 64.0, fps=16.0)  # 16 segments
+    save_features(SegmentGrid(meta, features), feat_dir / "v1.feat")
+    labels = {
+        "vocabulary": ["run", "jump"],
+        "examples": {"v1": [
+            {"timestamp": [0, 32], "concepts": ["run"]},
+            {"timestamp": [32, 64], "concepts": ["jump"]},
+        ]},
+    }
+    (tmp_path / "labels.json").write_text(json.dumps(labels))
+    return ["concepts", "train", "--features-dir", str(feat_dir),
+            "--labels", str(tmp_path / "labels.json"), "--k", "8"]
+
+
+def one_concept_files(tmp_path):
+    """A one-concept binary model and a matching 3-d binary feature file."""
+    meta = VideoMeta("v1", 16.0, fps=16.0)
+    feat = tmp_path / "v1.feat"
+    save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), feat)
+    model = tmp_path / "model.bin"
+    save_model(LinearConceptModel(np.zeros((1, 3)), np.zeros(1),
+                                  ConceptVocabulary(["run"])), model)
+    return model, feat
+
+
+def predict_args(model, feat):
+    return ["concepts", "predict", "--model", str(model), "--features", str(feat),
+            "--timestamps", "0,8"]
+
+
 class TestConceptsCli:
     def test_train_and_predict(self, tmp_path):
-        feat_dir = tmp_path / "feats"
-        feat_dir.mkdir()
         rng = np.random.default_rng(0)
-        meta = VideoMeta("v1", 64.0, fps=16.0)  # 16 segments
-        features = rng.standard_normal((meta.segment_count, 8))
+        features = rng.standard_normal((16, 8))
         features[:8, 0] += 3.0  # first half correlates with concept "run"
-        save_features(SegmentGrid(meta, features), feat_dir / "v1.feat")
-        labels = {
-            "vocabulary": ["run", "jump"],
-            "examples": {"v1": [
-                {"timestamp": [0, 32], "concepts": ["run"]},
-                {"timestamp": [32, 64], "concepts": ["jump"]},
-            ]},
-        }
-        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        feat_dir = tmp_path / "feats"
         model_path = tmp_path / "model.bin"
-        code = dispatch(["concepts", "train", "--features-dir", str(feat_dir),
-                         "--labels", str(tmp_path / "labels.json"),
-                         "--epochs", "20", "--k", "8",
-                         "--out", str(model_path)])
+        code = dispatch(concept_training_args(tmp_path, features)
+                        + ["--epochs", "20", "--out", str(model_path)])
         assert code == 0
         out = tmp_path / "probs.json"
         code = dispatch(["concepts", "predict", "--model", str(model_path),
@@ -241,6 +268,45 @@ class TestConceptsCli:
         payload = json.loads(out.read_text())
         assert len(payload) == 2
         assert payload[0]["top_concepts"][0]["concept"] in ("run", "jump")
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.5"])
+    def test_bad_learning_rate_exits_1(self, tmp_path, capsys, lr):
+        code = dispatch(concept_training_args(tmp_path, np.ones((16, 8)))
+                        + ["--lr", lr, "--out", str(tmp_path / "model.bin")])
+        assert code == 1
+        assert "error: learning_rate must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_exits_1(self, tmp_path, capsys):
+        # one step at lr 1e308 makes a weight infinite; times the zero
+        # feature of the second half's segments, that is a NaN logit
+        features = np.zeros((16, 8))
+        features[:8, 0] = 20.0
+        code = dispatch(concept_training_args(tmp_path, features)
+                        + ["--lr", "1e308", "--epochs", "3",
+                           "--out", str(tmp_path / "model.bin")])
+        assert code == 1
+        assert "error: loss became non-finite at epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_truncated_model_exits_2(self, tmp_path):
+        model, feat = one_concept_files(tmp_path)
+        model.write_bytes(model.read_bytes()[:-6])
+        assert dispatch(predict_args(model, feat)) == 2
+
+    @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary"])
+    def test_model_header_field_missing_exits_2(self, tmp_path, rewrite_header, key):
+        model, feat = one_concept_files(tmp_path)
+        rewrite_header(model, lambda header: header.pop(key))
+        assert dispatch(predict_args(model, feat)) == 2
+
+    @pytest.mark.parametrize("key", ["video_id", "duration", "segment_count", "dim"])
+    def test_feature_header_field_missing_exits_2(self, tmp_path, rewrite_header, key):
+        model, feat = one_concept_files(tmp_path)
+        rewrite_header(feat, lambda header: header.pop(key))
+        assert dispatch(predict_args(model, feat)) == 2
 
 
 class TestContextsCli:

@@ -1,15 +1,18 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from densecap import (ConceptVocabulary, LinearConceptModel, SegmentGrid,
-                      TimeInterval, TrainConfig, VideoMeta,
+from densecap import (ConceptVocabulary, CorpusFormatError, LinearConceptModel,
+                      SegmentGrid, TimeInterval, TrainConfig, VideoMeta,
                       assign_segment_labels, bce_loss, build_vocabulary,
                       load_model, predict_proposal, predict_segment,
                       save_model, select_even_segments, train)
-from densecap.concepts import MimlExample, objective_and_gradient, proposal_accuracy
+from densecap.concepts import (MimlExample, TrainingDiverged, objective_and_gradient,
+                               proposal_accuracy)
 from densecap.synthetic import make_separable_miml
+from oracles import oracle_objective_and_gradient, oracle_train
 
 
 class TestVocabulary:
@@ -165,6 +168,75 @@ class TestGradient:
             assert np.abs(db - num_db).max() / scale < 1e-4
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBatchedObjective:
+    """The vectorized objective against the per-bag loop, bit for bit."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_per_bag_oracle(self, stacked):
+        rng = np.random.default_rng(2024)
+        for case in range(150):
+            n, k, d, c = (int(rng.integers(1, hi)) for hi in (41, 7, 10, 10))
+            # 0.1: no clamp; 3: some probabilities past the BCE clip;
+            # 60: most logits beyond +-LOGIT_CLAMP
+            scale = (0.1, 3.0, 60.0)[case % 3]
+            bags = scale * rng.standard_normal((n, k, d))
+            for i in range(0, n, 3):  # repeated segments tie the argmax
+                bags[i] = bags[i][rng.integers(0, k, size=k)]
+            W = rng.standard_normal((c, d))
+            b = scale * rng.standard_normal(c)
+            labels = rng.integers(0, 2, size=(n, c)).astype(float)
+            want = oracle_objective_and_gradient(W, b, list(bags), labels)
+            got = objective_and_gradient(W, b, bags if stacked else list(bags), labels)
+            assert got[0] == want[0]
+            assert same_bits(got[1], want[1])
+            assert same_bits(got[2], want[2])
+
+    def test_saturated_and_clamped_logits_have_no_gradient(self):
+        # bag 0 pools logits 20 (probability past the BCE clip) and 40 (past
+        # the logit clamp); bag 1 pools 2 and 4
+        bags = np.array([[[1.0], [0.5]], [[-1.0], [0.1]]])  # (2, 2, 1)
+        W = np.array([[20.0], [40.0]])
+        b = np.zeros(2)
+        labels = np.array([[0.0, 0.0], [1.0, 1.0]])
+        loss, dW, db = objective_and_gradient(W, b, bags, labels)
+        want = oracle_objective_and_gradient(W, b, list(bags), labels)
+        assert loss == want[0]
+        assert same_bits(dW, want[1]) and same_bits(db, want[2])
+        # only bag 1 contributes, at half the weight it has on its own
+        _, dW1, db1 = objective_and_gradient(W, b, bags[1:], labels[1:])
+        assert np.all(dW1 != 0.0)
+        assert same_bits(dW, dW1 / 2) and same_bits(db, db1 / 2)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", 0.0), ("learning_rate", -0.5),
+        ("epochs", 0), ("batch_size", 0), ("k_segments", 0),
+        ("weight_init_scale", math.nan), ("weight_init_scale", math.inf),
+        ("weight_init_scale", -0.01),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_init_scale_allowed(self):
+        assert TrainConfig(weight_init_scale=0.0).weight_init_scale == 0.0
+
+    def test_default_config_is_not_shared(self):
+        assert inspect.signature(train).parameters["cfg"].default is None
+        _, trace = train(make_separable_miml(10, seed=4))
+        assert len(trace) == TrainConfig().epochs
+
+    def test_divergence_is_a_value_error(self):
+        assert issubclass(TrainingDiverged, ValueError)
+
+
 class TestTraining:
     def test_zero_learning_rate_keeps_init(self):
         examples = make_separable_miml(20, seed=1)
@@ -189,6 +261,24 @@ class TestTraining:
         np.testing.assert_array_equal(m1.W, m2.W)
         np.testing.assert_array_equal(m1.b, m2.b)
         assert t1 == t2
+
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_matches_per_bag_oracle_trainer(self, seed):
+        examples = make_separable_miml(45, n_concepts=5, dim=12, seed=seed)
+        # 45 bags in batches of 11: the last mini-batch and loss chunk are
+        # short, the others long enough (8 or more) for numpy to sum in pairs
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=11, k_segments=6,
+                          seed=seed)
+        model, trace = train(examples, cfg)
+        bags = [ex.grid.features[select_even_segments(ex.proposal, ex.grid.meta,
+                                                      cfg.k_segments)]
+                for ex in examples]
+        labels = np.stack([ex.labels for ex in examples])
+        W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
+                                  cfg.batch_size, cfg.seed, cfg.weight_init_scale)
+        assert same_bits(model.W, W)
+        assert same_bits(model.b, b)
+        assert trace == want
 
 
 class TestAssignSegmentLabels:
@@ -225,3 +315,27 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.W, model.W)
         np.testing.assert_array_equal(loaded.b, model.b)
         assert loaded.vocabulary.concepts == model.vocabulary.concepts
+
+    @pytest.mark.parametrize("cut", range(1, 17))
+    def test_truncated_binary_model_rejected(self, tmp_path, cut):
+        path = tmp_path / "model.bin"
+        save_model(toy_model(np.ones((2, 3)), np.zeros(2)), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(CorpusFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary"])
+    def test_header_field_required(self, tmp_path, rewrite_header, key):
+        path = tmp_path / "model.bin"
+        save_model(toy_model(np.ones((2, 3)), np.zeros(2)), path)
+        rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(CorpusFormatError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize("keep", [4, 6, 10])
+    def test_cut_header_rejected(self, tmp_path, keep):
+        path = tmp_path / "model.bin"
+        save_model(toy_model(np.ones((2, 3)), np.zeros(2)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CorpusFormatError):
+            load_model(path)

@@ -61,6 +61,20 @@ class TestGroundTruthLoading:
         with pytest.raises(CorpusFormatError):
             load_ground_truth(bad)
 
+    @pytest.mark.parametrize("entry", [
+        {"duration": 30, "timestamps": 5, "sentences": ["s"]},
+        {"duration": 30, "timestamps": [[0, 10]], "sentences": 5},
+        {"duration": 30, "timestamps": [[0, 10], [2, 8]], "sentences": "ab"},
+        {"duration": 30, "sentences": ["s"]},
+        {"duration": "long", "timestamps": [[0, 10]], "sentences": ["s"]},
+        {"duration": math.inf, "timestamps": [[0, 10]], "sentences": ["s"]},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_entry_raises_format_error(self, tmp_path, entry):
+        path = write_gt(tmp_path, "gt.json", {"v1": entry})
+        with pytest.raises(CorpusFormatError):
+            load_ground_truth(path)
+
     def test_fps_sidecar(self, tmp_path):
         path = write_gt(tmp_path, "gt.json", {
             "v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}})
@@ -229,6 +243,47 @@ class TestRoundTrip:
         save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), path)
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(CorpusFormatError):
+            load_features(path)
+
+    @pytest.mark.parametrize("key", ["video_id", "duration", "segment_count", "dim"])
+    def test_feature_header_field_required(self, tmp_path, rewrite_header, key):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        path = tmp_path / "v1.feat"
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), path)
+        rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(CorpusFormatError, match=key):
+            load_features(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", "3"), ("segment_count", 4.0), ("duration", None), ("fps", "fast"),
+        ("frames_per_segment", True), ("feature_tag", 7), ("video_id", 1),
+    ])
+    def test_feature_header_field_type_checked(self, tmp_path, rewrite_header,
+                                               key, value):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        path = tmp_path / "v1.feat"
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), path)
+        rewrite_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(CorpusFormatError):
+            load_features(path)
+
+    @pytest.mark.parametrize("content", [b"SEGF", b"SEGF\x40\x00", b"SEGF\x40\x00\x00\x00{",
+                                         b"SEGF\x02\x00\x00\x00[]", b"[1, 2]", b"\xff\xfe"])
+    def test_bad_feature_header_rejected(self, tmp_path, content):
+        path = tmp_path / "v1.feat"
+        path.write_bytes(content)
+        with pytest.raises(CorpusFormatError):
+            load_features(path)
+
+    def test_json_features_required(self, tmp_path):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        path = tmp_path / "v1.json"
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), path,
+                      binary=False)
+        payload = json.loads(path.read_text())
+        del payload["features"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusFormatError, match="features"):
             load_features(path)
 
     def test_feature_row_count_enforced(self):
