@@ -16,17 +16,16 @@ from .contexts import (EmptyContext, EventContextBundle, build_bundle,
                        pool_features, sentence_history)
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry,
                    SegmentGrid, TimeInterval, VideoMeta, VideoRecord,
-                   load_features, load_ground_truth, load_predictions,
-                   save_features, save_ground_truth, save_predictions,
+                   load_features, load_ground_truth, load_meta, load_predictions,
+                   save_features, save_ground_truth, save_meta, save_predictions,
                    segment_range)
 from .fusion import (CandidatePool, FusionConfig, FusedProposal,
                      HeuristicPointwiseScorer, HeuristicSequentialScorer,
                      enumerate_sliding_windows, fuse_select)
-from .intervals import (MatchResult, PRTable, best_match, match_all,
-                        precision_recall, tiou, tiou_matrix)
-from .metrics import (DenseEvalReport, DiversityReport, bleu4, cider_d,
-                      dense_eval, diversity_report, repetition, self_bleu,
-                      tokenize)
+from .intervals import (MatchResult, PRTable, match_all, precision_recall, tiou,
+                        tiou_matrix)
+from .metrics import (DenseEvalReport, DiversityReport, bleu4, dense_eval,
+                      diversity_report, repetition, self_bleu, tokenize)
 from .rerank import (AugmentedPair, CaptionRerankParams, RerankWeights,
                      augment, caption_rerank, proposal_rerank)
 from .synthetic import gen_synthetic, identity_predictions, make_separable_miml

@@ -8,17 +8,13 @@ obtainable through direct calls. Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Dict, List, Optional
-
-import numpy as np
 
 from . import concepts as concepts_mod
 from . import contexts as contexts_mod
 from . import core, fusion, intervals, metrics, rerank, synthetic
-from .core import Corpus, CorpusFormatError, PredictionEntry, TimeInterval, VideoMeta
+from .core import CorpusFormatError, TimeInterval
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,37 +39,23 @@ def _float_list(value):
     return [float(x) for x in value.split(",") if x]
 
 
-def _load_corpus(gt_paths, meta_path=None) -> Corpus:
+def _spans(value):
+    spans = [_float_list(span) for span in value.split(";")]
+    if any(len(span) != 2 for span in spans):
+        raise ValueError("each span needs a start and an end")
+    return spans
+
+
+def _load_corpus(gt_paths, metas=None) -> core.Corpus:
     corpus = None
     for path in gt_paths:
-        corpus = core.load_ground_truth(path, meta_source=meta_path, corpus=corpus)
+        corpus = core.load_ground_truth(path, meta_source=metas, corpus=corpus)
     return corpus
-
-
-def _load_meta_map(path) -> Dict[str, VideoMeta]:
-    """Read video metadata from a meta JSON or a groundtruth file."""
-    with open(path) as f:
-        raw = json.load(f)
-    metas = {}
-    for vid, entry in raw.items():
-        metas[vid] = VideoMeta(
-            vid, float(entry["duration"]),
-            fps=float(entry.get("fps", 25.0)),
-            frames_per_segment=int(entry.get("frames_per_segment", 64)),
-        )
-    return metas
-
-
-def _load_features_dir(path) -> Dict[str, core.SegmentGrid]:
-    """Every feature file in a directory, keyed by the video id in its header."""
-    grids = (core.load_features(os.path.join(path, name)) for name in os.listdir(path))
-    return {grid.meta.video_id: grid for grid in grids}
 
 
 def _write_json(payload, path):
     if path:
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
+        core.write_json(payload, path)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +69,7 @@ def _cmd_gen_synthetic(args) -> int:
     core.save_ground_truth(corpus, os.path.join(args.out_dir, "gt_set1.json"), 0)
     if not args.single_set:
         core.save_ground_truth(corpus, os.path.join(args.out_dir, "gt_set2.json"), 1)
-    meta = {vid: {"duration": rec.meta.duration_s, "fps": rec.meta.fps,
-                  "frames_per_segment": rec.meta.frames_per_segment}
-            for vid, rec in sorted(corpus.videos.items())}
-    with open(os.path.join(args.out_dir, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
+    core.save_meta(corpus, os.path.join(args.out_dir, "meta.json"))
     print(f"wrote {args.videos} videos to {args.out_dir}")
     return 0
 
@@ -110,14 +88,7 @@ def _cmd_eval_proposals(args) -> int:
               f"{table.zero_prediction_videos}")
     if skipped:
         print(f"skipped predictions for {skipped} unknown videos")
-    _write_json({
-        "thresholds": table.thresholds,
-        "precision": {str(t): table.precision[t] for t in table.thresholds},
-        "recall": {str(t): table.recall[t] for t in table.thresholds},
-        "avg_proposals_per_video": table.avg_proposals_per_video,
-        "videos": table.videos,
-        "zero_prediction_videos": table.zero_prediction_videos,
-    }, args.out)
+    _write_json(table.to_dict(), args.out)
     return 0
 
 
@@ -137,19 +108,9 @@ def _cmd_eval_captions(args) -> int:
     return 0
 
 
-def _captions_by_set(pred_paths) -> Dict[str, List[List[str]]]:
-    by_video: Dict[str, List[List[str]]] = {}
-    for path in pred_paths:
-        preds, _ = core.load_predictions(path)
-        for vid, entries in preds.items():
-            caps = [e.sentence for e in entries if e.sentence is not None]
-            by_video.setdefault(vid, []).append(caps)
-    return by_video
-
-
 def _cmd_eval_diversity(args) -> int:
-    paths = [args.pred] + (args.pred2 or [])
-    report = metrics.diversity_report(_captions_by_set(paths), n=args.n)
+    sets = [core.load_predictions(path)[0] for path in [args.pred] + (args.pred2 or [])]
+    report = metrics.diversity_report(metrics.captions_by_set(sets), n=args.n)
     print(f"SelfB:  {report.self_bleu:8.4f}")
     print(f"RE:     {report.repetition:8.4f}")
     print(f"SelfB2: {report.self_bleu_combined:8.4f}")
@@ -162,59 +123,25 @@ def _cmd_eval_diversity(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    metas = _load_meta_map(args.meta)
-    with open(args.scores) as f:
-        scores = json.load(f)
+    metas = core.load_meta(args.meta)
+    scorers = fusion.load_scores(args.scores)
     cfg = fusion.FusionConfig(k=args.k, max_steps=args.max_steps,
                               candidate_cap=args.cap)
-    selected: Dict[str, List[fusion.FusedProposal]] = {}
-    mode = scores.get("mode")
-    if mode == "heuristic":
-        for vid, pairs in sorted(scores["attractors"].items()):
-            if vid not in metas:
-                continue
-            attractors = [TimeInterval(s, e) for s, e in pairs]
-            f_s = fusion.HeuristicPointwiseScorer(attractors)
-            f_e = fusion.HeuristicSequentialScorer(attractors)
-            windows = fusion.enumerate_sliding_windows(metas[vid])
-            pool = fusion.CandidatePool.from_windows(windows, f_s, cap=cfg.candidate_cap)
-            selected[vid] = fusion.fuse_select(pool, f_s, f_e, cfg)
-    elif mode == "tables":
-        for vid, table in sorted(scores["videos"].items()):
-            candidates = [TimeInterval(s, e) for s, e in table["candidates"]]
-            pool = fusion.CandidatePool(candidates, np.asarray(table["f_s"], float))
-            steps = [({int(i): p for i, p in step["probs"].items()}, step["eos"])
-                     for step in table["f_e_steps"]]
-            f_e = fusion.TableSequentialScorer(steps)
-            selected[vid] = fusion.fuse_select(pool, None, f_e, cfg)
-    else:
-        print(f"error: scores file mode must be 'heuristic' or 'tables', "
-              f"got {mode!r}", file=sys.stderr)
-        return 1
-    predictions = {vid: [PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
-                         for p in fused] for vid, fused in selected.items()}
+    predictions = fusion.select_proposals(scorers, metas, cfg)
     core.save_predictions(predictions, args.out)
-    total = sum(len(v) for v in predictions.values())
-    print(f"selected {total} proposals over {len(predictions)} videos")
+    print(f"selected {sum(map(len, predictions.values()))} proposals "
+          f"over {len(predictions)} videos")
     return 0
 
 
 def _cmd_rerank_proposals(args) -> int:
-    metas = _load_meta_map(args.meta)
+    metas = core.load_meta(args.meta)
     preds, _ = core.load_predictions(args.pred)
     if len(args.weights) != 4:
         raise ValueError("--weights needs four values: "
                          "quality,describability,position,length")
-    wq, wd, wp, wl = args.weights
-    weights = rerank.RerankWeights(wq, wd, wp, wl, top_n=args.top)
-    out: Dict[str, List[PredictionEntry]] = {}
-    flagged = 0
-    for vid in sorted(preds):
-        if vid not in metas:
-            continue
-        ranked, missing = rerank.proposal_rerank(preds[vid], metas[vid], weights)
-        flagged += missing
-        out[vid] = ranked
+    weights = rerank.RerankWeights(*args.weights, top_n=args.top)
+    out, flagged = rerank.rerank_proposals(preds, metas, weights)
     core.save_predictions(out, args.out)
     if flagged:
         print(f"candidates missing caption_logprob (factor set to 0): {flagged}")
@@ -229,36 +156,9 @@ def _cmd_rerank_captions(args) -> int:
     params = rerank.CaptionRerankParams(args.alpha,
                                         args.beta if model else 0.0,
                                         args.top_concepts)
-    grids = (_load_features_dir(args.features_dir)
+    grids = (core.load_features_dir(args.features_dir)
              if model is not None and args.features_dir else {})
-
-    out: Dict[str, List[PredictionEntry]] = {}
-    vids = sorted(set().union(*[set(p) for p in all_preds])) if all_preds else []
-    for vid in vids:
-        base = next((p[vid] for p in all_preds if vid in p), [])
-        merged = []
-        for i, entry in enumerate(base):
-            hyps = []
-            for preds in all_preds:
-                if vid in preds and i < len(preds[vid]):
-                    cand = preds[vid][i]
-                    if cand.sentence is not None:
-                        hyps.append(cand.sentence)
-            if not hyps:
-                merged.append(entry)
-                continue
-            if model is not None and vid in grids:
-                probs = concepts_mod.predict_proposal(model, grids[vid],
-                                                      entry.interval)
-                vocab = model.vocabulary
-            else:
-                probs = np.zeros(1)
-                vocab = concepts_mod.ConceptVocabulary(["_none"])
-            best = rerank.caption_rerank(hyps, probs, vocab, params)
-            merged.append(PredictionEntry(entry.interval, sentence=best,
-                                          proposal_score=entry.proposal_score,
-                                          caption_logprob=entry.caption_logprob))
-        out[vid] = merged
+    out = rerank.merge_captions(all_preds, params, model, grids)
     core.save_predictions(out, args.out)
     print(f"re-ranked captions for {len(out)} videos "
           f"from {len(pred_files)} hypothesis files")
@@ -268,40 +168,16 @@ def _cmd_rerank_captions(args) -> int:
 def _cmd_augment(args) -> int:
     corpus = _load_corpus([args.gt])
     preds, _ = core.load_predictions(args.pred, corpus=corpus)
-    payload = {}
-    total = 0
-    for vid in sorted(preds):
-        ann = corpus.videos[vid].annotation_sets[0]
-        pairs = rerank.augment([p.interval for p in preds[vid]], ann)
-        payload[vid] = [{
-            "timestamp": [p.interval.start_s, p.interval.end_s],
-            "gt_index": p.gt_index,
-            "tiou": p.tiou,
-            "caption": p.caption,
-        } for p in pairs]
-        total += len(pairs)
+    payload = rerank.augment_corpus(corpus, preds)
     _write_json(payload, args.out)
-    print(f"emitted {total} augmented pairs for {len(payload)} videos")
+    print(f"emitted {sum(map(len, payload.values()))} augmented pairs "
+          f"for {len(payload)} videos")
     return 0
 
 
 def _cmd_concepts_train(args) -> int:
-    with open(args.labels) as f:
-        labels_doc = json.load(f)
-    vocab = concepts_mod.ConceptVocabulary(labels_doc["vocabulary"])
-    grids = _load_features_dir(args.features_dir)
-    examples = []
-    for vid, rows in sorted(labels_doc["examples"].items()):
-        if vid not in grids:
-            continue
-        for row in rows:
-            labels = np.zeros(len(vocab))
-            for word in row["concepts"]:
-                if word in vocab.lookup:
-                    labels[vocab.lookup[word]] = 1.0
-            s, e = row["timestamp"]
-            examples.append(concepts_mod.MimlExample(
-                TimeInterval(s, e), grids[vid], labels))
+    vocab, examples = concepts_mod.load_labels(
+        args.labels, core.load_features_dir(args.features_dir))
     cfg = concepts_mod.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
         k_segments=args.k, seed=args.seed)
@@ -315,63 +191,25 @@ def _cmd_concepts_train(args) -> int:
 def _cmd_concepts_predict(args) -> int:
     model = concepts_mod.load_model(args.model)
     grid = core.load_features(args.features)
-    payload = []
-    for span in args.timestamps.split(";"):
-        s, e = (float(x) for x in span.split(","))
-        probs = concepts_mod.predict_proposal(model, grid, TimeInterval(s, e),
-                                              k=args.k)
-        top = np.argsort(-probs, kind="stable")[:args.top]
-        ranked = [{"concept": model.vocabulary.concepts[i],
-                   "probability": float(probs[i])} for i in top]
-        payload.append({"timestamp": [s, e], "top_concepts": ranked})
+    rows = concepts_mod.predict_report(
+        model, grid, [TimeInterval(s, e) for s, e in args.timestamps], args.k, args.top)
+    for row in rows:
         head = ", ".join(f"{r['concept']}:{r['probability']:.3f}"
-                         for r in ranked[:5])
-        print(f"[{s:.1f}, {e:.1f}] {head}")
-    _write_json(payload, args.out)
+                         for r in row["top_concepts"][:5])
+        print("[{:.1f}, {:.1f}] {}".format(*row["timestamp"], head))
+    _write_json(rows, args.out)
     return 0
 
 
 def _cmd_contexts(args) -> int:
-    corpus = _load_corpus([args.events], meta_path=args.meta)
-    grids = _load_features_dir(args.features_dir) if args.features_dir else {}
-    payload = {}
-    for vid in corpus.video_ids():
-        record = corpus.videos[vid]
-        ann = record.annotation_sets[0]
-        order = sorted(range(len(ann.intervals)),
-                       key=lambda i: ann.intervals[i].start_s)
-        events = [ann.intervals[i] for i in order]
-        captions = [ann.sentences[i] for i in order]
-        bundles = []
-        for target in range(len(events)):
-            bundle = contexts_mod.build_bundle(
-                events, target, record.meta, captions=captions,
-                window_ratio=args.window_ratio, direction=args.direction)
-            row = {
-                "event_range": list(bundle.event_range),
-                "local_before": list(bundle.local_before),
-                "local_after": list(bundle.local_after),
-                "global_mask": [int(x) for x in bundle.global_mask],
-                "neighbor_events": bundle.neighbor_events,
-                "sentence_history": bundle.sentence_history,
-            }
-            if vid in grids:
-                grid = grids[vid]
-                dim = grid.dim
-                def pooled(sel):
-                    try:
-                        return contexts_mod.pool_features(grid, sel, args.pool).tolist()
-                    except contexts_mod.EmptyContext:
-                        return [0.0] * dim
-                row["event_vector"] = pooled(bundle.event_range)
-                row["local_before_vector"] = pooled(bundle.local_before)
-                row["local_after_vector"] = pooled(bundle.local_after)
-                row["global_vector"] = pooled(bundle.global_mask)
-            bundles.append(row)
-        payload[vid] = bundles
+    metas = core.load_meta(args.meta) if args.meta else None
+    corpus = _load_corpus([args.events], metas)
+    grids = core.load_features_dir(args.features_dir) if args.features_dir else {}
+    payload = contexts_mod.corpus_bundles(corpus, grids, args.window_ratio,
+                                          args.direction, args.pool)
     _write_json(payload, args.out)
-    total = sum(len(v) for v in payload.values())
-    print(f"wrote {total} context bundles for {len(payload)} videos")
+    print(f"wrote {sum(map(len, payload.values()))} context bundles "
+          f"for {len(payload)} videos")
     return 0
 
 
@@ -465,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = csub.add_parser("predict")
     pp.add_argument("--model", required=True)
     pp.add_argument("--features", required=True)
-    pp.add_argument("--timestamps", required=True,
+    pp.add_argument("--timestamps", required=True, type=_spans,
                     help='semicolon-separated "start,end" spans')
     pp.add_argument("--k", type=_positive_int("k"), default=20)
     pp.add_argument("--top", type=_positive_int("top"), default=10)
@@ -473,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_concepts_predict)
 
     p = sub.add_parser("contexts", help="extract per-event context bundles")
-    p.add_argument("--meta", help="optional fps/frames sidecar JSON")
+    p.add_argument("--meta", help="optional meta file, as gen-synthetic writes it; "
+                   "its fps and frames_per_segment set the segment grid")
     p.add_argument("--events", required=True, help="groundtruth-format event file")
     p.add_argument("--features-dir")
     p.add_argument("--window-ratio", type=float, default=0.5)

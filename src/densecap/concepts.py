@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read_field,
-                   read_header, segment_range)
+                   read_header, read_interval, read_items, read_json, read_object,
+                   segment_range)
 
 LOGIT_CLAMP = 30.0
 PROB_CLAMP = 1e-7
@@ -282,6 +283,25 @@ def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
     return LinearConceptModel(W, b, vocabulary), trace
 
 
+def top_concepts(probs: np.ndarray, vocabulary: ConceptVocabulary,
+                 k: int) -> List[Tuple[str, float]]:
+    """The k most probable concepts with their probabilities; ties go to
+    the earlier vocabulary entry."""
+    top = np.argsort(-np.asarray(probs, dtype=np.float64), kind="stable")[:k]
+    return [(vocabulary.concepts[i], float(probs[i])) for i in top.tolist()]
+
+
+def predict_report(model: LinearConceptModel, grid: SegmentGrid,
+                   proposals: Sequence[TimeInterval], k: int = 20,
+                   top: int = 10) -> List[dict]:
+    """Per proposal, its `top` concepts by `predict_proposal`, as JSON-ready rows."""
+    return [{"timestamp": [p.start_s, p.end_s],
+             "top_concepts": [{"concept": c, "probability": v} for c, v in
+                              top_concepts(predict_proposal(model, grid, p, k),
+                                           model.vocabulary, top)]}
+            for p in proposals]
+
+
 def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample],
                       k: int = 20, threshold: float = 0.5) -> float:
     """Fraction of (proposal, concept) pairs predicted correctly at 0.5."""
@@ -311,6 +331,32 @@ def assign_segment_labels(proposals: Sequence[TimeInterval],
 
 
 # ---------------------------------------------------------------------------
+# Labels files: {"vocabulary": [concept, ...], "examples": {video_id:
+# [{"timestamp": [s, e], "concepts": [concept, ...]}, ...]}}.
+
+def load_labels(path, grids: Dict[str, SegmentGrid]):
+    """Read a labels file into (vocabulary, training examples).
+
+    Examples of videos without a grid in `grids` are skipped, as are
+    concepts outside the vocabulary.
+    """
+    doc = read_json(path)
+    vocab = ConceptVocabulary(read_items(doc, "vocabulary", str, path))
+    examples = []
+    by_video = read_field(doc, "examples", dict, path)
+    for vid in sorted(set(by_video) & set(grids)):
+        for i, row in enumerate(read_field(by_video, vid, list, path)):
+            where = f"{vid}[{i}]"
+            labels = np.zeros(len(vocab))
+            for word in read_items(read_object(row, where), "concepts", str, where):
+                if word in vocab.lookup:
+                    labels[vocab.lookup[word]] = 1.0
+            examples.append(MimlExample(read_interval(row.get("timestamp"), math.inf, where),
+                                        grids[vid], labels))
+    return vocab, examples
+
+
+# ---------------------------------------------------------------------------
 # Model files: binary float64 container plus a JSON export for inspection.
 
 def save_model(model: LinearConceptModel, path, binary: bool = True) -> None:
@@ -337,7 +383,7 @@ def save_model(model: LinearConceptModel, path, binary: bool = True) -> None:
 def load_model(path) -> LinearConceptModel:
     with open(path, "rb") as f:
         header, binary = read_header(f, _MODEL_MAGIC, path)
-        vocabulary = read_field(header, "vocabulary", list, path)
+        vocabulary = read_items(header, "vocabulary", str, path)
         if binary:
             c = read_field(header, "n_concepts", int, path)
             d = read_field(header, "dim", int, path)

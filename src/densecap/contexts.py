@@ -10,11 +10,12 @@ events, and sentence context is the captions generated so far.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SegmentGrid, TimeInterval, VideoMeta, segment_range
+from .core import (Corpus, CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta,
+                   segment_range)
 
 
 class EmptyContext(Exception):
@@ -29,6 +30,22 @@ class EventContextBundle:
     global_mask: np.ndarray  # bool per segment, True = included
     neighbor_events: List[int]
     sentence_history: List[str]
+
+    def to_dict(self, grid: Optional[SegmentGrid] = None, mode: str = "mean") -> dict:
+        """The fields for JSON, the mask as 0/1; with a feature grid, also each
+        view pooled by `pool_features`, and a zero vector for an empty view."""
+        row = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        row["global_mask"] = self.global_mask.astype(int).tolist()
+        if grid is not None:
+            for key, selection in (("event_vector", self.event_range),
+                                   ("local_before_vector", self.local_before),
+                                   ("local_after_vector", self.local_after),
+                                   ("global_vector", self.global_mask)):
+                try:
+                    row[key] = pool_features(grid, selection, mode).tolist()
+                except EmptyContext:
+                    row[key] = [0.0] * grid.dim
+        return row
 
 
 def local_context(event: TimeInterval, meta: VideoMeta,
@@ -139,3 +156,31 @@ def build_bundle(events: Sequence[TimeInterval], target: int, meta: VideoMeta,
         neighbor_events=event_neighbors(events, target, direction),
         sentence_history=history,
     )
+
+
+def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],
+                   window_ratio: float = 0.5, direction: str = "bi",
+                   mode: str = "mean") -> Dict[str, List[dict]]:
+    """Every event's bundle as `to_dict` rows, per video.
+
+    Events are annotation set 0's, in start-time order, with its sentences as
+    the sentence history. A video with a grid in `grids` also gets pooled
+    vectors; its grid must have the video's segment count.
+    """
+    out = {}
+    for vid in corpus.video_ids():
+        record = corpus.videos[vid]
+        ann = record.annotation_sets[0]
+        order = sorted(range(len(ann.intervals)), key=lambda i: ann.intervals[i].start_s)
+        events = [ann.intervals[i] for i in order]
+        captions = [ann.sentences[i] for i in order]
+        grid = grids.get(vid)
+        if grid is not None and grid.meta.segment_count != record.meta.segment_count:
+            raise CorpusFormatError(
+                f"{vid}: {grid.meta.segment_count} feature segments for "
+                f"{record.meta.segment_count} in the video's meta")
+        out[vid] = [build_bundle(events, target, record.meta, captions=captions,
+                                 window_ratio=window_ratio,
+                                 direction=direction).to_dict(grid, mode)
+                    for target in range(len(events))]
+    return out

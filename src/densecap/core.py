@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -150,14 +151,19 @@ class Corpus:
         return sorted(self.videos)
 
 
-def _read_interval(pair, duration_s, where):
-    """Validate one raw [start, end] pair against the video duration."""
+def read_interval(pair, duration_s, where):
+    """Validate one raw [start, end] pair against the video duration.
+
+    An end past the duration by at most DURATION_SLOP_S is clamped to it.
+    """
     if not isinstance(pair, list) or len(pair) != 2:
         raise CorpusFormatError(f"bad timestamp {where}")
     try:
         start, end = float(pair[0]), float(pair[1])
     except (TypeError, ValueError) as exc:
         raise CorpusFormatError(f"bad timestamp {where}") from exc
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise CorpusFormatError(f"non-finite timestamp {where}")
     if start >= end:
         raise CorpusFormatError(f"inverted interval {where}")
     if start < 0:
@@ -169,11 +175,27 @@ def _read_interval(pair, duration_s, where):
     return TimeInterval(start, min(end, duration_s))
 
 
+def read_intervals(record: dict, key: str, duration_s, where) -> List[TimeInterval]:
+    """The required list `record[key]` of [start, end] pairs, each read by
+    `read_interval`."""
+    return [read_interval(pair, duration_s, f"{where}[{i}]")
+            for i, pair in enumerate(read_field(record, key, list, where))]
+
+
 _REQUIRED = object()
 
 
+def _checked(value, types, where, key):
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise CorpusFormatError(f"{where}: bad {key} {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CorpusFormatError(f"{where}: non-finite {key}")
+    return value
+
+
 def read_field(record: dict, key: str, types, where, default=_REQUIRED):
-    """`record[key]`, checked against `types` (booleans never pass).
+    """`record[key]`, checked against `types` (booleans and non-finite
+    numbers never pass).
 
     An absent or null field gives `default`; without a default it is a
     CorpusFormatError, as is a value of any other type.
@@ -183,19 +205,45 @@ def read_field(record: dict, key: str, types, where, default=_REQUIRED):
         if default is _REQUIRED:
             raise CorpusFormatError(f"{where}: missing {key}")
         return default
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise CorpusFormatError(f"{where}: bad {key} {value!r}")
-    return value
+    return _checked(value, types, where, key)
 
 
-def _json_object(blob: bytes, path) -> dict:
+def read_items(record: dict, key: str, types, where) -> list:
+    """The required list `record[key]`, each item checked as `read_field` does."""
+    return [_checked(item, types, where, f"{key}[{i}]")
+            for i, item in enumerate(read_field(record, key, list, where))]
+
+
+def read_object(record, where) -> dict:
+    """`record`, which must be a JSON object."""
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"{where}: expected an object")
+    return record
+
+
+def _json_object(blob: bytes, where) -> dict:
     try:
-        header = json.loads(blob.decode())
+        doc = json.loads(blob.decode())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise CorpusFormatError(f"{path}: header is not valid JSON ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CorpusFormatError(f"{path}: header is not a JSON object")
-    return header
+        raise CorpusFormatError(f"{where}: not valid JSON ({exc})") from exc
+    return read_object(doc, where)
+
+
+def read_json(path) -> dict:
+    """A JSON file whose top level is an object."""
+    with open(path, "rb") as f:
+        return _json_object(f.read(), path)
+
+
+def write_json(payload, path) -> None:
+    """The one JSON layout of every file the toolkit writes: sorted keys,
+    indent 1, and no NaN or Infinity."""
+    try:
+        with open(path, "w") as f:
+            json.dump(payload, f, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN or an infinity: leave no half-written file
+        os.remove(path)
+        raise
 
 
 def read_header(f, magic: bytes, path):
@@ -218,45 +266,59 @@ def read_header(f, magic: bytes, path):
     raise CorpusFormatError(f"{path}: truncated header")
 
 
-def load_ground_truth(path, meta_source=None, corpus: Optional[Corpus] = None) -> Corpus:
+# ---------------------------------------------------------------------------
+# Meta files: video_id -> {"duration": s, "fps": ..., "frames_per_segment": ...}.
+# Feature file headers carry the same fields.
+
+def _meta_fields(meta: VideoMeta) -> dict:
+    return {"duration": meta.duration_s, "fps": meta.fps,
+            "frames_per_segment": meta.frames_per_segment}
+
+
+def _read_meta(entry: dict, video_id: str, where) -> VideoMeta:
+    """`duration` is required; `fps` and `frames_per_segment` default to VideoMeta's."""
+    return VideoMeta(
+        video_id, float(read_field(entry, "duration", (int, float), where)),
+        fps=float(read_field(entry, "fps", (int, float), where, VideoMeta.fps)),
+        frames_per_segment=read_field(entry, "frames_per_segment", int, where,
+                                      VideoMeta.frames_per_segment))
+
+
+def load_meta(path) -> Dict[str, VideoMeta]:
+    """Read a meta file, the one `save_meta` writes."""
+    return {vid: _read_meta(read_object(entry, vid), vid, vid)
+            for vid, entry in read_json(path).items()}
+
+
+def save_meta(corpus: Corpus, path) -> None:
+    """Write every video's meta in the format `load_meta` reads."""
+    write_json({vid: _meta_fields(rec.meta) for vid, rec in corpus.videos.items()}, path)
+
+
+def load_ground_truth(path, meta_source: Optional[Dict[str, VideoMeta]] = None,
+                      corpus: Optional[Corpus] = None) -> Corpus:
     """Load a groundtruth file into a corpus (merging into `corpus` if given).
 
     The file maps video_id -> {"duration": s, "timestamps": [[s, e], ...],
     "sentences": [...]}. Loading a second file for the same videos attaches a
-    second AnnotationSet. `meta_source` is an optional dict or JSON path with
-    per-video {"fps": ..., "frames_per_segment": ...} overrides.
+    second AnnotationSet. `meta_source` is an optional `load_meta` map whose
+    fps and frames_per_segment replace the defaults; the groundtruth
+    duration stays, and a meta duration more than 0.5 s away from it is a
+    CorpusFormatError.
     """
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise CorpusFormatError(f"{path}: expected a video_id -> entry map")
-
-    if isinstance(meta_source, (str, bytes)) or hasattr(meta_source, "__fspath__"):
-        with open(meta_source) as f:
-            meta_source = json.load(f)
     meta_source = meta_source or {}
-
     corpus = corpus if corpus is not None else Corpus()
-    for video_id, entry in raw.items():
-        try:
-            duration = float(entry["duration"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{video_id}: malformed entry ({exc})") from exc
-        timestamps = read_field(entry, "timestamps", list, video_id)
-        sentences = read_field(entry, "sentences", list, video_id)
-        overrides = meta_source.get(video_id, {})
-        meta = VideoMeta(
-            video_id,
-            duration,
-            fps=float(overrides.get("fps", 25.0)),
-            frames_per_segment=int(overrides.get("frames_per_segment", 64)),
-        )
-        intervals = [_read_interval(pair, duration, f"{video_id}[{i}]")
-                     for i, pair in enumerate(timestamps)]
-        ann = AnnotationSet(intervals, [str(s) for s in sentences])
+    for video_id, entry in read_json(path).items():
+        entry = read_object(entry, video_id)
+        duration = float(read_field(entry, "duration", (int, float), video_id))
+        intervals = read_intervals(entry, "timestamps", duration, video_id)
+        sentences = read_items(entry, "sentences", str, video_id)
+        meta = meta_source.get(video_id)
+        if meta is not None and abs(meta.duration_s - duration) > 0.5:
+            raise CorpusFormatError(f"{video_id}: duration mismatch with the meta file")
+        meta = (VideoMeta(video_id, duration) if meta is None
+                else replace(meta, duration_s=duration))
+        ann = AnnotationSet(intervals, sentences)
         record = corpus.videos.get(video_id)
         if record is None:
             corpus.videos[video_id] = VideoRecord(meta, [ann])
@@ -282,34 +344,22 @@ def save_ground_truth(corpus: Corpus, path, set_index: int = 0) -> None:
             "timestamps": [[iv.start_s, iv.end_s] for iv in ann.intervals],
             "sentences": list(ann.sentences),
         }
-    with open(path, "w") as f:
-        json.dump(out, f, indent=1, sort_keys=True)
+    write_json(out, path)
 
 
-def load_predictions(path, corpus: Optional[Corpus] = None,
-                     strict_video_ids: bool = False):
+def load_predictions(path, corpus: Optional[Corpus] = None):
     """Load a predictions file.
 
     Returns {video_id: [PredictionEntry, ...]} preserving file order. When a
-    corpus is given, entries are attached to it; predictions for unknown
-    video ids are skipped with a warning count unless `strict_video_ids`.
-    Returns (predictions, skipped_count).
+    corpus is given, entries are attached to it, and predictions for unknown
+    video ids are skipped and counted. Returns (predictions, skipped_count).
     """
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}: not valid JSON ({exc})") from exc
-    results = raw.get("results") if isinstance(raw, dict) else None
-    if not isinstance(results, dict):
-        raise CorpusFormatError(f"{path}: missing 'results' map")
+    results = read_field(read_json(path), "results", dict, path)
 
     predictions: Dict[str, List[PredictionEntry]] = {}
     skipped = 0
     for video_id, entries in results.items():
         if corpus is not None and video_id not in corpus.videos:
-            if strict_video_ids:
-                raise CorpusFormatError(f"unknown video_id {video_id}")
             skipped += 1
             continue
         duration = (corpus.videos[video_id].meta.duration_s
@@ -319,10 +369,9 @@ def load_predictions(path, corpus: Optional[Corpus] = None,
         parsed = []
         for i, entry in enumerate(entries):
             where = f"{video_id}[{i}]"
-            if not isinstance(entry, dict):
-                raise CorpusFormatError(f"{where}: expected an object")
+            read_object(entry, where)
             parsed.append(PredictionEntry(
-                _read_interval(entry.get("timestamp"), duration, where),
+                read_interval(entry.get("timestamp"), duration, where),
                 sentence=read_field(entry, "sentence", str, where, None),
                 proposal_score=read_field(entry, "proposal_score", (int, float), where, None),
                 caption_logprob=read_field(entry, "caption_logprob", (int, float),
@@ -356,9 +405,7 @@ def save_predictions(predictions, path) -> None:
                 row["caption_logprob"] = entry.caption_logprob
             rows.append(row)
         results[video_id] = rows
-    with open(path, "w") as f:
-        json.dump({"version": "VERSION 1.0", "results": results}, f, indent=1,
-                  sort_keys=True)
+    write_json({"version": "VERSION 1.0", "results": results}, path)
 
 
 def segment_range(interval: TimeInterval, meta: VideoMeta):
@@ -391,9 +438,7 @@ def save_features(grid: SegmentGrid, path, binary: bool = True) -> None:
         "segment_count": grid.meta.segment_count,
         "dim": int(grid.features.shape[1]),
         "feature_tag": grid.feature_tag,
-        "duration": grid.meta.duration_s,
-        "fps": grid.meta.fps,
-        "frames_per_segment": grid.meta.frames_per_segment,
+        **_meta_fields(grid.meta),
     }
     if binary:
         payload = json.dumps(header, sort_keys=True).encode()
@@ -420,12 +465,7 @@ def load_features(path) -> SegmentGrid:
         else:
             data = np.asarray(read_field(header, "features", list, path),
                               dtype=np.float64)
-    meta = VideoMeta(
-        read_field(header, "video_id", str, path),
-        read_field(header, "duration", (int, float), path),
-        fps=read_field(header, "fps", (int, float), path, 25.0),
-        frames_per_segment=read_field(header, "frames_per_segment", int, path, 64),
-    )
+    meta = _read_meta(header, read_field(header, "video_id", str, path), path)
     rows = read_field(header, "segment_count", int, path)
     dim = read_field(header, "dim", int, path)
     if meta.segment_count != rows:
@@ -435,3 +475,9 @@ def load_features(path) -> SegmentGrid:
     features = np.asarray(data, dtype=np.float64).reshape(rows, dim)
     tag = read_field(header, "feature_tag", str, path, "basic")
     return SegmentGrid(meta, features, feature_tag=tag)
+
+
+def load_features_dir(path) -> Dict[str, SegmentGrid]:
+    """Every feature file in a directory, keyed by the video id in its header."""
+    grids = (load_features(os.path.join(path, name)) for name in os.listdir(path))
+    return {grid.meta.video_id: grid for grid in grids}

@@ -15,7 +15,9 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core import SegmentGrid, TimeInterval, VideoMeta
+from .core import (CorpusFormatError, PredictionEntry, SegmentGrid, TimeInterval,
+                   VideoMeta, read_field, read_intervals, read_items, read_json,
+                   read_object)
 from .intervals import as_bounds, tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -267,3 +269,75 @@ class TableSequentialScorer:
         if total <= 0:
             raise FusionError("table step has zero total mass")
         return {i: p / total for i, p in kept.items()}, eos / total
+
+
+# ---------------------------------------------------------------------------
+# Scores files: {"mode": "heuristic", "attractors": {vid: [[s, e], ...]}}, or
+# {"mode": "tables", "videos": {vid: {"candidates": [[s, e], ...], "f_s": [...],
+# "f_e_steps": [{"probs": {"<index>": p, ...}, "eos": p}, ...]}}}.
+
+def _read_step(step, where) -> Tuple[Dict[int, float], float]:
+    probs = read_field(read_object(step, where), "probs", dict, where)
+    if not all(i.isdecimal() for i in probs):
+        raise CorpusFormatError(f"{where}: probs keys must be candidate indices")
+    return ({int(i): read_field(probs, i, (int, float), where) for i in probs},
+            read_field(step, "eos", (int, float), where))
+
+
+def _read_table(table, where):
+    table = read_object(table, where)
+    pool = CandidatePool(read_intervals(table, "candidates", math.inf, where),
+                         np.asarray(read_items(table, "f_s", (int, float), where), float))
+    steps = [_read_step(step, f"{where}: f_e_steps[{t}]")
+             for t, step in enumerate(read_field(table, "f_e_steps", list, where))]
+    if len(pool.scores) != len(pool):
+        raise CorpusFormatError(f"{where}: {len(pool.scores)} f_s values for "
+                                f"{len(pool)} candidates")
+    if any(not 0 <= i < len(pool) for probs, _ in steps for i in probs):
+        raise CorpusFormatError(f"{where}: f_e_steps name a candidate index outside "
+                                f"the {len(pool)} candidates")
+    return pool, None, TableSequentialScorer(steps)
+
+
+def load_scores(path) -> Dict[str, tuple]:
+    """Read a scores file in either mode into {video_id: (pool, f_s, f_e)}.
+
+    A table brings its own scored pool and no f_s; heuristic attractors
+    bring no pool, and selection builds one from the video's windows.
+    """
+    doc = read_json(path)
+    mode = doc.get("mode")
+    if mode == "tables":
+        return {vid: _read_table(table, vid)
+                for vid, table in read_field(doc, "videos", dict, path).items()}
+    if mode != "heuristic":
+        raise CorpusFormatError(f"{path}: mode must be 'heuristic' or 'tables', "
+                                f"got {mode!r}")
+    scorers = {}
+    attractors = read_field(doc, "attractors", dict, path)
+    for vid in attractors:
+        planted = read_intervals(attractors, vid, math.inf, vid)
+        scorers[vid] = (None, HeuristicPointwiseScorer(planted),
+                        HeuristicSequentialScorer(planted))
+    return scorers
+
+
+def select_proposals(scorers: Dict[str, tuple], metas: Dict[str, VideoMeta],
+                     cfg: Optional[FusionConfig] = None) -> Dict[str, List[PredictionEntry]]:
+    """`fuse_select` per video of a `load_scores` map, as predictions whose
+    score is the fused one capped at 1.
+
+    A video without a pool gets the sliding windows of its meta, and is left
+    out when it has no meta either.
+    """
+    cfg = cfg if cfg is not None else FusionConfig()
+    out = {}
+    for vid, (pool, f_s, f_e) in sorted(scorers.items()):
+        if pool is None:
+            if vid not in metas:
+                continue
+            pool = CandidatePool.from_windows(enumerate_sliding_windows(metas[vid]),
+                                              f_s, cap=cfg.candidate_cap)
+        out[vid] = [PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
+                    for p in fuse_select(pool, f_s, f_e, cfg)]
+    return out

@@ -31,6 +31,16 @@ class PRTable:
     def rows(self) -> List[Tuple[float, float, float]]:
         return [(t, self.precision[t], self.recall[t]) for t in self.thresholds]
 
+    def to_dict(self) -> dict:
+        return {
+            "thresholds": self.thresholds,
+            "precision": {str(t): self.precision[t] for t in self.thresholds},
+            "recall": {str(t): self.recall[t] for t in self.thresholds},
+            "avg_proposals_per_video": self.avg_proposals_per_video,
+            "videos": self.videos,
+            "zero_prediction_videos": self.zero_prediction_videos,
+        }
+
 
 def tiou(a: TimeInterval, b: TimeInterval) -> float:
     """Temporal intersection-over-union of two intervals, in [0, 1]."""
@@ -59,21 +69,6 @@ def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
 
 
-def best_match(pred: TimeInterval, gts: Sequence[TimeInterval]) -> Tuple[int, float]:
-    """Index and tIoU of the groundtruth best matching `pred`.
-
-    Ties break toward the smaller index.
-    """
-    if not gts:
-        raise ValueError("best_match needs a non-empty groundtruth list")
-    best_i, best_v = 0, -1.0
-    for i, gt in enumerate(gts):
-        v = tiou(pred, gt)
-        if v > best_v:
-            best_i, best_v = i, v
-    return best_i, best_v
-
-
 def match_all(preds: Sequence[TimeInterval],
               gts: Sequence[TimeInterval]) -> List[MatchResult]:
     """Independent best match per prediction (no one-to-one assignment).
@@ -84,7 +79,7 @@ def match_all(preds: Sequence[TimeInterval],
     if not preds:
         return []
     if not gts:
-        raise ValueError("best_match needs a non-empty groundtruth list")
+        raise ValueError("match_all needs a non-empty groundtruth list")
     m = tiou_matrix(as_bounds(preds), as_bounds(gts))
     idx = m.argmax(axis=1)
     return [MatchResult(p, g if v > 0 else None, v) for p, (g, v) in

@@ -179,35 +179,6 @@ def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
                   sigma)
 
 
-def cider_d(predictions_by_video: Dict[str, Sequence[str]],
-            references_by_video: Dict[str, Sequence[Sequence[str]]]) -> float:
-    """Corpus CIDEr-D for index-aligned predictions and reference sets.
-
-    `references_by_video[vid][k]` is the list of reference sentences for the
-    k-th event of the video; document frequencies come from those reference
-    sets. Returns the mean over all (prediction, reference set) pairs.
-    """
-    docs = [[_sentence(tokenize(r)) for r in refs]
-            for ref_sets in references_by_video.values() for refs in ref_sets]
-    if not docs:
-        raise ValueError("empty reference corpus")
-    df, n_docs = _document_frequency(docs)
-    log_n = math.log(max(n_docs, 1))
-    scores = []
-    doc_iter = iter(docs)
-    for vid, ref_sets in references_by_video.items():
-        cands = predictions_by_video.get(vid, [])
-        for k in range(len(ref_sets)):
-            doc = next(doc_iter)
-            if k < len(cands):
-                scores.append(_cider(
-                    _cider_vector(_sentence(tokenize(cands[k])), df, log_n),
-                    [_cider_vector(ref, df, log_n) for ref in doc]))
-    if not scores:
-        raise ValueError("no prediction/reference pairs to score")
-    return float(np.mean(scores))
-
-
 # ---------------------------------------------------------------------------
 # Dense evaluation protocol
 
@@ -431,6 +402,17 @@ def repetition(captions_by_set_by_video, n: int = 4,
         raise ValueError("n must be >= 1")
     return _corpus_value(captions_by_set_by_video,
                          lambda caps: _video_repetition(caps, n), mode)
+
+
+def captions_by_set(prediction_sets) -> Dict[str, List[List[str]]]:
+    """`diversity_report` input from prediction maps, one caption set per map;
+    entries without a sentence are left out."""
+    by_video: Dict[str, List[List[str]]] = {}
+    for preds in prediction_sets:
+        for vid, entries in preds.items():
+            by_video.setdefault(vid, []).append(
+                [e.sentence for e in entries if e.sentence is not None])
+    return by_video
 
 
 def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:

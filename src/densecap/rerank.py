@@ -12,12 +12,13 @@ match exceeds tIoU 0.3 (strictly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .concepts import ConceptVocabulary
-from .core import AnnotationSet, PredictionEntry, TimeInterval, VideoMeta
+from .concepts import ConceptVocabulary, LinearConceptModel, predict_proposal, top_concepts
+from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
+                   TimeInterval, VideoMeta)
 from .intervals import match_all
 from .metrics import tokenize
 
@@ -43,6 +44,10 @@ class AugmentedPair:
     gt_index: int
     tiou: float
     caption: str
+
+    def to_dict(self) -> dict:
+        return {"timestamp": [self.interval.start_s, self.interval.end_s],
+                "gt_index": self.gt_index, "tiou": self.tiou, "caption": self.caption}
 
 
 def _znorm(values: np.ndarray) -> np.ndarray:
@@ -95,6 +100,21 @@ def proposal_rerank(candidates: Sequence[PredictionEntry], meta: VideoMeta,
     return [candidates[i] for i in order[:weights.top_n]], missing
 
 
+def rerank_proposals(predictions: Dict[str, List[PredictionEntry]],
+                     metas: Dict[str, VideoMeta], weights: RerankWeights = RerankWeights()):
+    """`proposal_rerank` for every video that has a meta.
+
+    Returns ({video_id: ranked candidates}, candidates missing a caption
+    log-probability, summed over videos).
+    """
+    out, missing = {}, 0
+    for vid in sorted(predictions):
+        if vid in metas:
+            out[vid], flagged = proposal_rerank(predictions[vid], metas[vid], weights)
+            missing += flagged
+    return out, missing
+
+
 @dataclass
 class CaptionRerankParams:
     alpha: float = 0.5  # unique-word ratio weight
@@ -114,10 +134,7 @@ def caption_rerank(hypotheses: Sequence[str], concept_probs: np.ndarray,
     """
     if not hypotheses:
         raise ValueError("no caption hypotheses")
-    concept_probs = np.asarray(concept_probs, dtype=np.float64)
-    k = min(params.top_concepts, len(concept_probs))
-    top_idx = np.argsort(-concept_probs, kind="stable")[:k]
-    top_words = {vocabulary.concepts[i] for i in top_idx}
+    top_words = {c for c, _ in top_concepts(concept_probs, vocabulary, params.top_concepts)}
 
     best, best_score = hypotheses[0], -np.inf
     for hyp in hypotheses:
@@ -149,3 +166,52 @@ def augment(predictions: Sequence[TimeInterval],
                           annotation_set.sentences[m.gt_index])
             for m in match_all(predictions, annotation_set.intervals)
             if m.gt_index is not None and m.tiou > min_tiou]
+
+
+def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],
+                   params: CaptionRerankParams = CaptionRerankParams(),
+                   model: Optional[LinearConceptModel] = None,
+                   grids: Optional[Dict[str, SegmentGrid]] = None
+                   ) -> Dict[str, List[PredictionEntry]]:
+    """One caption per proposal from several captioners' prediction maps.
+
+    The files list the same proposals in the same order; the i-th entries of
+    a video are the i-th proposal's hypotheses, and an interval that differs
+    from the first file's is a CorpusFormatError. `caption_rerank` picks
+    among the sentences, with `model`'s concepts where `grids` has the
+    video's features. Proposals without any sentence pass through.
+    """
+    grids = grids if model is not None and grids else {}
+    no_concepts = (np.zeros(1), ConceptVocabulary(["_none"]))
+    out = {}
+    for vid in sorted(set().union(*hypothesis_files)):
+        files = [p[vid] for p in hypothesis_files if vid in p]
+        merged = []
+        for i, entry in enumerate(files[0]):
+            at_i = [entries[i] for entries in files if i < len(entries)]
+            for other in at_i[1:]:
+                if other.interval != entry.interval:
+                    raise CorpusFormatError(
+                        f"{vid}[{i}]: hypothesis files disagree on the interval "
+                        f"({entry.interval} vs {other.interval})")
+            hyps = [e.sentence for e in at_i if e.sentence is not None]
+            if not hyps:
+                merged.append(entry)
+                continue
+            probs, vocab = ((predict_proposal(model, grids[vid], entry.interval),
+                             model.vocabulary) if vid in grids else no_concepts)
+            merged.append(PredictionEntry(entry.interval,
+                                          sentence=caption_rerank(hyps, probs, vocab, params),
+                                          proposal_score=entry.proposal_score,
+                                          caption_logprob=entry.caption_logprob))
+        out[vid] = merged
+    return out
+
+
+def augment_corpus(corpus: Corpus,
+                   predictions: Dict[str, List[PredictionEntry]]) -> Dict[str, List[dict]]:
+    """`augment` per predicted video against its first annotation set, as
+    JSON-ready rows."""
+    return {vid: [pair.to_dict() for pair in augment(
+                [p.interval for p in predictions[vid]], corpus.videos[vid].annotation_sets[0])]
+            for vid in sorted(predictions)}

@@ -73,7 +73,7 @@ def _jitter(interval: TimeInterval, duration: float,
 
 
 def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
-                  seed: int = 0, two_sets: bool = True, fps: float = 25.0) -> Corpus:
+                  seed: int = 0, two_sets: bool = True) -> Corpus:
     """Generate a synthetic corpus of `n_videos` videos.
 
     `events_range` is inclusive; the default (2, 5) averages 3.5 events per
@@ -99,7 +99,7 @@ def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
                 [_jitter(iv, duration, rng) for iv in events],
                 [_paraphrase(s) for s in sentences],
             ))
-        meta = VideoMeta(video_id, duration, fps=fps)
+        meta = VideoMeta(video_id, duration)
         corpus.videos[video_id] = VideoRecord(meta, sets)
     return corpus
 

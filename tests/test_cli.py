@@ -1,11 +1,15 @@
+import ast
 import json
-import shutil
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densecap import (SegmentGrid, VideoMeta, load_features, load_ground_truth,
-                      load_predictions, save_features, save_predictions)
+from densecap import (PredictionEntry, SegmentGrid, VideoMeta,
+                      load_ground_truth, load_predictions, save_features,
+                      save_predictions)
+from densecap import cli
 from densecap.cli import dispatch
 from densecap.concepts import ConceptVocabulary, LinearConceptModel, save_model
 
@@ -24,7 +28,6 @@ def identity_pred_file(synthetic_dir, tmp_path, with_scores=True):
     for vid, rec in corpus.videos.items():
         ann = rec.annotation_sets[0]
         rows = []
-        from densecap import PredictionEntry
         for iv, sent in zip(ann.intervals, ann.sentences):
             rows.append(PredictionEntry(
                 iv, sentence=sent,
@@ -34,6 +37,25 @@ def identity_pred_file(synthetic_dir, tmp_path, with_scores=True):
     path = tmp_path / "pred.json"
     save_predictions(preds, path)
     return path
+
+
+FUSE = ["fuse", "--meta", "{meta.json}", "--scores", "{scores.json}", "--out", "{out.json}"]
+CONTEXTS = ["contexts", "--events", "{gt.json}", "--meta", "{meta.json}",
+            "--out", "{out.json}"]
+DEFAULT_FILES = {
+    "meta.json": {"v1": {"duration": 30}},
+    "scores.json": {"mode": "heuristic", "attractors": {"v1": [[0, 10]]}},
+    "gt.json": {"v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["a man runs"]}},
+}
+
+
+def with_files(tmp_path, argv, files):
+    """`argv` with each "{name}" replaced by the path of a file holding
+    files[name] (a string as it is, anything else as JSON)."""
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
 
 
 class TestDispatchBasics:
@@ -59,6 +81,8 @@ class TestDispatchBasics:
         {"results": {"v1": [[0, 5]]}},
         {"results": {"v1": [{"timestamp": [0, 5], "proposal_score": "high"}]}},
         {"results": {"v1": [{"timestamp": [0, 5], "caption_logprob": "low"}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "caption_logprob": math.nan}]}},
+        {"results": {"v1": [{"timestamp": [0, math.inf]}]}},
     ])
     def test_malformed_predictions_exit_2(self, tmp_path, payload):
         path = tmp_path / "pred.json"
@@ -80,6 +104,50 @@ class TestDispatchBasics:
         pred = tmp_path / "pred.json"
         pred.write_text(json.dumps({"results": {}}))
         assert dispatch(["eval-captions", "--pred", str(pred), "--gt", str(gt)]) == 2
+
+    @pytest.mark.parametrize("files, argv", [
+        pytest.param({"meta.json": [{"v1": {"duration": 30}}]}, FUSE, id="fuse-meta-list"),
+        pytest.param({"meta.json": {"v1": {"fps": 25}}}, FUSE, id="meta-without-duration"),
+        pytest.param({"meta.json": "not json"}, FUSE, id="meta-not-json"),
+        pytest.param({"meta.json": {"v1": {"duration": math.nan}}}, FUSE,
+                     id="meta-nan-duration"),
+        pytest.param({"scores.json": {"mode": "heuristic"}}, FUSE,
+                     id="heuristic-without-attractors"),
+        pytest.param({"scores.json": {"mode": "tables", "videos": {"v1": {
+            "candidates": [[0, 10]], "f_e_steps": []}}}}, FUSE, id="tables-without-f_s"),
+        pytest.param({"scores.json": {"mode": "tables", "videos": {"v1": {
+            "candidates": [[0, 10], [10, 20]], "f_s": [0.5], "f_e_steps": []}}}}, FUSE,
+            id="tables-f_s-per-candidate"),
+        pytest.param({"scores.json": {"mode": "oracle"}}, FUSE, id="unknown-mode"),
+        pytest.param({"meta.json": [{"v1": {"duration": 30}}]}, CONTEXTS,
+                     id="contexts-meta-list"),
+        pytest.param({"meta.json": {"v1": {"duration": 12}}}, CONTEXTS,
+                     id="contexts-meta-duration-mismatch"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, files, argv):
+        code = dispatch(with_files(tmp_path, argv, {**DEFAULT_FILES, **files}))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nan_caption_logprob_exits_2(self, tmp_path, capsys):
+        argv = ["rerank-proposals", "--pred", "{pred.json}", "--meta", "{meta.json}",
+                "--out", "{out.json}"]
+        pred = {"results": {"v1": [{"timestamp": [0, 5], "proposal_score": 0.5,
+                                    "caption_logprob": math.nan}]}}
+        assert dispatch(with_files(tmp_path, argv, {**DEFAULT_FILES, "pred.json": pred})) == 2
+        assert "non-finite caption_logprob" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_imports_neither_json_nor_numpy():
+    """File formats live in the library modules and arrays stay behind
+    library calls, so the CLI needs neither."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"json", "numpy"}
 
 
 class TestGenSynthetic:
@@ -201,6 +269,16 @@ class TestRerankCli:
         preds, _ = load_predictions(out)
         assert preds
 
+    def test_rerank_captions_rejects_disagreeing_files(self, synthetic_dir, tmp_path, capsys):
+        pred = identity_pred_file(synthetic_dir, tmp_path)
+        preds, _ = load_predictions(pred)
+        shuffled = tmp_path / "shuffled.json"
+        save_predictions({vid: rows[::-1] for vid, rows in preds.items()}, shuffled)
+        code = dispatch(["rerank-captions", "--pred-multi", f"{pred},{shuffled}",
+                         "--out", str(tmp_path / "best.json")])
+        assert code == 2
+        assert "disagree on the interval" in capsys.readouterr().err
+
     def test_augment(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)
         out = tmp_path / "pairs.json"
@@ -308,6 +386,13 @@ class TestConceptsCli:
         rewrite_header(feat, lambda header: header.pop(key))
         assert dispatch(predict_args(model, feat)) == 2
 
+    def test_labels_without_vocabulary_exits_2(self, tmp_path, capsys):
+        argv = concept_training_args(tmp_path, np.ones((16, 8)))
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"examples": json.loads(labels.read_text())["examples"]}))
+        assert dispatch(argv + ["--out", str(tmp_path / "model.bin")]) == 2
+        assert "missing vocabulary" in capsys.readouterr().err
+
 
 class TestContextsCli:
     def test_bundles(self, synthetic_dir, tmp_path):
@@ -322,3 +407,17 @@ class TestContextsCli:
                 i, j = row["event_range"]
                 assert 0 <= i < j <= len(row["global_mask"])
                 assert len(row["sentence_history"]) == k
+
+    def test_feature_grid_must_match_meta(self, synthetic_dir, tmp_path, capsys):
+        gt = load_ground_truth(synthetic_dir / "gt_set1.json")
+        vid, record = next(iter(gt.videos.items()))
+        feat_dir = tmp_path / "feats"
+        feat_dir.mkdir()
+        meta = VideoMeta(vid, record.meta.duration_s, fps=50.0)  # twice the segments
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 2))),
+                      feat_dir / "one.feat")
+        code = dispatch(["contexts", "--events", str(synthetic_dir / "gt_set1.json"),
+                         "--meta", str(synthetic_dir / "meta.json"),
+                         "--features-dir", str(feat_dir), "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        assert "feature segments" in capsys.readouterr().err

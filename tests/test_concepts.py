@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from densecap import (ConceptVocabulary, CorpusFormatError, LinearConceptModel,
                       assign_segment_labels, bce_loss, build_vocabulary,
                       load_model, predict_proposal, predict_segment,
                       save_model, select_even_segments, train)
-from densecap.concepts import (MimlExample, TrainingDiverged, objective_and_gradient,
-                               proposal_accuracy)
+from densecap.concepts import (MimlExample, TrainingDiverged, load_labels,
+                               objective_and_gradient, predict_report, proposal_accuracy,
+                               top_concepts)
 from densecap.synthetic import make_separable_miml
 from oracles import oracle_objective_and_gradient, oracle_train
 
@@ -339,3 +341,60 @@ class TestModelIO:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(CorpusFormatError):
             load_model(path)
+
+
+class TestTopConcepts:
+    def test_ties_go_to_the_earlier_concept(self):
+        vocab = ConceptVocabulary(["run", "jump", "swim", "sing"])
+        assert top_concepts(np.array([0.2, 0.7, 0.2, 0.7]), vocab, 3) == [
+            ("jump", 0.7), ("sing", 0.7), ("run", 0.2)]
+        assert len(top_concepts(np.zeros(4), vocab, 10)) == 4
+
+    def test_report_rows(self):
+        meta = VideoMeta("v", 16.0, fps=16.0)
+        grid = SegmentGrid(meta, np.ones((meta.segment_count, 2)))
+        model = toy_model(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2),
+                          names=["run", "jump"])
+        (row,) = predict_report(model, grid, [TimeInterval(0, 8)], k=2, top=1)
+        probs = predict_proposal(model, grid, TimeInterval(0, 8), k=2)
+        assert row == {"timestamp": [0, 8],
+                       "top_concepts": [{"concept": "run", "probability": probs[0]}]}
+
+
+class TestLabelsFile:
+    GRID = SegmentGrid(VideoMeta("v1", 16.0, fps=16.0), np.ones((4, 2)))
+
+    def write(self, tmp_path, payload):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_examples_of_known_videos(self, tmp_path):
+        path = self.write(tmp_path, {"vocabulary": ["run", "jump"], "examples": {
+            "v1": [{"timestamp": [0, 8], "concepts": ["jump", "fly"]},
+                   {"timestamp": [8, 16], "concepts": []}],
+            "ghost": [{"timestamp": [0, 1], "concepts": ["run"]}]}})
+        vocab, examples = load_labels(path, {"v1": self.GRID})
+        assert vocab.concepts == ["run", "jump"]
+        assert [(ex.proposal, ex.labels.tolist(), ex.grid) for ex in examples] == [
+            (TimeInterval(0, 8), [0.0, 1.0], self.GRID),
+            (TimeInterval(8, 16), [0.0, 0.0], self.GRID)]
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"examples": {}},
+        {"vocabulary": "run", "examples": {}},
+        {"vocabulary": ["run", 5], "examples": {}},
+        {"vocabulary": ["run"]},
+        {"vocabulary": ["run"], "examples": {"v1": {"timestamp": [0, 8]}}},
+        {"vocabulary": ["run"], "examples": {"v1": [[0, 8]]}},
+        {"vocabulary": ["run"], "examples": {"v1": [{"timestamp": [0, 8]}]}},
+        {"vocabulary": ["run"], "examples": {"v1": [{"timestamp": [0, 8],
+                                                     "concepts": "run"}]}},
+        {"vocabulary": ["run"], "examples": {"v1": [{"timestamp": [8, 0],
+                                                     "concepts": ["run"]}]}},
+        {"vocabulary": ["run"], "examples": {"v1": [{"concepts": ["run"]}]}},
+    ])
+    def test_malformed_raises_format_error(self, tmp_path, payload):
+        with pytest.raises(CorpusFormatError):
+            load_labels(self.write(tmp_path, payload), {"v1": self.GRID})

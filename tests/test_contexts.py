@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import (EmptyContext, SegmentGrid, TimeInterval, VideoMeta,
-                      build_bundle, event_neighbors, global_context,
+from densecap import (CorpusFormatError, EmptyContext, SegmentGrid, TimeInterval,
+                      VideoMeta, build_bundle, event_neighbors, global_context,
                       local_context, pool_features, sentence_history,
                       segment_range)
+from densecap.contexts import corpus_bundles
+from conftest import make_corpus, make_video
 
 
 def iv(a, b):
@@ -156,3 +160,33 @@ class TestBundle:
         assert bundle.neighbor_events == [0, 2]
         assert bundle.sentence_history == ["one"]
         assert not bundle.global_mask[1]
+
+
+class TestSerialisedBundles:
+    META = VideoMeta("v1", 16.0, fps=16.0)  # four 4 s segments
+    GRID = SegmentGrid(META, np.arange(8.0).reshape(4, 2))
+
+    def test_fields_and_pooled_views(self):
+        bundle = build_bundle([iv(0, 8), iv(8, 16)], 1, self.META, captions=["a", "b"])
+        row = bundle.to_dict(self.GRID, "max")
+        assert json.loads(json.dumps(row)) == {
+            "event_range": [2, 4], "local_before": [1, 2], "local_after": [4, 4],
+            "global_mask": [1, 1, 0, 0], "neighbor_events": [0],
+            "sentence_history": ["a"],
+            "event_vector": [6.0, 7.0], "local_before_vector": [2.0, 3.0],
+            "local_after_vector": [0.0, 0.0],  # empty view at the video's end
+            "global_vector": [2.0, 3.0]}
+        assert "event_vector" not in bundle.to_dict()
+
+    def test_corpus_bundles_in_start_order(self):
+        corpus = make_corpus(v1=make_video(
+            "v1", 16.0, [([[8, 16], [0, 8]], ["second", "first"])], fps=16.0))
+        rows = corpus_bundles(corpus, {"v1": self.GRID})["v1"]
+        assert [r["event_range"] for r in rows] == [[0, 2], [2, 4]]
+        assert [r["sentence_history"] for r in rows] == [[], ["first"]]
+        assert rows[1]["event_vector"] == [5.0, 6.0]
+
+    def test_grid_must_have_the_meta_segment_count(self):
+        corpus = make_corpus(v1=make_video("v1", 16.0, [([[0, 8]], ["a"])]))  # 25 fps
+        with pytest.raises(CorpusFormatError, match="feature segments"):
+            corpus_bundles(corpus, {"v1": self.GRID})

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from densecap import (Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
                       TimeInterval, VideoMeta, load_features, load_ground_truth,
-                      load_predictions, save_features, save_ground_truth,
-                      save_predictions, segment_range)
+                      load_meta, load_predictions, save_features, save_ground_truth,
+                      save_meta, save_predictions, segment_range)
+from densecap.synthetic import gen_synthetic
 
 
 def write_gt(tmp_path, name, payload):
@@ -65,6 +66,8 @@ class TestGroundTruthLoading:
         {"duration": 30, "timestamps": 5, "sentences": ["s"]},
         {"duration": 30, "timestamps": [[0, 10]], "sentences": 5},
         {"duration": 30, "timestamps": [[0, 10], [2, 8]], "sentences": "ab"},
+        {"duration": 30, "timestamps": [[0, 10]], "sentences": [None]},
+        {"duration": 30, "timestamps": [[0, 10]], "sentences": [5]},
         {"duration": 30, "sentences": ["s"]},
         {"duration": "long", "timestamps": [[0, 10]], "sentences": ["s"]},
         {"duration": math.inf, "timestamps": [[0, 10]], "sentences": ["s"]},
@@ -78,8 +81,46 @@ class TestGroundTruthLoading:
     def test_fps_sidecar(self, tmp_path):
         path = write_gt(tmp_path, "gt.json", {
             "v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}})
-        corpus = load_ground_truth(path, meta_source={"v1": {"fps": 16}})
-        assert corpus.videos["v1"].meta.fps == 16
+        corpus = load_ground_truth(path, meta_source={"v1": VideoMeta("v1", 30.2, fps=16)})
+        assert corpus.videos["v1"].meta == VideoMeta("v1", 30, fps=16)
+
+    def test_meta_duration_must_agree(self, tmp_path):
+        path = write_gt(tmp_path, "gt.json", {
+            "v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}})
+        with pytest.raises(CorpusFormatError, match="duration mismatch"):
+            load_ground_truth(path, meta_source={"v1": VideoMeta("v1", 30.6)})
+
+
+class TestMetaFiles:
+    def test_round_trip(self, tmp_path):
+        corpus = gen_synthetic(5, seed=3)
+        save_meta(corpus, tmp_path / "meta.json")
+        assert load_meta(tmp_path / "meta.json") == {
+            vid: rec.meta for vid, rec in corpus.videos.items()}
+
+    def test_grid_fields_default_to_video_meta(self, tmp_path):
+        path = write_gt(tmp_path, "meta.json", {"v1": {"duration": 30},
+                                                "v2": {"duration": 9.5, "fps": 16}})
+        assert load_meta(path) == {"v1": VideoMeta("v1", 30.0),
+                                   "v2": VideoMeta("v2", 9.5, fps=16.0)}
+
+    @pytest.mark.parametrize("payload", [
+        [{"v1": {"duration": 30}}],                      # top level is a list
+        {"v1": [30]},                                     # entry is a list
+        {"v1": {"fps": 25}},                              # no duration
+        {"v1": {"duration": "30"}},
+        {"v1": {"duration": math.nan}},
+        {"v1": {"duration": 30, "fps": math.inf}},
+        {"v1": {"duration": 30, "fps": True}},
+        {"v1": {"duration": 30, "frames_per_segment": 64.0}},
+        {"v1": {"duration": 30, "frames_per_segment": 0}},
+        "{not json",
+    ])
+    def test_malformed_raises_format_error(self, tmp_path, payload):
+        path = tmp_path / "meta.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        with pytest.raises(CorpusFormatError):
+            load_meta(path)
 
 
 class TestPredictionLoading:
@@ -121,6 +162,9 @@ class TestPredictionLoading:
         {"results": {"v1": [{"timestamp": [0, 5, 9]}]}},
         {"results": {"v1": [{"timestamp": ["a", 5]}]}},
         {"results": {"v1": [{"sentence": "no timestamp"}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "caption_logprob": math.nan}]}},
+        {"results": {"v1": [{"timestamp": [0, 5], "caption_logprob": -math.inf}]}},
+        {"results": {"v1": [{"timestamp": [0, math.inf]}]}},
     ])
     def test_malformed_rows_raise_format_error(self, tmp_path, payload):
         path = tmp_path / "pred.json"
@@ -128,7 +172,7 @@ class TestPredictionLoading:
         with pytest.raises(CorpusFormatError):
             load_predictions(path)
 
-    def test_unknown_video_skipped_or_strict(self, tmp_path):
+    def test_unknown_video_skipped(self, tmp_path):
         gt = write_gt(tmp_path, "gt.json", {
             "v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}})
         corpus = load_ground_truth(gt)
@@ -138,8 +182,14 @@ class TestPredictionLoading:
             "ghost": [{"timestamp": [0, 5]}]}}))
         preds, skipped = load_predictions(path, corpus=corpus)
         assert skipped == 1 and "ghost" not in preds
-        with pytest.raises(CorpusFormatError):
-            load_predictions(path, corpus=corpus, strict_video_ids=True)
+
+
+    def test_non_finite_values_are_not_written(self, tmp_path):
+        good = PredictionEntry(TimeInterval(0, 5), caption_logprob=-1.0)
+        bad = PredictionEntry(TimeInterval(0, 5), caption_logprob=math.nan)
+        with pytest.raises(ValueError):
+            save_predictions({"v1": [good] * 500, "v2": [bad]}, tmp_path / "pred.json")
+        assert not (tmp_path / "pred.json").exists()
 
 
 class TestSegmentRange:

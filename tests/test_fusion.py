@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import interval_lists
-from densecap import (CandidatePool, FusionConfig, HeuristicPointwiseScorer,
-                      HeuristicSequentialScorer, TimeInterval, VideoMeta,
-                      enumerate_sliding_windows, fuse_select, tiou)
-from densecap.fusion import DEDUP_TOL_S, FusionError, TableSequentialScorer, _dedup
+from densecap import (CandidatePool, CorpusFormatError, FusionConfig,
+                      HeuristicPointwiseScorer, HeuristicSequentialScorer, TimeInterval,
+                      VideoMeta, enumerate_sliding_windows, fuse_select, tiou)
+from densecap.fusion import (DEDUP_TOL_S, FusionError, TableSequentialScorer, _dedup,
+                             load_scores, select_proposals)
 from densecap.synthetic import gen_synthetic
 from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
                      resimulate_selection)
@@ -335,3 +337,69 @@ class TestArrayKernelsMatchOracles:
         want = oracle_heuristic_distribution(prefix, _pairs(cands), _pairs(attractors),
                                              scorer.cover_tiou, scorer.eos_weight_open)
         assert got == want
+
+
+def write_scores(tmp_path, payload):
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestScoresFiles:
+    def test_heuristic_selection_replays_the_direct_calls(self, tmp_path):
+        corpus = gen_synthetic(6, seed=5)
+        metas = {vid: rec.meta for vid, rec in corpus.videos.items() if vid[-1] != "3"}
+        path = write_scores(tmp_path, {"mode": "heuristic", "attractors": {
+            vid: [[iv.start_s, iv.end_s] for iv in rec.annotation_sets[0].intervals]
+            for vid, rec in corpus.videos.items()}})
+        cfg = FusionConfig(k=2, candidate_cap=40)
+        got = select_proposals(load_scores(path), metas, cfg)
+        assert sorted(got) == sorted(metas)  # a video without meta is left out
+        for vid, meta in metas.items():
+            planted = corpus.videos[vid].annotation_sets[0].intervals
+            f_s = HeuristicPointwiseScorer(planted)
+            pool = CandidatePool.from_windows(enumerate_sliding_windows(meta), f_s, cap=40)
+            want = fuse_select(pool, f_s, HeuristicSequentialScorer(planted), cfg)
+            assert [(e.interval, e.proposal_score) for e in got[vid]] == \
+                [(p.interval, min(1.0, p.score)) for p in want]
+
+    def test_tables_selection_needs_no_meta(self, tmp_path):
+        path = write_scores(tmp_path, {"mode": "tables", "videos": {"v1": {
+            "candidates": [[0, 10], [10, 20], [20, 30]], "f_s": [0.9, 0.5, 0.4],
+            "f_e_steps": [{"probs": {"0": 0.2, "1": 0.5, "2": 0.2}, "eos": 0.1},
+                          {"probs": {"0": 0.3, "2": 0.1}, "eos": 0.6}]}}})
+        (got,) = select_proposals(load_scores(path), {})["v1"]
+        assert got.interval == iv(10.0, 20.0)
+        assert got.proposal_score == pytest.approx(0.5 * 0.5)
+
+    @pytest.mark.parametrize("payload", [
+        ["heuristic"],
+        {"attractors": {}},
+        {"mode": "heuristic"},
+        {"mode": "heuristic", "attractors": [[0, 10]]},
+        {"mode": "heuristic", "attractors": {"v1": [[10, 0]]}},
+        {"mode": "heuristic", "attractors": {"v1": [[0, math.nan]]}},
+        {"mode": "tables"},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_e_steps": []}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": ["high"],
+                                             "f_e_steps": []}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [math.nan],
+                                             "f_e_steps": []}}},
+        {"mode": "tables", "videos": {"v1": {"f_s": [0.5], "f_e_steps": []}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5]}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5],
+                                             "f_e_steps": [{"probs": {"a": 1.0}, "eos": 0}]}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5],
+                                             "f_e_steps": [{"probs": {"0": 1.0}}]}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5],
+                                             "f_e_steps": [[1.0, 0.0]]}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10], [10, 20]],
+                                             "f_s": [0.5], "f_e_steps": []}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5],
+                                             "f_e_steps": [{"probs": {"1": 1.0}, "eos": 0}]}}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5],
+                                             "f_e_steps": [{"probs": {"-1": 1.0}, "eos": 0}]}}},
+    ])
+    def test_malformed_raises_format_error(self, tmp_path, payload):
+        with pytest.raises(CorpusFormatError):
+            load_scores(write_scores(tmp_path, payload))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import (PredictionEntry, TimeInterval, best_match, match_all,
+from densecap import (PredictionEntry, TimeInterval, match_all,
                       precision_recall, tiou, tiou_matrix)
 from densecap.intervals import as_bounds
 from conftest import interval_lists, make_corpus, make_video
@@ -63,6 +63,19 @@ class TestMatchAll:
         assert [(r.pred_index, r.gt_index, r.tiou) for r in got] == [
             (0, 0, 1.0), (1, None, 0.0)]
 
+    @pytest.mark.parametrize("pred, gt_index, tiou", [
+        pytest.param(iv(0, 10), 0, 1.0, id="exact"),
+        pytest.param(iv(9, 21), 0, 1 / 21, id="tie_breaks_low_index"),
+        pytest.param(iv(25, 30), 1, 0.5, id="second_wins"),
+    ])
+    def test_hand_cases(self, pred, gt_index, tiou):
+        (got,) = match_all([pred], [iv(0, 10), iv(20, 30)])
+        assert (got.gt_index, got.tiou) == (gt_index, pytest.approx(tiou, abs=1e-6))
+
+    def test_empty_groundtruth_raises(self):
+        with pytest.raises(ValueError, match="match_all needs a non-empty"):
+            match_all([iv(0, 1)], [])
+
     @given(interval_lists(), interval_lists(max_size=6))
     def test_matches_best_match_oracle(self, preds, gts):
         if not gts:
@@ -74,25 +87,6 @@ class TestMatchAll:
                                        [(g.start_s, g.end_s) for g in gts])
             want.append((idx if v > 0 else None, v))
         assert got == want
-
-
-class TestBestMatch:
-    def test_exact(self):
-        idx, v = best_match(iv(0, 10), [iv(0, 10), iv(20, 30)])
-        assert (idx, v) == (0, 1.0)
-
-    def test_tie_breaks_low_index(self):
-        idx, v = best_match(iv(9, 21), [iv(0, 10), iv(20, 30)])
-        assert idx == 0
-        assert v == pytest.approx(1 / 21, abs=1e-6)
-
-    def test_second_wins(self):
-        idx, v = best_match(iv(25, 30), [iv(0, 10), iv(20, 30)])
-        assert (idx, v) == (1, 0.5)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            best_match(iv(0, 1), [])
 
 
 def pred(a, b):
@@ -107,6 +101,9 @@ class TestPrecisionRecall:
         table = precision_recall(corpus, [0.5])
         assert table.precision[0.5] == 1.0
         assert table.recall[0.5] == 0.5
+        assert table.to_dict() == {
+            "thresholds": [0.5], "precision": {"0.5": 1.0}, "recall": {"0.5": 0.5},
+            "avg_proposals_per_video": 1.0, "videos": 1, "zero_prediction_videos": 0}
 
     def test_identity(self):
         corpus = make_corpus(v1=make_video(

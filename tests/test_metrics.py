@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from densecap import (PredictionEntry, TimeInterval, bleu4, cider_d,
-                      dense_eval, diversity_report, repetition, self_bleu,
-                      tokenize)
-from densecap.metrics import (build_document_frequency, cider_d_pair,
+from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
+                      diversity_report, repetition, self_bleu, tokenize)
+from densecap.metrics import (build_document_frequency, captions_by_set, cider_d_pair,
                               corpus_bleu4)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
@@ -111,32 +110,9 @@ class TestCiderD:
         assert max(scores, key=scores.get) == target
 
     def test_disjoint_vocabulary_scores_zero(self):
-        refs = {"v1": [["a man plays a guitar"]]}
-        preds = {"v1": ["purple elephants dance wildly"]}
-        assert cider_d(preds, refs) == 0.0
-
-    def test_matches_step_by_step_oracle(self):
-        refs_by_video = {
-            "v1": [["a man runs fast", "the man is running"],
-                   ["a dog barks loudly"]],
-            "v2": [["children play in the park"]],
-        }
-        preds_by_video = {
-            "v1": ["a man runs", "the dog barks"],
-            "v2": ["children play in a park"],
-        }
-        got = cider_d(preds_by_video, refs_by_video)
-        all_docs = [[tokenize(r) for r in refs]
-                    for vid, sets in refs_by_video.items() for refs in sets]
-        expected = []
-        doc_idx = 0
-        for vid, sets in refs_by_video.items():
-            for k, refs in enumerate(sets):
-                cand = preds_by_video[vid][k]
-                expected.append(oracle_cider_d(tokenize(cand),
-                                               all_docs[doc_idx], all_docs))
-                doc_idx += 1
-        assert got == pytest.approx(float(np.mean(expected)), abs=1e-9)
+        refs = [tokenize("a man plays a guitar")]
+        df, n = build_document_frequency([refs])
+        assert cider_d_pair(tokenize("purple elephants dance wildly"), refs, df, n) == 0.0
 
 
 def pred(a, b, sentence):
@@ -329,6 +305,13 @@ class TestRepetition:
                 assert got == 0.0
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_captions_by_set_keeps_file_order_and_skips_captionless():
+    first = {"v1": [pred(0, 1, "a"), PredictionEntry(TimeInterval(1, 2))],
+             "v2": [pred(0, 1, "b")]}
+    second = {"v1": [pred(0, 1, "c")]}
+    assert captions_by_set([first, second]) == {"v1": [["a"], ["c"]], "v2": [["b"]]}
 
 
 class TestDiversityModes:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from densecap import (AnnotationSet, CaptionRerankParams, ConceptVocabulary,
-                      PredictionEntry, RerankWeights, TimeInterval, VideoMeta,
-                      augment, caption_rerank, proposal_rerank)
+                      CorpusFormatError, PredictionEntry, RerankWeights, TimeInterval,
+                      VideoMeta, augment, caption_rerank, proposal_rerank)
+from densecap.rerank import augment_corpus, merge_captions, rerank_proposals
+from conftest import make_corpus, make_video
 from oracles import oracle_best_match
 
 
@@ -111,6 +113,41 @@ class TestCaptionRerank:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             caption_rerank([], np.zeros(3), self.vocab)
+
+
+class TestMergeCaptions:
+    def test_picks_per_proposal_and_passes_captionless_through(self):
+        first = {"v1": [cand(0, 10, 0.5, -1.0, "a man a man"), cand(10, 20, 0.4)],
+                 "v2": [cand(0, 5, 0.3, sentence="only here")]}
+        second = {"v1": [PredictionEntry(iv(0, 10), sentence="a man runs")]}
+        merged = merge_captions([first, second], CaptionRerankParams(beta=0.0))
+        assert merged == {
+            "v1": [cand(0, 10, 0.5, -1.0, "a man runs"), cand(10, 20, 0.4)],
+            "v2": [cand(0, 5, 0.3, sentence="only here")]}
+
+    def test_disagreeing_intervals_rejected(self):
+        first = {"v1": [cand(0, 10, 0.5, sentence="a"), cand(10, 20, 0.5, sentence="b")]}
+        second = {"v1": first["v1"][::-1]}
+        with pytest.raises(CorpusFormatError, match=r"v1\[0\]"):
+            merge_captions([first, second])
+
+
+class TestCorpusLoops:
+    def test_rerank_proposals_per_video_with_meta(self):
+        preds = {"v1": [cand(0, 10, 0.2), cand(10, 20, 0.9, -1.0, "a b")],
+                 "ghost": [cand(0, 10, 0.2)]}
+        ranked, missing = rerank_proposals(preds, {"v1": META}, RerankWeights(top_n=1))
+        assert ranked == {"v1": proposal_rerank(preds["v1"], META, RerankWeights(top_n=1))[0]}
+        assert missing == 1
+
+    def test_augment_rows(self):
+        corpus = make_corpus(v1=make_video("v1", 40, [([[0, 10], [20, 30]], ["a", "b"])]),
+                             v2=make_video("v2", 40, [([[0, 10]], ["c"])]),
+                             v3=make_video("v3", 40, [([[0, 10]], ["d"])]))
+        rows = augment_corpus(corpus, {"v1": [cand(0, 10, 0.5), cand(12, 19, 0.5)],
+                                       "v2": []})
+        assert rows == {"v1": [{"timestamp": [0, 10], "gt_index": 0, "tiou": 1.0,
+                                "caption": "a"}], "v2": []}
 
 
 class TestAugment:
