@@ -11,6 +11,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -66,6 +67,8 @@ class VideoMeta:
             raise CorpusFormatError(f"{self.video_id}: duration must be finite and > 0")
         if not 0 < self.fps < math.inf:
             raise CorpusFormatError(f"{self.video_id}: fps must be finite and > 0")
+        if not self.duration_s * self.fps < math.inf:
+            raise CorpusFormatError(f"{self.video_id}: duration x fps overflows")
         if self.frames_per_segment < 1:
             raise CorpusFormatError(f"{self.video_id}: frames_per_segment must be >= 1")
 
@@ -160,7 +163,7 @@ def read_interval(pair, duration_s, where):
         raise CorpusFormatError(f"bad timestamp {where}")
     try:
         start, end = float(pair[0]), float(pair[1])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CorpusFormatError(f"bad timestamp {where}") from exc
     if not (math.isfinite(start) and math.isfinite(end)):
         raise CorpusFormatError(f"non-finite timestamp {where}")
@@ -188,7 +191,7 @@ _REQUIRED = object()
 def _checked(value, types, where, key):
     if isinstance(value, bool) or not isinstance(value, types):
         raise CorpusFormatError(f"{where}: bad {key} {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise CorpusFormatError(f"{where}: non-finite {key}")
     return value
 
@@ -463,8 +466,13 @@ def load_features(path) -> SegmentGrid:
                 raise CorpusFormatError(f"{path}: truncated feature payload")
             data = np.frombuffer(payload, dtype="<f4")
         else:
-            data = np.asarray(read_field(header, "features", list, path),
-                              dtype=np.float64)
+            table = read_field(header, "features", list, path)
+            if not all(isinstance(row, list) and len(row) == len(table[0]) for row in table):
+                raise CorpusFormatError(f"{path}: features must be rows of equal length")
+            data = np.array([_checked(v, (int, float), path, "feature")
+                             for row in table for v in row], dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise CorpusFormatError(f"{path}: non-finite feature value")
     meta = _read_meta(header, read_field(header, "video_id", str, path), path)
     rows = read_field(header, "segment_count", int, path)
     dim = read_field(header, "dim", int, path)

@@ -15,14 +15,16 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CorpusFormatError, PredictionEntry, SegmentGrid, TimeInterval,
-                   VideoMeta, read_field, read_intervals, read_items, read_json,
-                   read_object)
+from .core import (CorpusFormatError, PredictionEntry, TimeInterval, VideoMeta,
+                   read_field, read_intervals, read_items, read_json, read_object)
 from .intervals import as_bounds, tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEDUP_TOL_S = 1e-6
 DISTRIBUTION_TOL = 1e-6
+SCORE_FLOOR = 1e-3  # heuristic f_s of a candidate that overlaps no attractor
+COVER_TIOU = 0.5  # tIoU at which a prefix member covers an attractor
+EOS_WEIGHT_OPEN = 0.05  # heuristic EOS weight while an attractor is uncovered
 
 
 class FusionError(RuntimeError):
@@ -30,18 +32,17 @@ class FusionError(RuntimeError):
 
 
 class PointwiseScorer(Protocol):
-    def scores(self, candidates: Sequence[TimeInterval],
-               grid: Optional[SegmentGrid]) -> np.ndarray:
+    def scores(self, candidates: Sequence[TimeInterval]) -> np.ndarray:
         """Deterministic ranking score in (0, 1] per candidate, as a float array."""
 
 
 class SequentialScorer(Protocol):
-    def distribution(self, prefix: List[int], pool: "CandidatePool",
-                     grid: Optional[SegmentGrid]):
+    def distribution(self, prefix: List[int],
+                     pool: "CandidatePool") -> Tuple[np.ndarray, float]:
         """Probabilities over remaining candidates and EOS.
 
-        Returns ({candidate_index: prob}, eos_prob) covering exactly the
-        candidates not in `prefix`; the whole thing must sum to 1.
+        Returns (probs, eos): one probability per candidate not in `prefix`,
+        in index order, then EOS; together they must sum to 1.
         """
 
 
@@ -57,11 +58,10 @@ class CandidatePool:
 
     @classmethod
     def from_windows(cls, windows: Sequence[TimeInterval], scorer: PointwiseScorer,
-                     grid: Optional[SegmentGrid] = None,
                      cap: int = 80) -> "CandidatePool":
         """Score windows, keep the top `cap` by f_s, dedup near-identical ones."""
         windows = [w for w, k in zip(windows, _dedup(as_bounds(windows)).tolist()) if k]
-        scores = np.asarray(scorer.scores(windows, grid), dtype=float)
+        scores = np.asarray(scorer.scores(windows), dtype=float)
         order = np.argsort(-scores, kind="stable")[:cap]
         keep = sorted(order.tolist())  # preserve enumeration order
         return cls([windows[i] for i in keep], scores[keep])
@@ -138,25 +138,23 @@ def enumerate_sliding_windows(meta: VideoMeta,
     return windows
 
 
-def _checked_distribution(f_e: SequentialScorer, prefix, pool, grid, remaining):
+def _checked_distribution(f_e: SequentialScorer, prefix, pool, remaining):
     """The scorer's distribution as (probabilities aligned with `remaining`, EOS)."""
-    probs, eos = f_e.distribution(prefix, pool, grid)
-    remaining = remaining.tolist()
-    if set(probs) != set(remaining):
-        raise FusionError("sequential scorer must cover exactly the remaining candidates")
-    p = np.array([probs[i] for i in remaining], dtype=float)
-    total = sum(probs.values()) + eos
+    probs, eos = f_e.distribution(prefix, pool)
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != remaining.shape:
+        raise FusionError(f"f_e gave shape {probs.shape} for {remaining.size} candidates")
+    total = probs.sum() + eos
     # written so that NaN fails every comparison
     if not (abs(total - 1.0) <= DISTRIBUTION_TOL and 0.0 <= eos < math.inf
-            and np.all((p >= 0.0) & (p < math.inf))):
+            and np.all((probs >= 0.0) & (probs < math.inf))):
         raise FusionError(f"sequential scorer returned a non-distribution "
                           f"(sum={total}, eos={eos})")
-    return p, eos
+    return probs, eos
 
 
 def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: SequentialScorer,
-                cfg: Optional[FusionConfig] = None,
-                grid: Optional[SegmentGrid] = None) -> List[FusedProposal]:
+                cfg: Optional[FusionConfig] = None) -> List[FusedProposal]:
     """Fused inference over a candidate pool.
 
     The stopping test uses the raw sequential distribution (argmax over
@@ -170,19 +168,19 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
         raise ValueError("candidate pool is empty")
     cfg = cfg if cfg is not None else FusionConfig()
     f_s_vals = np.asarray(pool.scores if pool.scores is not None
-                          else f_s.scores(pool.candidates, grid), dtype=float)
+                          else f_s.scores(pool.candidates), dtype=float)
     if f_s_vals.shape != (len(pool),) or not np.isfinite(f_s_vals).all():
         raise FusionError("pointwise scores must be one finite value per candidate")
 
     prefix: List[int] = []
     in_prefix = np.zeros(len(pool), dtype=bool)
+    in_output = np.zeros(len(pool), dtype=bool)
     selected: List[FusedProposal] = []
-    selected_idx: set = set()
     for step in range(cfg.max_steps):
         remaining = np.flatnonzero(~in_prefix)
         if remaining.size == 0:
             break
-        probs, eos = _checked_distribution(f_e, prefix, pool, grid, remaining)
+        probs, eos = _checked_distribution(f_e, prefix, pool, remaining)
         # raw-f_e stopping rule; candidate ties beat EOS ties deterministically
         if eos > probs.max():
             break
@@ -192,8 +190,8 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
         in_prefix[prefix[-1]] = True
         for j in ranked[:cfg.k].tolist():
             i = int(remaining[j])
-            if i not in selected_idx:
-                selected_idx.add(i)
+            if not in_output[i]:
+                in_output[i] = True
                 selected.append(FusedProposal(pool.candidates[i], float(fused[j]), step))
     return selected
 
@@ -205,14 +203,13 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
 
 @dataclass
 class HeuristicPointwiseScorer:
-    """f_s(c) = max tIoU of c against any attractor, floored at 1e-3."""
+    """f_s(c) = max tIoU of c against any attractor, floored at SCORE_FLOOR."""
 
     attractors: List[TimeInterval]
-    floor: float = 1e-3
 
-    def scores(self, candidates: Sequence[TimeInterval], grid=None) -> np.ndarray:
+    def scores(self, candidates: Sequence[TimeInterval]) -> np.ndarray:
         m = tiou_matrix(as_bounds(candidates), as_bounds(self.attractors))
-        return m.max(axis=1, initial=self.floor)
+        return m.max(axis=1, initial=SCORE_FLOOR)
 
 
 @dataclass
@@ -220,55 +217,48 @@ class HeuristicSequentialScorer:
     """Weights candidates by their best tIoU to attractors not yet covered.
 
     An attractor counts as covered once some prefix member overlaps it with
-    tIoU >= `cover_tiou`. EOS weight is 1 when everything is covered, else a
-    small constant, and the whole thing is normalized to a distribution.
+    tIoU >= COVER_TIOU. EOS weight is 1 when everything is covered, else
+    EOS_WEIGHT_OPEN, and the whole thing is normalized to a distribution.
     """
 
     attractors: List[TimeInterval]
-    cover_tiou: float = 0.5
-    eos_weight_open: float = 0.05
-    _bounds: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _tious: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
-    def distribution(self, prefix, pool: CandidatePool, grid=None):
-        if self._bounds[0] is not pool:  # selection asks about one pool at every step
-            self._bounds = (pool, as_bounds(pool.candidates))
-        bounds, attractors = self._bounds[1], as_bounds(self.attractors)
-        covered = (tiou_matrix(bounds[prefix], attractors)
-                   >= self.cover_tiou).any(axis=0)
-        in_prefix = np.zeros(len(pool), dtype=bool)
-        in_prefix[prefix] = True
-        remaining = np.flatnonzero(~in_prefix)
-        weights = tiou_matrix(bounds[remaining],
-                              attractors[~covered]).max(axis=1, initial=0.0)
-        eos = 1.0 if covered.all() else self.eos_weight_open
+    def distribution(self, prefix, pool: CandidatePool):
+        if self._tious[0] is not pool:  # selection asks about one pool at every step
+            self._tious = (pool, tiou_matrix(as_bounds(pool.candidates),
+                                             as_bounds(self.attractors)))
+        tious = self._tious[1]  # pool x attractors
+        covered = (tious[prefix] >= COVER_TIOU).any(axis=0)
+        weights = np.delete(tious, prefix, axis=0)[:, ~covered].max(axis=1, initial=0.0)
+        eos = 1.0 if covered.all() else EOS_WEIGHT_OPEN
         total = sum(weights.tolist()) + eos
-        return dict(zip(remaining.tolist(), (weights / total).tolist())), eos / total
+        return weights / total, eos / total
 
 
 @dataclass
 class TableSequentialScorer:
-    """Step-indexed distributions, for precomputed f_e tables.
+    """Step-indexed weights, for precomputed f_e tables.
 
-    `steps[t]` is ({candidate_index: prob}, eos_prob) for step t; entries for
-    already-selected candidates are dropped and the rest renormalized.
+    Row t of `steps`, a (T, n + 1) float array, holds step t's weight for
+    each of the pool's n candidates, then EOS. Weights of already-selected
+    candidates are dropped and the rest renormalized; past the last row EOS
+    takes all the mass.
     """
 
-    steps: List[Tuple[Dict[int, float], float]]
+    steps: np.ndarray
 
-    def distribution(self, prefix, pool: CandidatePool, grid=None):
-        t = len(prefix)
-        if t >= len(self.steps):
-            remaining = [i for i in range(len(pool)) if i not in prefix]
-            return {i: 0.0 for i in remaining}, 1.0
-        probs, eos = self.steps[t]
-        kept = {i: p for i, p in probs.items() if i not in prefix}
-        for i in range(len(pool)):
-            if i not in prefix:
-                kept.setdefault(i, 0.0)
-        total = sum(kept.values()) + eos
+    def distribution(self, prefix, pool: CandidatePool):
+        if len(prefix) >= len(self.steps):
+            return np.zeros(len(pool) - len(prefix)), 1.0
+        row = np.asarray(self.steps[len(prefix)], dtype=float)
+        if row.shape != (len(pool) + 1,):
+            raise FusionError(f"table step of {row.size} for {len(pool)} candidates + EOS")
+        weights, eos = np.delete(row[:-1], prefix), row[-1]
+        total = sum(weights.tolist()) + eos
         if total <= 0:
             raise FusionError("table step has zero total mass")
-        return {i: p / total for i, p in kept.items()}, eos / total
+        return weights / total, eos / total
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +266,28 @@ class TableSequentialScorer:
 # {"mode": "tables", "videos": {vid: {"candidates": [[s, e], ...], "f_s": [...],
 # "f_e_steps": [{"probs": {"<index>": p, ...}, "eos": p}, ...]}}}.
 
-def _read_step(step, where) -> Tuple[Dict[int, float], float]:
+def _read_step(step, n: int, where) -> np.ndarray:
+    """One f_e_steps entry as n candidate weights (0 where left out), then EOS."""
     probs = read_field(read_object(step, where), "probs", dict, where)
-    if not all(i.isdecimal() for i in probs):
-        raise CorpusFormatError(f"{where}: probs keys must be candidate indices")
-    return ({int(i): read_field(probs, i, (int, float), where) for i in probs},
-            read_field(step, "eos", (int, float), where))
+    if not all(i.isdecimal() and int(i) < n for i in probs):
+        raise CorpusFormatError(f"{where}: probs keys must be indices of the {n} candidates")
+    row = np.zeros(n + 1)
+    for i in probs:
+        row[int(i)] = read_field(probs, i, (int, float), where)
+    row[n] = read_field(step, "eos", (int, float), where)
+    return row
 
 
 def _read_table(table, where):
     table = read_object(table, where)
     pool = CandidatePool(read_intervals(table, "candidates", math.inf, where),
                          np.asarray(read_items(table, "f_s", (int, float), where), float))
-    steps = [_read_step(step, f"{where}: f_e_steps[{t}]")
-             for t, step in enumerate(read_field(table, "f_e_steps", list, where))]
     if len(pool.scores) != len(pool):
         raise CorpusFormatError(f"{where}: {len(pool.scores)} f_s values for "
                                 f"{len(pool)} candidates")
-    if any(not 0 <= i < len(pool) for probs, _ in steps for i in probs):
-        raise CorpusFormatError(f"{where}: f_e_steps name a candidate index outside "
-                                f"the {len(pool)} candidates")
-    return pool, None, TableSequentialScorer(steps)
+    steps = [_read_step(step, len(pool), f"{where}: f_e_steps[{t}]")
+             for t, step in enumerate(read_field(table, "f_e_steps", list, where))]
+    return pool, None, TableSequentialScorer(np.reshape(steps, (-1, len(pool) + 1)))
 
 
 def load_scores(path) -> Dict[str, tuple]:

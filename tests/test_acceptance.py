@@ -111,7 +111,7 @@ class _TableF:
     def __init__(self, pool, values):
         self._values = {c: v for c, v in zip(pool.candidates, values)}
 
-    def scores(self, candidates, grid=None):
+    def scores(self, candidates):
         return np.array([self._values[c] for c in candidates])
 
 
@@ -127,8 +127,7 @@ def test_fused_selection_fidelity():
         for _ in range(n + 2):
             w = rng.uniform(0.0, 1.0, size=n + 1)
             total = w.sum()
-            steps.append(({i: w[i] / total for i in range(n)},
-                          float(w[n] / total)))
+            steps.append(w / total)
             raw_tables.append({**{i: float(w[i]) for i in range(n)},
                                "eos": float(w[n])})
         pool = CandidatePool(cands, f_s_vals.copy())

@@ -421,3 +421,33 @@ class TestContextsCli:
                          "--features-dir", str(feat_dir), "--out", str(tmp_path / "b.json")])
         assert code == 2
         assert "feature segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("binary, edit", [
+        (True, lambda rows: rows[0].__setitem__(0, math.nan)),
+        (True, lambda rows: rows[1].__setitem__(1, -math.inf)),
+        (False, lambda rows: rows[0].__setitem__(0, math.nan)),
+        (False, lambda rows: rows[1].__setitem__(1, math.inf)),
+        (False, lambda rows: rows[0].__setitem__(0, "high")),
+        (False, lambda rows: rows[1].pop()),
+    ], ids=["binary-nan", "binary-inf", "json-nan", "json-inf", "json-non-numeric",
+            "json-ragged"])
+    def test_bad_feature_values_exit_2(self, synthetic_dir, tmp_path, capsys, binary, edit):
+        gt = load_ground_truth(synthetic_dir / "gt_set1.json")
+        record = next(iter(gt.videos.values()))
+        grid = SegmentGrid(record.meta, np.ones((record.meta.segment_count, 2)))
+        path = tmp_path / "feats" / "one.feat"
+        path.parent.mkdir()
+        if binary:
+            edit(grid.features)
+            save_features(grid, path)
+        else:
+            save_features(grid, path, binary=False)
+            doc = json.loads(path.read_text())
+            edit(doc["features"])
+            path.write_text(json.dumps(doc))
+        code = dispatch(["contexts", "--events", str(synthetic_dir / "gt_set1.json"),
+                         "--features-dir", str(path.parent),
+                         "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()

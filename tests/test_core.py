@@ -115,6 +115,8 @@ class TestMetaFiles:
         {"v1": {"duration": 30, "frames_per_segment": 64.0}},
         {"v1": {"duration": 30, "frames_per_segment": 0}},
         "{not json",
+        {"v1": {"duration": 1e308}},                      # segment count overflows
+        {"v1": {"duration": 10 ** 400}},                  # past the float range
     ])
     def test_malformed_raises_format_error(self, tmp_path, payload):
         path = tmp_path / "meta.json"

@@ -9,8 +9,9 @@ from conftest import interval_lists
 from densecap import (CandidatePool, CorpusFormatError, FusionConfig,
                       HeuristicPointwiseScorer, HeuristicSequentialScorer, TimeInterval,
                       VideoMeta, enumerate_sliding_windows, fuse_select, tiou)
-from densecap.fusion import (DEDUP_TOL_S, FusionError, TableSequentialScorer, _dedup,
-                             load_scores, select_proposals)
+from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, EOS_WEIGHT_OPEN, SCORE_FLOOR,
+                             FusionError, TableSequentialScorer, _dedup, load_scores,
+                             select_proposals)
 from densecap.synthetic import gen_synthetic
 from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
                      resimulate_selection)
@@ -60,7 +61,7 @@ class TestSlidingWindows:
 
 def table_scorer_pair(pool, f_s_vals, steps):
     class _FS:
-        def scores(self, candidates, grid=None):
+        def scores(self, candidates):
             return np.array([f_s_vals[pool.candidates.index(c)] for c in candidates])
     return _FS(), TableSequentialScorer(steps)
 
@@ -68,16 +69,14 @@ def table_scorer_pair(pool, f_s_vals, steps):
 class TestFuseSelect:
     def test_immediate_eos(self):
         pool = CandidatePool([iv(0, 10)], np.array([0.9]))
-        f_s, f_e = table_scorer_pair(pool, [0.9], [({0: 0.1}, 0.9)])
+        f_s, f_e = table_scorer_pair(pool, [0.9], [[0.1, 0.9]])
         assert fuse_select(pool, f_s, f_e) == []
 
     def test_hand_trace_k1(self):
         pool = CandidatePool([iv(0, 1), iv(1, 2), iv(2, 3)],
                              np.array([0.9, 0.5, 0.4]))
-        steps = [
-            ({0: 0.2, 1: 0.5, 2: 0.2}, 0.1),
-            ({0: 0.3, 2: 0.1}, 0.6),
-        ]
+        steps = [[0.2, 0.5, 0.2, 0.1],
+                 [0.3, 0.0, 0.1, 0.6]]
         f_s, f_e = table_scorer_pair(pool, [0.9, 0.5, 0.4], steps)
         selected = fuse_select(pool, f_s, f_e, FusionConfig(k=1))
         assert [s.interval for s in selected] == [iv(1, 2)]
@@ -86,10 +85,8 @@ class TestFuseSelect:
     def test_hand_trace_k2(self):
         pool = CandidatePool([iv(0, 1), iv(1, 2), iv(2, 3)],
                              np.array([0.9, 0.5, 0.4]))
-        steps = [
-            ({0: 0.2, 1: 0.5, 2: 0.2}, 0.1),
-            ({0: 0.3, 2: 0.1}, 0.6),
-        ]
+        steps = [[0.2, 0.5, 0.2, 0.1],
+                 [0.3, 0.0, 0.1, 0.6]]
         f_s, f_e = table_scorer_pair(pool, [0.9, 0.5, 0.4], steps)
         selected = fuse_select(pool, f_s, f_e, FusionConfig(k=2))
         # step 0 appends the top-2 fused candidates; prefix gains only c2
@@ -105,7 +102,7 @@ class TestFuseSelect:
             for _ in range(n + 1):
                 w = rng.uniform(0.01, 1.0, size=n + 1)
                 w /= w.sum()
-                steps.append(({i: w[i] for i in range(n)}, float(w[n])))
+                steps.append(w)
             pool = CandidatePool(cands, f_s_vals.copy())
             f_s, f_e = table_scorer_pair(pool, f_s_vals, steps)
             base = [s.interval for s in fuse_select(pool, f_s, f_e)]
@@ -118,56 +115,78 @@ class TestFuseSelect:
         pool = CandidatePool([iv(0, 1)], np.array([0.5]))
 
         class BadScorer:
-            def distribution(self, prefix, pool, grid=None):
-                return {0: 0.7}, 0.7
+            def distribution(self, prefix, pool):
+                return np.array([0.7]), 0.7
 
         f_s, _ = table_scorer_pair(pool, [0.5], [])
         with pytest.raises(FusionError):
             fuse_select(pool, f_s, BadScorer())
 
     @pytest.mark.parametrize("probs, eos", [
-        ({0: math.nan}, 0.1),
-        ({0: math.nan, 1: 0.5}, 0.5),
-        ({0: 1.0}, math.nan),
-        ({0: 0.5, 1: math.inf}, 0.0),
-        ({0: 1.1, 1: 0.0}, -0.1),
-        ({0: -0.1, 1: 0.6}, 0.5),
+        ([math.nan], 0.1),
+        ([math.nan, 0.5], 0.5),
+        ([1.0], math.nan),
+        ([0.5, math.inf], 0.0),
+        ([1.1, 0.0], -0.1),
+        ([-0.1, 0.6], 0.5),
     ])
     def test_non_finite_or_negative_mass_is_hard_error(self, probs, eos):
         pool = CandidatePool([iv(i, i + 1) for i in range(len(probs))],
                              np.full(len(probs), 0.5))
 
         class BadScorer:
-            def distribution(self, prefix, pool, grid=None):
-                return dict(probs), eos
+            def distribution(self, prefix, pool):
+                return np.array(probs), eos
 
         with pytest.raises(FusionError):
             fuse_select(pool, None, BadScorer())
 
+    @pytest.mark.parametrize("n, probs", [
+        (2, [0.9]),  # too short
+        (1, [0.5, 0.4]),  # too long
+        (2, [[0.5, 0.4]]),  # 2-D
+        (1, 0.9),  # a scalar
+    ])
+    def test_misshapen_probabilities_are_hard_error(self, n, probs):
+        pool = CandidatePool([iv(i, i + 1) for i in range(n)], np.full(n, 0.5))
+
+        class BadScorer:  # each sums to 1 with EOS 0.1
+            def distribution(self, prefix, pool):
+                return np.array(probs), 0.1
+
+        with pytest.raises(FusionError):
+            fuse_select(pool, None, BadScorer())
+
+    @pytest.mark.parametrize("row", [[0.6, 0.4], [0.5, 0.3, 0.1, 0.1]])
+    def test_table_row_width_must_match_pool(self, row):
+        pool = CandidatePool([iv(0, 1), iv(1, 2)], np.array([0.5, 0.5]))
+        with pytest.raises(FusionError):
+            fuse_select(pool, None, TableSequentialScorer([row]))
+
     @pytest.mark.parametrize("f_s_vals", [[math.nan, 0.5], [0.5, math.inf], [0.5]])
     def test_bad_pointwise_scores_are_hard_error(self, f_s_vals):
         pool = CandidatePool([iv(0, 1), iv(1, 2)], np.array(f_s_vals))
-        f_e = TableSequentialScorer([({0: 0.6, 1: 0.3}, 0.1)])
+        f_e = TableSequentialScorer([[0.6, 0.3, 0.1]])
         with pytest.raises(FusionError):
             fuse_select(pool, None, f_e)
 
     def test_candidate_beats_eos_on_tie(self):
         pool = CandidatePool([iv(0, 1)], np.array([0.5]))
-        f_e = TableSequentialScorer([({0: 0.5}, 0.5)])
+        f_e = TableSequentialScorer([[0.5, 0.5]])
         assert [p.interval for p in fuse_select(pool, None, f_e)] == [iv(0, 1)]
 
     def test_fused_ties_break_toward_smaller_index(self):
         n = 40
         f_s_vals = np.resize([0.25, 0.5, 0.75], n)  # three tied groups, interleaved
         pool = CandidatePool([iv(i, i + 1) for i in range(n)], f_s_vals)
-        f_e = TableSequentialScorer([({i: 1.0 for i in range(n)}, 0.0)])
+        f_e = TableSequentialScorer([[1.0] * n + [0.0]])
         out = fuse_select(pool, None, f_e, FusionConfig(k=n, max_steps=1))
         want = sorted(range(n), key=lambda i: (-f_s_vals[i], i))
         assert [int(p.interval.start_s) for p in out] == want
 
     def test_scores_are_plain_floats(self):
         pool = CandidatePool([iv(0, 1), iv(1, 2)], np.array([0.9, 0.5]))
-        f_e = TableSequentialScorer([({0: 0.6, 1: 0.3}, 0.1)])
+        f_e = TableSequentialScorer([[0.6, 0.3, 0.1]])
         out = fuse_select(pool, None, f_e, FusionConfig(k=2))
         assert [type(p.score) for p in out] == [float, float]
         assert [p.score for p in out] == pytest.approx([0.9 * 0.6, 0.5 * 0.3])
@@ -192,7 +211,7 @@ class TestFuseSelect:
                 w = rng.uniform(0.0, 1.0, size=n + 1)
                 w[n] = rng.uniform(0.0, 0.5)
                 w /= w.sum()
-                steps.append(({i: w[i] for i in range(n)}, float(w[n])))
+                steps.append(w)
             pool = CandidatePool(cands, f_s_vals)
             f_s, f_e = table_scorer_pair(pool, f_s_vals, steps)
             cfg = FusionConfig(k=k, max_steps=10)
@@ -214,8 +233,7 @@ class TestFuseSelect:
             for _ in range(n + 2):
                 w = rng.uniform(0.0, 1.0, size=n + 1)
                 total = w.sum()
-                steps.append(({i: w[i] / total for i in range(n)},
-                              float(w[n] / total)))
+                steps.append(w / total)
                 raw_tables.append({**{i: float(w[i]) for i in range(n)},
                                    "eos": float(w[n])})
             pool = CandidatePool(cands, f_s_vals)
@@ -245,7 +263,7 @@ class TestHeuristicScorers:
         scorer = HeuristicSequentialScorer(attractors)
         pool = CandidatePool([iv(0, 10), iv(20, 30)], np.array([1.0, 0.001]))
         probs, eos = scorer.distribution([0], pool)
-        assert eos > max(probs.values())
+        assert eos > probs.max()
 
     def test_sequential_targets_uncovered(self):
         attractors = [iv(0, 10), iv(20, 30)]
@@ -253,7 +271,7 @@ class TestHeuristicScorers:
         pool = CandidatePool([iv(0, 10), iv(20, 30), iv(40, 50)],
                              np.array([1.0, 1.0, 0.001]))
         probs, eos = scorer.distribution([0], pool)
-        assert max(probs, key=probs.get) == 1  # the uncovered attractor's twin
+        assert [1, 2][probs.argmax()] == 1  # the uncovered attractor's twin
 
     def test_sequential_hand_normalization(self):
         attractors = [iv(0, 10), iv(20, 30)]
@@ -266,7 +284,7 @@ class TestHeuristicScorers:
         assert probs[0] == pytest.approx(1.0 / z)
         assert probs[2] == pytest.approx((1 / 3) / z)
         assert eos == pytest.approx(0.05 / z)
-        assert sum(probs.values()) + eos == pytest.approx(1.0, abs=1e-9)
+        assert probs.sum() + eos == pytest.approx(1.0, abs=1e-9)
 
     def test_pool_cap(self):
         meta = VideoMeta("v", 100.0)
@@ -307,7 +325,7 @@ class TestArrayKernelsMatchOracles:
 
     @given(interval_lists(), interval_lists(max_size=5))
     def test_pointwise_scores_match_oracle(self, cands, attractors):
-        want = [max([1e-3] + [oracle_tiou(c, a) for a in _pairs(attractors)])
+        want = [max([SCORE_FLOOR] + [oracle_tiou(c, a) for a in _pairs(attractors)])
                 for c in _pairs(cands)]
         assert HeuristicPointwiseScorer(attractors).scores(cands).tolist() == want
 
@@ -322,10 +340,12 @@ class TestArrayKernelsMatchOracles:
             prefixes = [[pool.candidates.index(x) for x in picked[:t]]
                         for t in range(len(picked) + 1)]
             for prefix in prefixes:
-                want = oracle_heuristic_distribution(
+                want_probs, want_eos = oracle_heuristic_distribution(
                     prefix, _pairs(pool.candidates), _pairs(attractors),
-                    scorer.cover_tiou, scorer.eos_weight_open)
-                assert scorer.distribution(prefix, pool) == want
+                    COVER_TIOU, EOS_WEIGHT_OPEN)
+                probs, eos = scorer.distribution(prefix, pool)
+                assert probs.tolist() == list(want_probs.values())  # index order
+                assert eos == want_eos
 
     @given(interval_lists(), interval_lists(max_size=5), st.data())
     def test_sequential_distribution_matches_oracle(self, cands, attractors, data):
@@ -333,10 +353,11 @@ class TestArrayKernelsMatchOracles:
             return
         prefix = data.draw(st.lists(st.integers(0, len(cands) - 1), unique=True))
         scorer = HeuristicSequentialScorer(attractors)
-        got = scorer.distribution(prefix, CandidatePool(cands))
-        want = oracle_heuristic_distribution(prefix, _pairs(cands), _pairs(attractors),
-                                             scorer.cover_tiou, scorer.eos_weight_open)
-        assert got == want
+        probs, eos = scorer.distribution(prefix, CandidatePool(cands))
+        want_probs, want_eos = oracle_heuristic_distribution(
+            prefix, _pairs(cands), _pairs(attractors), COVER_TIOU, EOS_WEIGHT_OPEN)
+        assert probs.tolist() == list(want_probs.values())  # index order
+        assert eos == want_eos
 
 
 def write_scores(tmp_path, payload):
