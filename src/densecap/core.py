@@ -157,16 +157,14 @@ class Corpus:
 def read_interval(pair, duration_s, where):
     """Validate one raw [start, end] pair against the video duration.
 
-    An end past the duration by at most DURATION_SLOP_S is clamped to it.
+    Both ends are checked as `read_field` checks a number, so booleans and
+    numeric strings fail. An end past the duration by at most
+    DURATION_SLOP_S is clamped to it.
     """
     if not isinstance(pair, list) or len(pair) != 2:
         raise CorpusFormatError(f"bad timestamp {where}")
-    try:
-        start, end = float(pair[0]), float(pair[1])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CorpusFormatError(f"bad timestamp {where}") from exc
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise CorpusFormatError(f"non-finite timestamp {where}")
+    start = float(_checked(pair[0], (int, float), where, "start"))
+    end = float(_checked(pair[1], (int, float), where, "end"))
     if start >= end:
         raise CorpusFormatError(f"inverted interval {where}")
     if start < 0:

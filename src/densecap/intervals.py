@@ -86,6 +86,22 @@ def match_all(preds: Sequence[TimeInterval],
             enumerate(zip(idx.tolist(), m[np.arange(len(m)), idx].tolist()))]
 
 
+def check_thresholds(thresholds: Sequence[float]) -> List[float]:
+    """`thresholds` as a list: non-empty, each distinct and in [0, 1].
+
+    ValueError otherwise; NaN and infinities fail the range check.
+    """
+    thresholds = list(thresholds)
+    if not thresholds:
+        raise ValueError("no tIoU thresholds given")
+    for t in thresholds:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"tIoU threshold {t} is not in [0, 1]")
+    if len(set(thresholds)) != len(thresholds):
+        raise ValueError(f"repeated tIoU threshold in {thresholds}")
+    return thresholds
+
+
 def video_precision_recall(preds: Sequence[TimeInterval],
                            gt_union: Sequence[TimeInterval],
                            thresholds: Sequence[float]):
@@ -110,7 +126,7 @@ def precision_recall(corpus: Corpus, thresholds: Sequence[float]) -> PRTable:
     annotation sets. Videos with zero predictions count as precision 0 and
     are flagged in `zero_prediction_videos`.
     """
-    thresholds = list(thresholds)
+    thresholds = check_thresholds(thresholds)
     prec_sum = {t: 0.0 for t in thresholds}
     rec_sum = {t: 0.0 for t in thresholds}
     n_videos = 0

@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Corpus
-from .intervals import as_bounds, tiou_matrix
+from .intervals import as_bounds, check_thresholds, tiou_matrix
 
 _STRIP = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
 
@@ -40,33 +40,40 @@ def tokenize(sentence: str) -> List[str]:
     return tokens
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 class _Sentence(NamedTuple):
-    """A tokenized sentence's length and its n-gram counts for n = 1..MAX_N."""
+    """A tokenized sentence's length and its n-gram counts for n = 1, 2, ..."""
 
     length: int
     grams: Tuple[Counter, ...]
 
 
-def _sentence(tokens: Sequence[str]) -> _Sentence:
-    return _Sentence(len(tokens), tuple(_ngrams(tokens, n) for n in range(1, MAX_N + 1)))
+def _sentence(tokens: Sequence[str], top_n: int = MAX_N) -> _Sentence:
+    """The record of `tokens` with grams up to `top_n` (`MAX_N` when lower)."""
+    return _Sentence(len(tokens), tuple(Counter(zip(*(tokens[k:] for k in range(n))))
+                                        for n in range(1, max(MAX_N, top_n) + 1)))
+
+
+def _lengths(cand: _Sentence, ref_lengths):
+    """Per-n n-gram totals, length and closest reference length (ties: shorter)."""
+    return ([max(cand.length - n, 0) for n in range(MAX_N)], cand.length,
+            min(ref_lengths, key=lambda L: (abs(L - cand.length), L)))
 
 
 def _bleu_counts(cand: _Sentence, refs: Sequence[_Sentence]):
     """Per-n clipped and total n-gram counts, candidate and closest reference length."""
-    clipped, total = [], []
+    clipped = []
     for n in range(MAX_N):
-        ref_max = Counter()
+        ref_max = {}
         for ref in refs:
-            ref_max |= ref.grams[n]
-        clipped.append(sum(min(count, ref_max[gram])
-                           for gram, count in cand.grams[n].items()))
-        total.append(sum(cand.grams[n].values()))
-    r = min((ref.length for ref in refs), key=lambda L: (abs(L - cand.length), L))
-    return clipped, total, cand.length, r
+            for gram, count in ref.grams[n].items():
+                if count > ref_max.get(gram, 0):
+                    ref_max[gram] = count
+        hits = 0
+        for gram, count in cand.grams[n].items():
+            best = ref_max.get(gram, 0)
+            hits += count if count < best else best
+        clipped.append(hits)
+    return (clipped, *_lengths(cand, [ref.length for ref in refs]))
 
 
 def _bleu_from_counts(clipped, total, c: int, r: int, smoothing: bool) -> float:
@@ -115,18 +122,22 @@ def corpus_bleu4(pairs: Sequence[Tuple[Sequence[str], Sequence[Sequence[str]]]])
 # ---------------------------------------------------------------------------
 # CIDEr-D
 
-def _cider_vector(sent: _Sentence, df: Dict, log_n_docs: float):
+class _Idf(dict):
+    """gram -> log(documents) - log(max(document frequency, 1)), computed on a
+    gram's first use, so one CIDEr-D pair does not pay for the whole table."""
+
+    def __init__(self, df: Dict, n_docs: int):
+        self.df, self.log_n = df, math.log(max(n_docs, 1))
+
+    def __missing__(self, gram):
+        self[gram] = idf = self.log_n - math.log(max(self.df.get(gram, 0.0), 1.0))
+        return idf
+
+
+def _cider_vector(sent: _Sentence, idf: _Idf):
     """Per-n TF-IDF vectors, their norms, and the token length."""
-    vecs = []
-    norms = []
-    for grams in sent.grams:
-        vec = {}
-        for gram, count in grams.items():
-            idf = log_n_docs - math.log(max(df.get(gram, 0.0), 1.0))
-            vec[gram] = count * idf
-        vecs.append(vec)
-        norms.append(math.sqrt(sum(v * v for v in vec.values())))
-    return vecs, norms, sent.length
+    vecs = [{gram: count * idf[gram] for gram, count in grams.items()} for grams in sent.grams]
+    return vecs, [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs], sent.length
 
 
 def _document_frequency(docs: Sequence[Sequence[_Sentence]]):
@@ -173,10 +184,9 @@ def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
     """CIDEr-D of one candidate against one event's reference set."""
     if not references:
         raise ValueError("references must be non-empty")
-    log_n = math.log(max(n_docs, 1))
-    return _cider(_cider_vector(_sentence(candidate), df, log_n),
-                  [_cider_vector(_sentence(ref), df, log_n) for ref in references],
-                  sigma)
+    idf = _Idf(df, n_docs)
+    return _cider(_cider_vector(_sentence(candidate), idf),
+                  [_cider_vector(_sentence(ref), idf) for ref in references], sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +238,14 @@ def dense_eval(corpus: Corpus,
     threshold; unmatched predictions score zero. Scores average over a
     video's predictions, then over videos.
     """
-    thresholds = list(thresholds)
+    thresholds = check_thresholds(thresholds)
     # document frequencies over all groundtruth events, one doc per event
     gt_sents = {vid: [_sentence(tokenize(sent)) for ann in record.annotation_sets
                       for sent in ann.sentences]
                 for vid, record in sorted(corpus.videos.items())}
-    df, n_docs = _document_frequency([[s] for sents in gt_sents.values() for s in sents])
-    log_n = math.log(max(n_docs, 1))
+    idf = _Idf(*_document_frequency([[s] for sents in gt_sents.values() for s in sents]))
 
-    b_s = {t: [] for t in thresholds}
-    b_u = {t: [] for t in thresholds}
-    cid = {t: [] for t in thresholds}
+    b_s, b_u, cid = ({t: [] for t in thresholds} for _ in range(3))
     corpus_counts = {t: [] for t in thresholds}
     matched = {t: 0 for t in thresholds}
     unmatched = {t: 0 for t in thresholds}
@@ -251,32 +258,34 @@ def dense_eval(corpus: Corpus,
         for pred in preds:
             if pred.sentence is None:
                 raise ValueError(f"{vid}: prediction without sentence")
-        gt_vecs = [_cider_vector(s, df, log_n) for s in gt]
+        gt_vecs = [_cider_vector(s, idf) for s in gt]
         cands = [_sentence(tokenize(pred.sentence)) for pred in preds]
-        cand_vecs = [_cider_vector(c, df, log_n) for c in cands]
+        cand_vecs = [_cider_vector(c, idf) for c in cands]
         tious = tiou_matrix(
             as_bounds([pred.interval for pred in preds]),
             as_bounds([iv for ann in record.annotation_sets for iv in ann.intervals])
         ).tolist()
+        scored = {}  # a prediction's reference sets repeat across thresholds
         for t in thresholds:
-            vb_s, vb_u, vc = [], [], []
-            for cand, cand_vec, row in zip(cands, cand_vecs, tious):
-                refs = [j for j, v in enumerate(row) if v >= t]
+            rows = []
+            for p, tiou_row in enumerate(tious):
+                refs = tuple(j for j, v in enumerate(tiou_row) if v >= t)
                 if not refs:
                     unmatched[t] += 1
-                    vb_s.append(0.0)
-                    vb_u.append(0.0)
-                    vc.append(0.0)
+                    rows.append((0.0, 0.0, 0.0))
                     continue
                 matched[t] += 1
-                counts = _bleu_counts(cand, [gt[j] for j in refs])
+                if (p, refs) not in scored:
+                    counts = _bleu_counts(cands[p], [gt[j] for j in refs])
+                    scored[p, refs] = counts, (
+                        _bleu_from_counts(*counts, smoothing=True),
+                        _bleu_from_counts(*counts, smoothing=False),
+                        _cider(cand_vecs[p], [gt_vecs[j] for j in refs]))
+                counts, scores = scored[p, refs]
                 corpus_counts[t].append(counts)
-                vb_s.append(_bleu_from_counts(*counts, smoothing=True))
-                vb_u.append(_bleu_from_counts(*counts, smoothing=False))
-                vc.append(_cider(cand_vec, [gt_vecs[j] for j in refs]))
-            b_s[t].append(float(np.mean(vb_s)))
-            b_u[t].append(float(np.mean(vb_u)))
-            cid[t].append(float(np.mean(vc)))
+                rows.append(scores)
+            for per_video, column in zip((b_s, b_u, cid), zip(*rows)):
+                per_video[t].append(float(np.mean(column)))
 
     def avg(per_video):
         return {t: (float(np.mean(v)) if v else 0.0) for t, v in per_video.items()}
@@ -315,22 +324,45 @@ class DiversityReport:
         }
 
 
-def _video_self_bleu(captions: Sequence[Sequence[str]]) -> Optional[float]:
-    """Mean smoothed BLEU-4 of each caption against the rest, times 100."""
-    if len(captions) < 2:
+def _video_self_bleu(sents: Sequence[_Sentence]) -> Optional[float]:
+    """Mean smoothed BLEU-4 of each caption against the rest, times 100.
+
+    One table per n maps each gram to [top count, its owner, runner-up count]
+    (a tie makes the runner-up equal the top). Caption i's reference maximum
+    is the runner-up where i owns the top, and the top elsewhere."""
+    if len(sents) < 2:
         return None
-    sents = [_sentence(cap) for cap in captions]
-    scores = [_bleu_from_counts(*_bleu_counts(cand, sents[:i] + sents[i + 1:]),
+    clipped = [[] for _ in sents]
+    for n in range(MAX_N):
+        table = {}
+        for i, sent in enumerate(sents):
+            for gram, count in sent.grams[n].items():
+                entry = table.get(gram)
+                if entry is None:
+                    table[gram] = [count, i, 0]
+                elif count > entry[0]:
+                    entry[:] = count, i, entry[0]
+                elif count > entry[2]:
+                    entry[2] = count
+        for i, sent in enumerate(sents):
+            hits = 0
+            for gram, count in sent.grams[n].items():
+                top, owner, second = table[gram]
+                best = second if owner == i else top
+                hits += count if count < best else best
+            clipped[i].append(hits)
+    lengths = [sent.length for sent in sents]
+    scores = [_bleu_from_counts(clipped[i], *_lengths(sent, lengths[:i] + lengths[i + 1:]),
                                 smoothing=True)
-              for i, cand in enumerate(sents)]
+              for i, sent in enumerate(sents)]
     return 100.0 * float(np.mean(scores))
 
 
-def _video_repetition(captions: Sequence[Sequence[str]], n: int) -> Optional[float]:
+def _video_repetition(sents: Sequence[_Sentence], n: int) -> Optional[float]:
     """Repeated-occurrence fraction of the video's pooled n-grams, times 100."""
     counts = Counter()
-    for cap in captions:
-        counts.update(_ngrams(cap, n))
+    for sent in sents:
+        counts.update(sent.grams[n - 1])
     total = sum(counts.values())
     if total == 0:
         return None
@@ -375,18 +407,21 @@ def _per_set_then_combined(captions_by_set_by_video, metric):
     return per_set, combined, detail, excluded
 
 
-def _tokenized(captions_by_set_by_video):
-    return {vid: [[tokenize(c) if isinstance(c, str) else list(c) for c in one_set]
-                  for one_set in sets]
+def _sentence_sets(captions_by_set_by_video, n: int = MAX_N):
+    """One `_Sentence` per caption with grams up to `n`; strings are tokenized."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return {vid: [[_sentence(tokenize(c) if isinstance(c, str) else list(c), n)
+                   for c in one_set] for one_set in sets]
             for vid, sets in captions_by_set_by_video.items()}
 
 
-def _corpus_value(captions_by_set_by_video, metric, mode: str) -> float:
+def _corpus_value(captions_by_set_by_video, metric, mode: str, n: int = MAX_N) -> float:
     """The per-set or the combined corpus value of a per-video metric."""
     if mode not in ("per_set", "combined"):
         raise ValueError(f"unknown mode {mode!r}")
     per_set, combined, _, _ = _per_set_then_combined(
-        _tokenized(captions_by_set_by_video), metric)
+        _sentence_sets(captions_by_set_by_video, n), metric)
     return per_set if mode == "per_set" else combined
 
 
@@ -398,10 +433,8 @@ def self_bleu(captions_by_set_by_video, mode: str = "per_set") -> float:
 def repetition(captions_by_set_by_video, n: int = 4,
                mode: str = "per_set") -> float:
     """Corpus n-gram repetition score in [0, 100]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _corpus_value(captions_by_set_by_video,
-                         lambda caps: _video_repetition(caps, n), mode)
+                         lambda sents: _video_repetition(sents, n), mode, n)
 
 
 def captions_by_set(prediction_sets) -> Dict[str, List[List[str]]]:
@@ -417,11 +450,11 @@ def captions_by_set(prediction_sets) -> Dict[str, List[List[str]]]:
 
 def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:
     """SelfB/RE plus their combined-set variants with per-video breakdown."""
-    tok = _tokenized(captions_by_set_by_video)
-    sb, sb2, sb_detail, excluded = _per_set_then_combined(tok, _video_self_bleu)
+    sents = _sentence_sets(captions_by_set_by_video, n)
+    sb, sb2, sb_detail, excluded = _per_set_then_combined(sents, _video_self_bleu)
     re_, re2, re_detail, _ = _per_set_then_combined(
-        tok, lambda caps: _video_repetition(caps, n))
+        sents, lambda one: _video_repetition(one, n))
     per_video = {vid: {"self_bleu": sb_detail.get(vid, {}),
                        "repetition": re_detail.get(vid, {})}
-                 for vid in sorted(tok)}
+                 for vid in sorted(sents)}
     return DiversityReport(sb, re_, sb2, re2, per_video, excluded)

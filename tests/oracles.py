@@ -1,12 +1,18 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written from first principles with plain loops and
-dicts, deliberately not sharing code paths with the package.
+dicts, deliberately not sharing code paths with the package. The exception
+is the exactness references for the n-gram statistics, which reuse the
+package's record type and float helpers so that results compare with ==.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
+
+from densecap.metrics import (DenseEvalReport, _bleu_from_counts, _cider, _document_frequency,
+                              _pooled_bleu, _Sentence, tokenize)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,93 @@ def oracle_repetition_video(captions, n=4):
         return None
     repeats = sum(c - 1 for c in counts.values() if c > 1)
     return 100.0 * repeats / total
+
+
+# ---------------------------------------------------------------------------
+# exactness references for the shared n-gram statistics: the per-caption
+# union SelfB and the per-threshold dense evaluation loop, which score every
+# (caption, reference set) pair afresh
+
+def _union_record(tokens):
+    return _Sentence(len(tokens), tuple(Counter(_gram_counts(tokens, n)) for n in (1, 2, 3, 4)))
+
+
+def oracle_union_bleu_counts(cand, refs):
+    """`_bleu_counts` with the reference maximum built by `Counter |=` per call."""
+    clipped, total = [], []
+    for n in range(4):
+        ref_max = Counter()
+        for ref in refs:
+            ref_max |= ref.grams[n]
+        clipped.append(sum(min(count, ref_max[gram]) for gram, count in cand.grams[n].items()))
+        total.append(sum(cand.grams[n].values()))
+    r = min((ref.length for ref in refs), key=lambda L: (abs(L - cand.length), L))
+    return clipped, total, cand.length, r
+
+
+def oracle_union_self_bleu_video(captions):
+    """Self-BLEU of one caption list, each caption against a fresh union of the rest."""
+    if len(captions) < 2:
+        return None
+    sents = [_union_record(cap) for cap in captions]
+    scores = [_bleu_from_counts(*oracle_union_bleu_counts(cand, sents[:i] + sents[i + 1:]),
+                                smoothing=True)
+              for i, cand in enumerate(sents)]
+    return 100.0 * float(np.mean(scores))
+
+
+def oracle_cider_vector(sent, df, log_n):
+    """Per-n TF-IDF vectors with each idf computed in place, their norms, the length."""
+    vecs = []
+    for grams in sent.grams:
+        vecs.append({gram: count * (log_n - math.log(max(df.get(gram, 0.0), 1.0)))
+                     for gram, count in grams.items()})
+    return vecs, [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs], sent.length
+
+
+def oracle_dense_eval_loop(corpus, thresholds):
+    """`dense_eval(corpus, thresholds).to_dict()`, every matched (prediction,
+    threshold) pair scored on its own."""
+    gt = {vid: [(iv, _union_record(tokenize(s))) for ann in rec.annotation_sets
+                for iv, s in zip(ann.intervals, ann.sentences)]
+          for vid, rec in sorted(corpus.videos.items())}
+    df, n_docs = _document_frequency([[s] for events in gt.values() for _, s in events])
+    log_n = math.log(max(n_docs, 1))
+    per_video = {key: {t: [] for t in thresholds} for key in ("bs", "bu", "cid")}
+    counts_at = {t: [] for t in thresholds}
+    matched = {t: 0 for t in thresholds}
+    for vid, events in gt.items():
+        preds = corpus.videos[vid].predictions
+        if not preds:
+            continue
+        for t in thresholds:
+            rows = []
+            for pred in preds:
+                cand = _union_record(tokenize(pred.sentence))
+                refs = [s for iv, s in events
+                        if oracle_tiou((pred.interval.start_s, pred.interval.end_s),
+                                       (iv.start_s, iv.end_s)) >= t]
+                if not refs:
+                    rows.append((0.0, 0.0, 0.0))
+                    continue
+                matched[t] += 1
+                counts = oracle_union_bleu_counts(cand, refs)
+                counts_at[t].append(counts)
+                rows.append((_bleu_from_counts(*counts, smoothing=True),
+                             _bleu_from_counts(*counts, smoothing=False),
+                             _cider(oracle_cider_vector(cand, df, log_n),
+                                    [oracle_cider_vector(s, df, log_n) for s in refs])))
+            for key, column in zip(("bs", "bu", "cid"), zip(*rows)):
+                per_video[key][t].append(float(np.mean(column)))
+    n_preds = sum(len(corpus.videos[vid].predictions) for vid in gt)
+
+    def avg(key):
+        return {t: float(np.mean(v)) if v else 0.0 for t, v in per_video[key].items()}
+
+    return DenseEvalReport(
+        thresholds=list(thresholds), bleu4_smoothed=avg("bs"), bleu4_unsmoothed=avg("bu"),
+        bleu4_corpus={t: _pooled_bleu(counts_at[t]) for t in thresholds}, cider=avg("cid"),
+        matched=matched, unmatched={t: n_preds - matched[t] for t in thresholds}).to_dict()
 
 
 # ---------------------------------------------------------------------------

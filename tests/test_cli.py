@@ -184,6 +184,19 @@ class TestEvalProposals:
         assert report["precision"]["0.3"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("command", ["eval-proposals", "eval-captions"])
+@pytest.mark.parametrize("tiou", ["0.5,0.5", "nan", ",", "1.5", "inf,0.5"])
+def test_bad_tiou_exits_1_before_any_table(synthetic_dir, tmp_path, capsys, command, tiou):
+    pred = identity_pred_file(synthetic_dir, tmp_path)
+    out = tmp_path / "out.json"
+    code = dispatch([command, "--pred", str(pred), "--gt", str(synthetic_dir / "gt_set1.json"),
+                     "--tiou", tiou, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "threshold" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class TestEvalCaptions:
     def test_identity(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)

@@ -72,6 +72,9 @@ class TestGroundTruthLoading:
         {"duration": "long", "timestamps": [[0, 10]], "sentences": ["s"]},
         {"duration": math.inf, "timestamps": [[0, 10]], "sentences": ["s"]},
         ["not", "an", "object"],
+        {"duration": 30, "timestamps": [[False, "10"]], "sentences": ["s"]},
+        {"duration": 30, "timestamps": [[0, "10"]], "sentences": ["s"]},
+        {"duration": 30, "timestamps": [[True, 5]], "sentences": ["s"]},
     ])
     def test_malformed_entry_raises_format_error(self, tmp_path, entry):
         path = write_gt(tmp_path, "gt.json", {"v1": entry})

@@ -420,6 +420,10 @@ class TestScoresFiles:
                                              "f_e_steps": [{"probs": {"1": 1.0}, "eos": 0}]}}},
         {"mode": "tables", "videos": {"v1": {"candidates": [[0, 10]], "f_s": [0.5],
                                              "f_e_steps": [{"probs": {"-1": 1.0}, "eos": 0}]}}},
+        {"mode": "heuristic", "attractors": {"v1": [[False, "10"], [True, 5]]}},
+        {"mode": "heuristic", "attractors": {"v1": [[0, "10"]]}},
+        {"mode": "tables", "videos": {"v1": {"candidates": [[True, 10]], "f_s": [0.5],
+                                             "f_e_steps": []}}},
     ])
     def test_malformed_raises_format_error(self, tmp_path, payload):
         with pytest.raises(CorpusFormatError):

@@ -1,4 +1,4 @@
-"""Fuzz gate for the scores-file and feature-file readers.
+"""Fuzz gate for the scores, feature, groundtruth and prediction readers.
 
 Mutated copies of valid files must either load or fail with the readers'
 own errors: `CorpusFormatError` for a malformed file, and `FusionError` for
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from densecap import (CorpusFormatError, FusionConfig, VideoMeta, load_features,
-                      save_features)
+from densecap import (CorpusFormatError, FusionConfig, PredictionEntry, VideoMeta,
+                      load_features, load_ground_truth, load_predictions, save_features,
+                      save_ground_truth, save_predictions)
 from densecap.fusion import FusionError, load_scores, select_proposals
 from densecap.synthetic import gen_synthetic, synthetic_grid
 
@@ -166,3 +167,56 @@ def test_feature_file_field_mutations_raise_only_format_error(tmp_path, feature_
     else:
         blob = json.dumps(data.draw(field_mutations(json.loads(blob)))).encode()
     _loads_or_format_error(tmp_path / "mutated", blob)
+
+
+# ---------------------------------------------------------------------------
+# groundtruth and prediction files
+
+@pytest.fixture(scope="module")
+def caption_files(tmp_path_factory):
+    """Valid groundtruth and prediction file bytes of the two-video corpus."""
+    folder = tmp_path_factory.mktemp("captions")
+    save_ground_truth(_CORPUS, folder / "gt.json")
+    save_predictions({vid: [PredictionEntry(iv, sentence, 0.5, -1.0) for iv, sentence
+                            in zip(rec.annotation_sets[1].intervals,
+                                   rec.annotation_sets[1].sentences)]
+                      for vid, rec in _CORPUS.videos.items()}, folder / "pred.json")
+    return {kind: (folder / f"{kind}.json").read_bytes() for kind in ("gt", "pred")}
+
+
+def _reads_or_format_error(folder, caption_files, kind, blob, with_corpus):
+    """Load `blob` as a `kind` file; only a CorpusFormatError may stop it."""
+    path = folder / "mutated.json"
+    path.write_bytes(blob)
+    try:
+        if kind == "gt":
+            corpus = load_ground_truth(path)
+            intervals = [iv for rec in corpus.videos.values()
+                         for ann in rec.annotation_sets for iv in ann.intervals]
+        else:
+            corpus = None
+            if with_corpus:
+                (folder / "gt.json").write_bytes(caption_files["gt"])
+                corpus = load_ground_truth(folder / "gt.json")
+            preds, _ = load_predictions(path, corpus=corpus)
+            intervals = [p.interval for entries in preds.values() for p in entries]
+    except CorpusFormatError:
+        return
+    assert all(0 <= iv.start_s < iv.end_s < math.inf for iv in intervals)
+
+
+@FUZZ
+@given(st.sampled_from(["gt", "pred"]), st.booleans(), st.data())
+def test_caption_file_field_mutations_raise_only_format_error(tmp_path, caption_files,
+                                                              kind, with_corpus, data):
+    doc = data.draw(field_mutations(json.loads(caption_files[kind])))
+    _reads_or_format_error(tmp_path, caption_files, kind, json.dumps(doc).encode(),
+                           with_corpus)
+
+
+@FUZZ
+@given(st.sampled_from(["gt", "pred"]), st.booleans(), st.data())
+def test_caption_file_byte_mutations_raise_only_format_error(tmp_path, caption_files,
+                                                             kind, with_corpus, data):
+    _reads_or_format_error(tmp_path, caption_files, kind,
+                           data.draw(byte_mutations(caption_files[kind])), with_corpus)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +139,14 @@ class TestPrecisionRecall:
         table = precision_recall(corpus, [0.5])
         assert table.zero_prediction_videos == 1
         assert table.precision[0.5] == 0.5  # second video counted as 0
+
+    @pytest.mark.parametrize("thresholds", [[], [math.nan], [-math.inf], [1.01], [-0.5],
+                                            [0.5, 0.5], [0.0, 1.0, -0.0]])
+    def test_bad_thresholds_rejected(self, thresholds):
+        corpus = make_corpus(v1=make_video(
+            "v1", 40, [([[0, 10]], ["a"])], predictions=[pred(0, 10)]))
+        with pytest.raises(ValueError, match="threshold"):
+            precision_recall(corpus, thresholds)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(11)

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
                       diversity_report, repetition, self_bleu, tokenize)
-from densecap.metrics import (build_document_frequency, captions_by_set, cider_d_pair,
-                              corpus_bleu4)
+from densecap.metrics import (_sentence, _video_self_bleu, build_document_frequency,
+                              captions_by_set, cider_d_pair, corpus_bleu4)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
 from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4,
-                     oracle_repetition_video, oracle_self_bleu_video, oracle_tiou)
+                     oracle_dense_eval_loop, oracle_repetition_video,
+                     oracle_self_bleu_video, oracle_tiou, oracle_union_self_bleu_video)
 
 
 class TestTokenize:
@@ -119,6 +121,33 @@ def pred(a, b, sentence):
     return PredictionEntry(TimeInterval(a, b), sentence=sentence)
 
 
+def matched_and_decoy_corpus():
+    """Jittered second-set events with their sentences, two short decoys per
+    video, and an `edge` video whose predictions sit exactly at tIoU 0.3,
+    0.5, 0.7 and 0.9."""
+    corpus = gen_synthetic(4, seed=21)
+    rng = np.random.default_rng(21)
+    for record in corpus.videos.values():
+        duration = record.meta.duration_s
+        second = record.annotation_sets[1]
+        preds = [PredictionEntry(second.intervals[0], second.sentences[0])]
+        for iv, sentence in zip(second.intervals, second.sentences):
+            w = 0.3 * iv.length_s
+            start = max(0.0, iv.start_s + rng.uniform(-w, w))
+            end = min(duration, iv.end_s + rng.uniform(-w, w))
+            preds.append(PredictionEntry(TimeInterval(start, end), sentence))
+        for sentence in ("a dog sleeps near the door", "the crowd cheers"):
+            start = rng.uniform(0.0, 0.99 * duration)
+            preds.append(PredictionEntry(
+                TimeInterval(start, start + 0.01 * duration), sentence))
+        record.predictions = preds
+    # tIoU exactly 0.3, 0.5, 0.7 and 0.9 against [0, 10]
+    corpus.videos["edge"] = make_video(
+        "edge", 20, [([[0, 10]], ["a man runs down the street"])],
+        predictions=[pred(0, k, "a man runs down a street") for k in (3, 5, 7, 9)])
+    return corpus
+
+
 class TestDenseEval:
     def test_identity_scores_one(self):
         corpus = identity_predictions(gen_synthetic(5, seed=3))
@@ -156,26 +185,7 @@ class TestDenseEval:
             float(np.mean([report.bleu4_smoothed[t] for t in report.thresholds])))
 
     def test_matches_oracles_on_matched_and_decoy_predictions(self):
-        corpus = gen_synthetic(4, seed=21)
-        rng = np.random.default_rng(21)
-        for record in corpus.videos.values():
-            duration = record.meta.duration_s
-            second = record.annotation_sets[1]
-            preds = [PredictionEntry(second.intervals[0], second.sentences[0])]
-            for iv, sentence in zip(second.intervals, second.sentences):
-                w = 0.3 * iv.length_s
-                start = max(0.0, iv.start_s + rng.uniform(-w, w))
-                end = min(duration, iv.end_s + rng.uniform(-w, w))
-                preds.append(PredictionEntry(TimeInterval(start, end), sentence))
-            for sentence in ("a dog sleeps near the door", "the crowd cheers"):
-                start = rng.uniform(0.0, 0.99 * duration)
-                preds.append(PredictionEntry(
-                    TimeInterval(start, start + 0.01 * duration), sentence))
-            record.predictions = preds
-        # tIoU exactly 0.3, 0.5, 0.7 and 0.9 against [0, 10]
-        corpus.videos["edge"] = make_video(
-            "edge", 20, [([[0, 10]], ["a man runs down the street"])],
-            predictions=[pred(0, k, "a man runs down a street") for k in (3, 5, 7, 9)])
+        corpus = matched_and_decoy_corpus()
         thresholds = [0.3, 0.5, 0.7, 0.9]
         report = dense_eval(corpus, thresholds)
 
@@ -217,6 +227,19 @@ class TestDenseEval:
                     sum(values) / len(values), abs=1e-9)
             assert report.bleu4_corpus[t] == pytest.approx(
                 oracle_corpus_bleu4(pairs), abs=1e-9)
+
+    @pytest.mark.parametrize("thresholds", [[0.3, 0.5, 0.7, 0.9], [0.9, 0.1, 0.5, 0.3],
+                                            [0.5]])
+    def test_equals_per_threshold_loop(self, thresholds):
+        corpus = matched_and_decoy_corpus()
+        assert dense_eval(corpus, thresholds).to_dict() == oracle_dense_eval_loop(
+            corpus, thresholds)
+
+    @pytest.mark.parametrize("thresholds", [[], [math.nan], [math.inf], [1.5], [-0.1],
+                                            [0.5, 0.5], [0.3, 0.5, 0.3]])
+    def test_bad_thresholds_rejected(self, thresholds):
+        with pytest.raises(ValueError, match="threshold"):
+            dense_eval(matched_and_decoy_corpus(), thresholds)
 
     def test_missing_sentence_rejected(self):
         corpus = make_corpus(v1=make_video(
@@ -266,6 +289,18 @@ class TestSelfBleu:
             want = oracle_self_bleu_video(caps)
             assert got == pytest.approx(want, abs=1e-9)
 
+    # tie-heavy caption lists: 2-8 captions drawn from a few short captions
+    # over a 3-token vocabulary, so duplicates and empty captions are common
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from("abc"), max_size=6), min_size=1, max_size=4)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=8)))
+    @example([[], []])
+    @example([["a", "b"], ["a", "b"], [], ["a", "b", "a", "b"]])
+    @example([["a", "a", "a"], ["a", "a"], ["a", "a", "a"], ["a"]])
+    def test_tables_equal_union_oracle(self, caps):
+        assert (_video_self_bleu([_sentence(c) for c in caps])
+                == oracle_union_self_bleu_video(caps))
+
 
 class TestRepetition:
     def test_all_unique(self):
@@ -299,12 +334,18 @@ class TestRepetition:
             for _ in range(int(rng.integers(1, 5))):
                 length = int(rng.integers(1, 7))
                 caps.append([vocab[i] for i in rng.integers(0, 3, length)])
-            got = repetition({"v": [caps]})
-            want = oracle_repetition_video(caps)
-            if want is None:
-                assert got == 0.0
-            else:
-                assert got == pytest.approx(want, abs=1e-9)
+            for n in (1, 2, 4, 6):
+                want = oracle_repetition_video(caps, n)
+                assert repetition({"v": [caps]}, n=n) == (0.0 if want is None else want)
+                assert diversity_report({"v": [caps]}, n=n).per_video["v"][
+                    "repetition"]["set0"] == want
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_rejected(self, n):
+        caps = {"v": [["a b c", "a b d"]]}
+        for metric in (repetition, diversity_report):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                metric(caps, n=n)
 
 
 def test_captions_by_set_keeps_file_order_and_skips_captionless():
