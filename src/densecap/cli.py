@@ -153,9 +153,7 @@ def _cmd_rerank_captions(args) -> int:
     pred_files = [p for p in args.pred_multi.split(",") if p]
     all_preds = [core.load_predictions(p)[0] for p in pred_files]
     model = concepts_mod.load_model(args.concept_model) if args.concept_model else None
-    params = rerank.CaptionRerankParams(args.alpha,
-                                        args.beta if model else 0.0,
-                                        args.top_concepts)
+    params = rerank.CaptionRerankParams(args.alpha, args.beta, args.top_concepts)
     grids = (core.load_features_dir(args.features_dir)
              if model is not None and args.features_dir else {})
     out = rerank.merge_captions(all_preds, params, model, grids)

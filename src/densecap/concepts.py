@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read_field,
                    read_header, read_interval, read_items, read_json, read_object,
-                   segment_range)
+                   read_rows, segment_range)
 
 LOGIT_CLAMP = 30.0
 PROB_CLAMP = 1e-7
@@ -341,7 +341,11 @@ def load_labels(path, grids: Dict[str, SegmentGrid]):
     concepts outside the vocabulary.
     """
     doc = read_json(path)
-    vocab = ConceptVocabulary(read_items(doc, "vocabulary", str, path))
+    words = read_items(doc, "vocabulary", str, path)
+    try:
+        vocab = ConceptVocabulary(words)
+    except ValueError as exc:  # an empty or repeating vocabulary
+        raise CorpusFormatError(f"{path}: {exc}") from exc
     examples = []
     by_video = read_field(doc, "examples", dict, path)
     for vid in sorted(set(by_video) & set(grids)):
@@ -397,6 +401,9 @@ def load_model(path) -> LinearConceptModel:
             W = data[:c * d].reshape(c, d).copy()
             b = data[c * d:].copy()
         else:
-            W = np.asarray(read_field(header, "W", list, path), dtype=np.float64)
-            b = np.asarray(read_field(header, "b", list, path), dtype=np.float64)
-    return LinearConceptModel(W, b, ConceptVocabulary(vocabulary))
+            W = read_rows(header, "W", path)
+            b = np.array(read_items(header, "b", (int, float), path), dtype=np.float64)
+    try:
+        return LinearConceptModel(W, b, ConceptVocabulary(vocabulary))
+    except ValueError as exc:  # shapes or a vocabulary that do not fit together
+        raise CorpusFormatError(f"{path}: {exc}") from exc

@@ -29,7 +29,7 @@ class CorpusFormatError(ValueError):
     """Raised when a groundtruth/prediction/feature file violates the format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """A [start, end] span in seconds with start < end."""
 
@@ -47,10 +47,6 @@ class TimeInterval:
     @property
     def length_s(self) -> float:
         return self.end_s - self.start_s
-
-    @property
-    def center_s(self) -> float:
-        return 0.5 * (self.start_s + self.end_s)
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ class AnnotationSet:
             raise CorpusFormatError("annotation set must contain at least one event")
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionEntry:
     """One predicted proposal, optionally with caption and scores."""
 
@@ -213,6 +209,15 @@ def read_items(record: dict, key: str, types, where) -> list:
     """The required list `record[key]`, each item checked as `read_field` does."""
     return [_checked(item, types, where, f"{key}[{i}]")
             for i, item in enumerate(read_field(record, key, list, where))]
+
+
+def read_rows(record: dict, key: str, where) -> np.ndarray:
+    """The required list `record[key]` of equal-length rows of numbers, as a 2-D array."""
+    table = read_field(record, key, list, where)
+    if not all(isinstance(row, list) and len(row) == len(table[0]) for row in table):
+        raise CorpusFormatError(f"{where}: {key} must be rows of equal length")
+    return np.array([_checked(v, (int, float), where, key) for row in table for v in row],
+                    dtype=np.float64).reshape(len(table), len(table[0]) if table else 0)
 
 
 def read_object(record, where) -> dict:
@@ -464,11 +469,7 @@ def load_features(path) -> SegmentGrid:
                 raise CorpusFormatError(f"{path}: truncated feature payload")
             data = np.frombuffer(payload, dtype="<f4")
         else:
-            table = read_field(header, "features", list, path)
-            if not all(isinstance(row, list) and len(row) == len(table[0]) for row in table):
-                raise CorpusFormatError(f"{path}: features must be rows of equal length")
-            data = np.array([_checked(v, (int, float), path, "feature")
-                             for row in table for v in row], dtype=np.float64)
+            data = read_rows(header, "features", path)
     if not np.isfinite(data).all():
         raise CorpusFormatError(f"{path}: non-finite feature value")
     meta = _read_meta(header, read_field(header, "video_id", str, path), path)

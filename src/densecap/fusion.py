@@ -32,8 +32,8 @@ class FusionError(RuntimeError):
 
 
 class PointwiseScorer(Protocol):
-    def scores(self, candidates: Sequence[TimeInterval]) -> np.ndarray:
-        """Deterministic ranking score in (0, 1] per candidate, as a float array."""
+    def scores(self, bounds: np.ndarray) -> np.ndarray:
+        """Deterministic ranking score in (0, 1] per [start, end] row, as a float array."""
 
 
 class SequentialScorer(Protocol):
@@ -52,6 +52,10 @@ class CandidatePool:
 
     candidates: List[TimeInterval]
     scores: Optional[np.ndarray] = None  # f_s per candidate, aligned with `candidates`
+    bounds: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):  # bounds: the (n, 2) [start, end] rows of `candidates`
+        self.bounds = as_bounds(self.candidates) if self.bounds is None else self.bounds
 
     def __len__(self):
         return len(self.candidates)
@@ -59,12 +63,13 @@ class CandidatePool:
     @classmethod
     def from_windows(cls, windows: Sequence[TimeInterval], scorer: PointwiseScorer,
                      cap: int = 80) -> "CandidatePool":
-        """Score windows, keep the top `cap` by f_s, dedup near-identical ones."""
-        windows = [w for w, k in zip(windows, _dedup(as_bounds(windows)).tolist()) if k]
-        scores = np.asarray(scorer.scores(windows), dtype=float)
-        order = np.argsort(-scores, kind="stable")[:cap]
-        keep = sorted(order.tolist())  # preserve enumeration order
-        return cls([windows[i] for i in keep], scores[keep])
+        """Dedup near-identical windows, score them, keep the top `cap` by f_s."""
+        bounds = as_bounds(windows)
+        kept = np.flatnonzero(_dedup(bounds))
+        scores = np.asarray(scorer.scores(bounds[kept]), dtype=float)
+        keep = np.sort(np.argsort(-scores, kind="stable")[:cap])  # enumeration order
+        rows = kept[keep]
+        return cls([windows[i] for i in rows.tolist()], scores[keep], bounds[rows])
 
 
 @dataclass
@@ -82,7 +87,7 @@ class FusionConfig:
             raise ValueError("candidate_cap must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusedProposal:
     interval: TimeInterval
     score: float
@@ -93,14 +98,24 @@ def _dedup(bounds: np.ndarray) -> np.ndarray:
     """Greedy dedup of (n, 2) bounds: True for the rows to keep.
 
     A row is dropped when both its ends lie within DEDUP_TOL_S of an earlier
-    row that was kept.
+    row that was kept. Only pairs whose starts lie within 2 * DEDUP_TOL_S (a
+    superset that absorbs rounding) are tested: O(n log n) plus those pairs.
     """
-    near = ((np.abs(bounds[:, None, 0] - bounds[None, :, 0]) <= DEDUP_TOL_S)
-            & (np.abs(bounds[:, None, 1] - bounds[None, :, 1]) <= DEDUP_TOL_S))
-    near &= np.tri(len(bounds), k=-1, dtype=bool)  # row i only looks at rows j < i
-    keep = np.ones(len(bounds), dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)).tolist():
-        keep[i] = not (near[i] & keep).any()
+    order = np.argsort(bounds[:, 0], kind="stable")
+    rows, n = bounds[order], len(bounds)
+    counts = (np.searchsorted(rows[:, 0], rows[:, 0] + 2 * DEDUP_TOL_S, side="right")
+              - np.arange(1, n + 1))  # sorted rows after each one that may be near
+    # each such pair (a, b), a < b, as positions in `rows`
+    a = np.repeat(np.arange(n), counts)
+    b = np.arange(len(a)) + np.repeat(np.arange(1, n + 1) - np.cumsum(counts) + counts, counts)
+    near = np.abs(rows[a] - rows[b]) <= DEDUP_TOL_S
+    near = near[:, 0] & near[:, 1]
+    keep = np.ones(n, dtype=bool)
+    if near.any():
+        a, b = order[a[near]], order[b[near]]
+        # later rows in index order, so each earlier row is settled before it is read
+        for i, j in sorted(zip(np.maximum(a, b).tolist(), np.minimum(a, b).tolist())):
+            keep[i] &= not keep[j]
     return keep
 
 
@@ -118,24 +133,23 @@ def enumerate_sliding_windows(meta: VideoMeta,
     if not (0 < stride_ratio <= 1):
         raise ValueError("stride_ratio must lie in (0, 1]")
     duration = meta.duration_s
-    spans: List[Tuple[float, float]] = []
+    starts, ends = [], []
     for scale in scales:
         length = scale * duration
         stride = stride_ratio * length
-        k = 0
-        last_end = 0.0
-        while k * stride + length <= duration + DEDUP_TOL_S:
-            start = k * stride
-            end = min(start + length, duration)
-            spans.append((start, end))
-            last_end = end
+        k, last_end = 0, 0.0
+        while (start := k * stride) + length <= duration + DEDUP_TOL_S:
+            last_end = min(start + length, duration)
+            starts.append(start)
+            ends.append(last_end)
             k += 1
         if last_end < duration - DEDUP_TOL_S:
-            spans.append((duration - length, duration))
-    keep = _dedup(np.array(spans, dtype=float).reshape(-1, 2)).tolist()
-    windows = [TimeInterval(s, e) for (s, e), k in zip(spans, keep) if k]
-    windows.sort(key=lambda w: (w.start_s, w.length_s))
-    return windows
+            starts.append(duration - length)
+            ends.append(duration)
+    bounds = np.array([starts, ends], dtype=float).T
+    bounds = bounds[_dedup(bounds)]
+    order = np.lexsort((bounds[:, 1] - bounds[:, 0], bounds[:, 0]))  # (start, length), stable
+    return [TimeInterval(s, e) for s, e in bounds[order].tolist()]
 
 
 def _checked_distribution(f_e: SequentialScorer, prefix, pool, remaining):
@@ -147,7 +161,7 @@ def _checked_distribution(f_e: SequentialScorer, prefix, pool, remaining):
     total = probs.sum() + eos
     # written so that NaN fails every comparison
     if not (abs(total - 1.0) <= DISTRIBUTION_TOL and 0.0 <= eos < math.inf
-            and np.all((probs >= 0.0) & (probs < math.inf))):
+            and 0.0 <= probs.min() and probs.max() < math.inf):
         raise FusionError(f"sequential scorer returned a non-distribution "
                           f"(sum={total}, eos={eos})")
     return probs, eos
@@ -168,7 +182,7 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
         raise ValueError("candidate pool is empty")
     cfg = cfg if cfg is not None else FusionConfig()
     f_s_vals = np.asarray(pool.scores if pool.scores is not None
-                          else f_s.scores(pool.candidates), dtype=float)
+                          else f_s.scores(pool.bounds), dtype=float)
     if f_s_vals.shape != (len(pool),) or not np.isfinite(f_s_vals).all():
         raise FusionError("pointwise scores must be one finite value per candidate")
 
@@ -207,9 +221,8 @@ class HeuristicPointwiseScorer:
 
     attractors: List[TimeInterval]
 
-    def scores(self, candidates: Sequence[TimeInterval]) -> np.ndarray:
-        m = tiou_matrix(as_bounds(candidates), as_bounds(self.attractors))
-        return m.max(axis=1, initial=SCORE_FLOOR)
+    def scores(self, bounds: np.ndarray) -> np.ndarray:
+        return tiou_matrix(bounds, as_bounds(self.attractors)).max(axis=1, initial=SCORE_FLOOR)
 
 
 @dataclass
@@ -226,11 +239,12 @@ class HeuristicSequentialScorer:
 
     def distribution(self, prefix, pool: CandidatePool):
         if self._tious[0] is not pool:  # selection asks about one pool at every step
-            self._tious = (pool, tiou_matrix(as_bounds(pool.candidates),
-                                             as_bounds(self.attractors)))
+            self._tious = (pool, tiou_matrix(pool.bounds, as_bounds(self.attractors)))
         tious = self._tious[1]  # pool x attractors
-        covered = (tious[prefix] >= COVER_TIOU).any(axis=0)
-        weights = np.delete(tious, prefix, axis=0)[:, ~covered].max(axis=1, initial=0.0)
+        remaining = np.ones(len(tious), dtype=bool)
+        remaining[prefix] = False
+        covered = (tious[~remaining] >= COVER_TIOU).any(axis=0)
+        weights = tious[remaining][:, ~covered].max(axis=1, initial=0.0)
         eos = 1.0 if covered.all() else EOS_WEIGHT_OPEN
         total = sum(weights.tolist()) + eos
         return weights / total, eos / total

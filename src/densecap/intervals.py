@@ -10,7 +10,7 @@ import numpy as np
 from .core import Corpus, TimeInterval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     pred_index: int
     gt_index: Optional[int]
@@ -53,8 +53,8 @@ def tiou(a: TimeInterval, b: TimeInterval) -> float:
 
 def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
     """(n, 2) float array of [start_s, end_s] rows."""
-    return np.array([(iv.start_s, iv.end_s) for iv in intervals],
-                    dtype=float).reshape(-1, 2)
+    return np.array([[iv.start_s for iv in intervals], [iv.end_s for iv in intervals]],
+                    dtype=float).T  # two float lists convert faster than n pairs
 
 
 def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,15 +11,15 @@ match exceeds tIoU 0.3 (strictly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .concepts import ConceptVocabulary, LinearConceptModel, predict_proposal, top_concepts
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
                    TimeInterval, VideoMeta)
-from .intervals import match_all
+from .intervals import as_bounds, match_all
 from .metrics import tokenize
 
 AUGMENT_TIOU = 0.3
@@ -33,12 +33,13 @@ class RerankWeights:
     length: float = 1.0
     top_n: int = 5
 
-    def __post_init__(self):
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+    def __post_init__(self):  # written so that NaN fails the check
+        if not (np.isfinite([self.quality, self.describability, self.position,
+                             self.length]).all() and self.top_n >= 1):
+            raise ValueError("re-rank weights must be finite and top_n >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AugmentedPair:
     interval: TimeInterval
     gt_index: int
@@ -51,57 +52,57 @@ class AugmentedPair:
 
 
 def _znorm(values: np.ndarray) -> np.ndarray:
-    std = values.std()
-    if std == 0:
-        return np.zeros_like(values)
-    return (values - values.mean()) / std
+    """(values - mean) / std, or zeros if std is 0: numpy's std arithmetic, inlined."""
+    dev = values - values.sum() / len(values)
+    std = np.sqrt(np.square(dev).sum() / len(values))
+    return dev / std if std else np.zeros_like(values)
 
 
 def proposal_rerank(candidates: Sequence[PredictionEntry], meta: VideoMeta,
-                    weights: RerankWeights = RerankWeights()):
+                    weights: Optional[RerankWeights] = None):
     """Top-N candidates by the weighted sum of z-normalized factors.
 
     Factors: proposal_score, length-normalized caption log-probability,
     proposal center / duration, proposal length / duration. Candidates
     without a caption log-probability get factor value 0 after
     normalization and are counted in the returned flag. Ties break toward
-    the earlier start. Returns (ranked candidates, missing-describability
+    the earlier start, then the earlier candidate. `weights` defaults to
+    `RerankWeights()`. Returns (ranked candidates, missing-describability
     count).
     """
     if not candidates:
         raise ValueError("no candidates to rerank")
-    for i, cand in enumerate(candidates):
-        if cand.proposal_score is None:
-            raise ValueError(f"candidate {i} is missing proposal_score")
+    weights = weights if weights is not None else RerankWeights()
+    scores = [c.proposal_score for c in candidates]
+    if None in scores:
+        raise ValueError(f"candidate {scores.index(None)} is missing proposal_score")
+    n = len(candidates)
+    quality = _znorm(np.fromiter(scores, float, n))
 
-    quality = _znorm(np.array([c.proposal_score for c in candidates]))
-
-    desc_raw = np.zeros(len(candidates))
-    have_desc = np.zeros(len(candidates), dtype=bool)
+    desc_raw = np.zeros(n)
+    have_desc = np.zeros(n, dtype=bool)
     for i, c in enumerate(candidates):
         if c.caption_logprob is not None:
             n_tok = max(1, len(tokenize(c.sentence)) if c.sentence else 1)
             desc_raw[i] = c.caption_logprob / n_tok
             have_desc[i] = True
-    desc = np.zeros(len(candidates))
+    desc = np.zeros(n)
     if have_desc.any():
         desc[have_desc] = _znorm(desc_raw[have_desc])
     missing = int((~have_desc).sum())
 
-    position = _znorm(np.array([c.interval.center_s / meta.duration_s
-                                for c in candidates]))
-    length = _znorm(np.array([c.interval.length_s / meta.duration_s
-                              for c in candidates]))
+    bounds = as_bounds([c.interval for c in candidates])
+    position = _znorm(0.5 * (bounds[:, 0] + bounds[:, 1]) / meta.duration_s)
+    length = _znorm((bounds[:, 1] - bounds[:, 0]) / meta.duration_s)
 
     fused = (weights.quality * quality + weights.describability * desc
              + weights.position * position + weights.length * length)
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-fused[i], candidates[i].interval.start_s, i))
-    return [candidates[i] for i in order[:weights.top_n]], missing
+    order = np.lexsort((bounds[:, 0], -fused))[:weights.top_n]  # stable: index breaks ties
+    return [candidates[i] for i in order.tolist()], missing
 
 
 def rerank_proposals(predictions: Dict[str, List[PredictionEntry]],
-                     metas: Dict[str, VideoMeta], weights: RerankWeights = RerankWeights()):
+                     metas: Dict[str, VideoMeta], weights: Optional[RerankWeights] = None):
     """`proposal_rerank` for every video that has a meta.
 
     Returns ({video_id: ranked candidates}, candidates missing a caption
@@ -121,19 +122,25 @@ class CaptionRerankParams:
     beta: float = 0.5   # concept-match weight
     top_concepts: int = 20
 
+    def __post_init__(self):  # written so that NaN fails the check
+        if not (np.isfinite([self.alpha, self.beta]).all() and self.top_concepts >= 1):
+            raise ValueError("alpha and beta must be finite and top_concepts >= 1")
+
 
 def caption_rerank(hypotheses: Sequence[str], concept_probs: np.ndarray,
                    vocabulary: ConceptVocabulary,
-                   params: CaptionRerankParams = CaptionRerankParams()) -> str:
+                   params: Optional[CaptionRerankParams] = None) -> str:
     """Pick the best caption hypothesis for one proposal.
 
     score = alpha * (unique tokens / total tokens)
           + beta * (fraction of the caption's vocabulary words that are
                     among the top predicted concepts).
-    Ties (including duplicates) resolve to the earliest hypothesis.
+    Ties (including duplicates) resolve to the earliest hypothesis. `params`
+    defaults to `CaptionRerankParams()`.
     """
     if not hypotheses:
         raise ValueError("no caption hypotheses")
+    params = params if params is not None else CaptionRerankParams()
     top_words = {c for c, _ in top_concepts(concept_probs, vocabulary, params.top_concepts)}
 
     best, best_score = hypotheses[0], -np.inf
@@ -169,7 +176,7 @@ def augment(predictions: Sequence[TimeInterval],
 
 
 def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],
-                   params: CaptionRerankParams = CaptionRerankParams(),
+                   params: Optional[CaptionRerankParams] = None,
                    model: Optional[LinearConceptModel] = None,
                    grids: Optional[Dict[str, SegmentGrid]] = None
                    ) -> Dict[str, List[PredictionEntry]]:

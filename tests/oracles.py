@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written from first principles with plain loops and
-dicts, deliberately not sharing code paths with the package. The exception
-is the exactness references for the n-gram statistics, which reuse the
-package's record type and float helpers so that results compare with ==.
+dicts, deliberately not sharing code paths with the package. The exceptions
+are the exactness references for the n-gram statistics and the proposal
+re-ranking, which reuse the package's record type and float helpers so that
+results compare with ==.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 
 from densecap.metrics import (DenseEvalReport, _bleu_from_counts, _cider, _document_frequency,
                               _pooled_bleu, _Sentence, tokenize)
+from densecap.rerank import _znorm
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,33 @@ def resimulate_selection(f_s_values, f_e_step_tables, k=1, max_steps=20):
                 output.append(i)
         step += 1
     return output
+
+
+# ---------------------------------------------------------------------------
+# proposal re-ranking
+
+def oracle_proposal_rerank(candidates, meta, weights):
+    """The four-factor re-ranking with per-candidate factor lists and one
+    Python sort on (-fused, start, index). Returns (ranked, missing)."""
+    quality = _znorm(np.array([c.proposal_score for c in candidates]))
+    desc_raw = np.zeros(len(candidates))
+    have_desc = np.zeros(len(candidates), dtype=bool)
+    for i, c in enumerate(candidates):
+        if c.caption_logprob is not None:
+            n_tok = max(1, len(tokenize(c.sentence)) if c.sentence else 1)
+            desc_raw[i] = c.caption_logprob / n_tok
+            have_desc[i] = True
+    desc = np.zeros(len(candidates))
+    if have_desc.any():
+        desc[have_desc] = _znorm(desc_raw[have_desc])
+    position = _znorm(np.array([0.5 * (c.interval.start_s + c.interval.end_s) / meta.duration_s
+                                for c in candidates]))
+    length = _znorm(np.array([c.interval.length_s / meta.duration_s for c in candidates]))
+    fused = (weights.quality * quality + weights.describability * desc
+             + weights.position * position + weights.length * length)
+    order = sorted(range(len(candidates)),
+                   key=lambda i: (-fused[i], candidates[i].interval.start_s, i))
+    return [candidates[i] for i in order[:weights.top_n]], int((~have_desc).sum())
 
 
 # ---------------------------------------------------------------------------

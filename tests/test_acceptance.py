@@ -109,10 +109,10 @@ def test_precision_recall_brute_force_equivalence():
 
 class _TableF:
     def __init__(self, pool, values):
-        self._values = {c: v for c, v in zip(pool.candidates, values)}
+        self._values = {tuple(b): v for b, v in zip(pool.bounds.tolist(), values)}
 
-    def scores(self, candidates):
-        return np.array([self._values[c] for c in candidates])
+    def scores(self, bounds):
+        return np.array([self._values[tuple(b)] for b in bounds.tolist()])
 
 
 @criterion("2 fused selection replays the reference loop on 1000 tables "

@@ -292,6 +292,30 @@ class TestRerankCli:
         assert code == 2
         assert "disagree on the interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-inf,1"])
+    def test_non_finite_proposal_weights_exit_1(self, synthetic_dir, tmp_path, capsys,
+                                                weights):
+        pred = identity_pred_file(synthetic_dir, tmp_path)
+        out = tmp_path / "top.json"
+        code = dispatch(["rerank-proposals", "--pred", str(pred),
+                         "--meta", str(synthetic_dir / "meta.json"),
+                         "--weights", weights, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [["--alpha", "nan"], ["--alpha", "inf"],
+                                         ["--beta", "nan"]])
+    def test_non_finite_caption_weights_exit_1(self, synthetic_dir, tmp_path, capsys,
+                                               setting):
+        pred = identity_pred_file(synthetic_dir, tmp_path)
+        out = tmp_path / "best.json"
+        code = dispatch(["rerank-captions", "--pred-multi", f"{pred},{pred}",
+                         *setting, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_augment(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)
         out = tmp_path / "pairs.json"

@@ -334,6 +334,24 @@ class TestModelIO:
         with pytest.raises(CorpusFormatError, match=key):
             load_model(path)
 
+    @pytest.mark.parametrize("edit", [
+        {"W": [[1.0, 2.0], [3.0]]},        # ragged
+        {"W": [[1.0, "2"], [3.0, 4.0]]},   # a string
+        {"W": [[1.0, None], [3.0, 4.0]]},  # a null
+        {"W": [1.0, 2.0]},                 # not rows
+        {"b": [0.0]},                      # one bias for two concepts
+        {"vocabulary": ["run"]},           # one word for two rows
+        {"vocabulary": ["run", "run"]},
+        {"vocabulary": []},
+    ])
+    def test_malformed_json_model_rejected(self, tmp_path, edit):
+        doc = {"n_concepts": 2, "dim": 2, "vocabulary": ["run", "jump"],
+               "W": [[1.0, 2.0], [3.0, 4.0]], "b": [0.0, 0.0], **edit}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorpusFormatError):
+            load_model(path)
+
     @pytest.mark.parametrize("keep", [4, 6, 10])
     def test_cut_header_rejected(self, tmp_path, keep):
         path = tmp_path / "model.bin"
@@ -394,6 +412,8 @@ class TestLabelsFile:
         {"vocabulary": ["run"], "examples": {"v1": [{"timestamp": [8, 0],
                                                      "concepts": ["run"]}]}},
         {"vocabulary": ["run"], "examples": {"v1": [{"concepts": ["run"]}]}},
+        {"vocabulary": [], "examples": {}},
+        {"vocabulary": ["run", "run"], "examples": {}},
     ])
     def test_malformed_raises_format_error(self, tmp_path, payload):
         with pytest.raises(CorpusFormatError):

@@ -9,9 +9,11 @@ from conftest import interval_lists
 from densecap import (CandidatePool, CorpusFormatError, FusionConfig,
                       HeuristicPointwiseScorer, HeuristicSequentialScorer, TimeInterval,
                       VideoMeta, enumerate_sliding_windows, fuse_select, tiou)
+from densecap import fusion
 from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, EOS_WEIGHT_OPEN, SCORE_FLOOR,
                              FusionError, TableSequentialScorer, _dedup, load_scores,
                              select_proposals)
+from densecap.intervals import as_bounds
 from densecap.synthetic import gen_synthetic
 from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
                      resimulate_selection)
@@ -61,8 +63,9 @@ class TestSlidingWindows:
 
 def table_scorer_pair(pool, f_s_vals, steps):
     class _FS:
-        def scores(self, candidates):
-            return np.array([f_s_vals[pool.candidates.index(c)] for c in candidates])
+        def scores(self, bounds):
+            rows = pool.bounds.tolist()
+            return np.array([f_s_vals[rows.index(b)] for b in bounds.tolist()])
     return _FS(), TableSequentialScorer(steps)
 
 
@@ -196,7 +199,7 @@ class TestFuseSelect:
         f_s = HeuristicPointwiseScorer(attractors)
         f_e = HeuristicSequentialScorer(attractors)
         cands = [iv(0, 10), iv(5, 15), iv(20, 30)]
-        scored = CandidatePool(cands, f_s.scores(cands))
+        scored = CandidatePool(cands, f_s.scores(as_bounds(cands)))
         assert fuse_select(CandidatePool(cands), f_s, f_e) == fuse_select(scored, f_s, f_e)
 
     def test_terminates_and_no_duplicates(self):
@@ -248,15 +251,15 @@ class TestFuseSelect:
 class TestHeuristicScorers:
     def test_pointwise_exact_match(self):
         scorer = HeuristicPointwiseScorer([iv(0, 10)])
-        assert scorer.scores([iv(0, 10)]).tolist() == [1.0]
+        assert scorer.scores(as_bounds([iv(0, 10)])).tolist() == [1.0]
 
     def test_pointwise_floor(self):
         scorer = HeuristicPointwiseScorer([iv(0, 10)])
-        assert scorer.scores([iv(20, 30)]).tolist() == [1e-3]
+        assert scorer.scores(as_bounds([iv(20, 30)])).tolist() == [1e-3]
 
     def test_pointwise_partial(self):
         scorer = HeuristicPointwiseScorer([iv(5, 15)])
-        assert scorer.scores([iv(0, 10)])[0] == pytest.approx(1 / 3, abs=1e-6)
+        assert scorer.scores(as_bounds([iv(0, 10)]))[0] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_sequential_eos_when_covered(self):
         attractors = [iv(0, 10)]
@@ -293,7 +296,7 @@ class TestHeuristicScorers:
         pool = CandidatePool.from_windows(windows, scorer, cap=10)
         assert len(pool) == 10
         kept_min = pool.scores.min()
-        all_scores = sorted(scorer.scores(windows).tolist(), reverse=True)
+        all_scores = sorted(scorer.scores(as_bounds(windows)).tolist(), reverse=True)
         assert kept_min >= all_scores[9] - 1e-12
 
 
@@ -327,7 +330,7 @@ class TestArrayKernelsMatchOracles:
     def test_pointwise_scores_match_oracle(self, cands, attractors):
         want = [max([SCORE_FLOOR] + [oracle_tiou(c, a) for a in _pairs(attractors)])
                 for c in _pairs(cands)]
-        assert HeuristicPointwiseScorer(attractors).scores(cands).tolist() == want
+        assert HeuristicPointwiseScorer(attractors).scores(as_bounds(cands)).tolist() == want
 
     def test_sequential_distribution_matches_oracle_on_synthetic_pools(self):
         corpus = gen_synthetic(10, seed=3)
@@ -358,6 +361,94 @@ class TestArrayKernelsMatchOracles:
             prefix, _pairs(cands), _pairs(attractors), COVER_TIOU, EOS_WEIGHT_OPEN)
         assert probs.tolist() == list(want_probs.values())  # index order
         assert eos == want_eos
+
+
+def _boundary(base):
+    """The last float whose difference from `base` is within DEDUP_TOL_S, and
+    the first one past it."""
+    x = base + DEDUP_TOL_S
+    while abs(x - base) > DEDUP_TOL_S:
+        x = float(np.nextafter(x, -math.inf))
+    while abs(float(np.nextafter(x, math.inf)) - base) <= DEDUP_TOL_S:
+        x = float(np.nextafter(x, math.inf))
+    return x, float(np.nextafter(x, math.inf))
+
+
+class TestDedupBoundary:
+    """Fixed pairs one ulp either side of DEDUP_TOL_S. From base 0 the
+    difference is exact; from the other bases it rounds."""
+
+    BASES = (0.0, 1.0, 3.0, 7.3, 1000.5)
+
+    @staticmethod
+    def check_one_end(base, pair):
+        inside, outside = _boundary(base)
+        first = pair(base)
+        assert _dedup_pairs([first, pair(inside)]) == [first]
+        assert _dedup_pairs([first, pair(outside)]) == [first, pair(outside)]
+        assert _dedup_pairs([pair(inside), first]) == [pair(inside)]  # later row, smaller start
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_start_at_the_tolerance(self, base):
+        self.check_one_end(base, lambda x: (x, base + 20.0))
+
+    @pytest.mark.parametrize("base", BASES[1:])
+    def test_end_at_the_tolerance(self, base):
+        self.check_one_end(base, lambda x: (0.0, x))
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_both_ends_at_the_tolerance(self, base):
+        inside, outside = _boundary(base)
+        # shifting both ends keeps the length, so only (start, end) pairs differ
+        shift = base + 4.0
+        first = (base, shift)
+        near = (inside, _boundary(shift)[0])
+        far = (inside, _boundary(shift)[1])
+        pairs = [first, near, far, (outside, shift)]
+        assert _dedup_pairs(pairs) == [first, far, (outside, shift)]
+        assert _dedup_pairs(pairs) == oracle_dedup(pairs, DEDUP_TOL_S)
+
+    def test_windows_sharing_a_start(self):
+        # every scale starts at 0, so these are the pairs the start sort cannot separate
+        half = 0.5 * DEDUP_TOL_S
+        pairs = [(0.0, 1.0), (0.0, 2.0), (0.0, 1.0 + half), (half, 2.0 - half), (0.0, 3.0),
+                 (0.0, 3.0 + 2 * DEDUP_TOL_S), (0.0, 1.0)]
+        assert _dedup_pairs(pairs) == [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0),
+                                       (0.0, 3.0 + 2 * DEDUP_TOL_S)]
+        assert _dedup_pairs(pairs) == oracle_dedup(pairs, DEDUP_TOL_S)
+
+    def test_no_near_pair_keeps_everything(self):
+        assert _dedup(np.zeros((0, 2))).tolist() == []
+        spans = [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5 + 2 * DEDUP_TOL_S, 1.0)]
+        assert _dedup_pairs(spans) == spans
+
+
+def test_window_bounds_built_once(monkeypatch):
+    """A heuristic pool goes from windows to fused selection with one bounds
+    array for the windows and one pool x attractor tIoU matrix."""
+    record = gen_synthetic(1, seed=7).videos["v_0007_00000"]
+    attractors = record.annotation_sets[0].intervals
+    f_s, f_e = HeuristicPointwiseScorer(attractors), HeuristicSequentialScorer(attractors)
+    windows = enumerate_sliding_windows(record.meta)
+    calls = {"as_bounds": [], "tiou_matrix": []}
+
+    def counted(name):
+        inner = getattr(fusion, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fusion, name, counted(name))
+    pool = CandidatePool.from_windows(windows, f_s, cap=40)
+    assert fuse_select(pool, f_s, f_e)
+    # the windows once; the rest are the scorers' attractors, never the pool
+    assert [args[0] is windows for args in calls["as_bounds"]].count(True) == 1
+    assert all(args[0] is windows or args[0] is attractors for args in calls["as_bounds"])
+    assert [args[0].shape for args in calls["tiou_matrix"]] == [(len(windows), 2),
+                                                                (len(pool), 2)]
 
 
 def write_scores(tmp_path, payload):

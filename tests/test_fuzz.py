@@ -1,4 +1,5 @@
-"""Fuzz gate for the scores, feature, groundtruth and prediction readers.
+"""Fuzz gate for the scores, feature, groundtruth, prediction, meta, labels
+and model readers.
 
 Mutated copies of valid files must either load or fail with the readers'
 own errors: `CorpusFormatError` for a malformed file, and `FusionError` for
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from densecap import (CorpusFormatError, FusionConfig, PredictionEntry, VideoMeta,
-                      load_features, load_ground_truth, load_predictions, save_features,
-                      save_ground_truth, save_predictions)
+                      load_features, load_ground_truth, load_meta, load_predictions,
+                      save_features, save_ground_truth, save_meta, save_predictions)
+from densecap.concepts import (ConceptVocabulary, LinearConceptModel, load_labels, load_model,
+                               save_model)
 from densecap.fusion import FusionError, load_scores, select_proposals
 from densecap.synthetic import gen_synthetic, synthetic_grid
 
@@ -134,9 +137,9 @@ def _split_binary(blob):
     return json.loads(blob[8:8 + length]), blob[8 + length:]
 
 
-def _join_binary(header, payload):
+def _join_binary(header, payload, magic=b"SEGF"):
     head = json.dumps(header).encode()
-    return b"SEGF" + struct.pack("<I", len(head)) + head + payload
+    return magic + struct.pack("<I", len(head)) + head + payload
 
 
 def _loads_or_format_error(path, blob):
@@ -220,3 +223,57 @@ def test_caption_file_byte_mutations_raise_only_format_error(tmp_path, caption_f
                                                              kind, with_corpus, data):
     _reads_or_format_error(tmp_path, caption_files, kind,
                            data.draw(byte_mutations(caption_files[kind])), with_corpus)
+
+
+# ---------------------------------------------------------------------------
+# meta, labels and model files
+
+GRIDS = {vid: synthetic_grid(rec.meta, dim=3, seed=0) for vid, rec in _CORPUS.videos.items()}
+READERS = {"meta.json": load_meta, "labels.json": lambda path: load_labels(path, GRIDS),
+           "model.bin": load_model, "model.json": load_model}
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """Valid meta, labels and model file bytes, the model in both layouts."""
+    folder = tmp_path_factory.mktemp("small")
+    save_meta(_CORPUS, folder / "meta.json")
+    (folder / "labels.json").write_text(json.dumps({
+        "vocabulary": ["man", "run", "guitar"],
+        "examples": {vid: [{"timestamp": [iv.start_s, iv.end_s], "concepts": ["man", "run"]}
+                           for iv in rec.annotation_sets[0].intervals]
+                     for vid, rec in _CORPUS.videos.items()}}))
+    model = LinearConceptModel(np.arange(6.0).reshape(2, 3), np.array([0.5, -0.5]),
+                               ConceptVocabulary(["man", "run"]))
+    save_model(model, folder / "model.bin")
+    save_model(model, folder / "model.json", binary=False)
+    return {name: (folder / name).read_bytes() for name in READERS}
+
+
+def _small_file_loads_or_format_error(path, name, blob):
+    path.write_bytes(blob)
+    try:
+        READERS[name](path)
+    except CorpusFormatError:
+        pass
+
+
+@FUZZ
+@given(st.sampled_from(sorted(READERS)), st.data())
+def test_small_file_field_mutations_raise_only_format_error(tmp_path, small_files, name,
+                                                            data):
+    blob = small_files[name]
+    if name == "model.bin":
+        header, payload = _split_binary(blob)
+        blob = _join_binary(data.draw(field_mutations(header)), payload, blob[:4])
+    else:
+        blob = json.dumps(data.draw(field_mutations(json.loads(blob)))).encode()
+    _small_file_loads_or_format_error(tmp_path / name, name, blob)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(READERS)), st.data())
+def test_small_file_byte_mutations_raise_only_format_error(tmp_path, small_files, name,
+                                                           data):
+    _small_file_loads_or_format_error(tmp_path / name, name,
+                                      data.draw(byte_mutations(small_files[name])))

@@ -1,12 +1,16 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from densecap import (AnnotationSet, CaptionRerankParams, ConceptVocabulary,
                       CorpusFormatError, PredictionEntry, RerankWeights, TimeInterval,
                       VideoMeta, augment, caption_rerank, proposal_rerank)
-from densecap.rerank import augment_corpus, merge_captions, rerank_proposals
+from densecap.rerank import _znorm, augment_corpus, merge_captions, rerank_proposals
 from conftest import make_corpus, make_video
-from oracles import oracle_best_match
+from oracles import oracle_best_match, oracle_proposal_rerank
 
 
 def iv(a, b):
@@ -80,6 +84,55 @@ class TestProposalRerank:
     def test_missing_proposal_score_rejected(self):
         with pytest.raises(ValueError):
             proposal_rerank([PredictionEntry(iv(0, 10))], META)
+
+    @given(st.data())
+    def test_matches_sorted_key_oracle(self, data):
+        # few distinct values, so fused values tie, starts repeat and whole
+        # candidates recur
+        distinct = data.draw(st.lists(st.builds(
+            cand, st.sampled_from([0.0, 10.0, 25.0]), st.sampled_from([30.0, 40.0, 100.0]),
+            st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([None, -2.0, -6.0]),
+            st.sampled_from([None, "", "a b", "a b c d"])), min_size=1, max_size=6))
+        picks = st.integers(0, len(distinct) - 1)
+        cands = [distinct[i] for i in data.draw(st.lists(picks, min_size=1, max_size=12))]
+        weight = st.sampled_from([0.0, 1.0, -0.5, 2.0])
+        weights = RerankWeights(data.draw(weight), data.draw(weight), data.draw(weight),
+                                data.draw(weight), top_n=data.draw(st.integers(1, 14)))
+        ranked, missing = proposal_rerank(cands, META, weights)
+        want, want_missing = oracle_proposal_rerank(cands, META, weights)
+        assert ranked == want and missing == want_missing
+        assert [id(c) for c in ranked] == [id(c) for c in want]
+
+
+@given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=40))
+def test_znorm_equals_the_numpy_formula(values):
+    x = np.array(values)
+    want = np.zeros_like(x) if x.std() == 0 else (x - x.mean()) / x.std()
+    assert _znorm(x).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"quality": math.nan}, {"describability": math.inf}, {"position": -math.inf},
+    {"length": math.nan}, {"top_n": 0}])
+def test_rerank_weights_reject_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        RerankWeights(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"beta": math.nan}, {"beta": -math.inf},
+    {"top_concepts": 0}])
+def test_caption_rerank_params_reject_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        CaptionRerankParams(**kwargs)
+
+
+@pytest.mark.parametrize("fn, name", [
+    (proposal_rerank, "weights"), (rerank_proposals, "weights"),
+    (caption_rerank, "params"), (merge_captions, "params")])
+def test_settings_default_to_none(fn, name):
+    """No call shares one mutable default settings object with another."""
+    assert inspect.signature(fn).parameters[name].default is None
 
 
 class TestCaptionRerank:
