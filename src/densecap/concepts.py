@@ -133,27 +133,32 @@ def predict_segment(model: LinearConceptModel, feature: np.ndarray) -> np.ndarra
 def select_even_segments(proposal: TimeInterval, meta: VideoMeta, k: int) -> List[int]:
     """K evenly spaced segment indices inside the proposal's range.
 
-    linspace over [i, j-1] with half-up rounding; indices repeat when the
-    range is shorter than K.
+    linspace over [i, j-1] with half-up rounding, in numpy's arithmetic;
+    indices repeat when the range is shorter than K.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     i, j = segment_range(proposal, meta)
-    points = np.linspace(i, j - 1, num=k)
-    return [int(math.floor(p + 0.5)) for p in points]
+    if k == 1:
+        return [i]
+    step = (j - 1 - i) / (k - 1)
+    return [math.floor(q * step + i + 0.5) for q in range(k - 1)] + [j - 1]
 
 
-def _gather_features(example: MimlExample, k: int) -> np.ndarray:
-    if example.grid.features is None:
-        raise ValueError(f"{example.grid.meta.video_id}: grid has no features")
-    idx = select_even_segments(example.proposal, example.grid.meta, k)
-    return example.grid.features[idx]  # (k, D)
+def _features(grid: SegmentGrid, dim: Optional[int] = None) -> np.ndarray:
+    """The grid's feature rows; a ValueError names the video if none or not `dim` wide."""
+    if grid.features is None:
+        raise ValueError(f"{grid.meta.video_id}: grid has no features")
+    if dim is not None and grid.features.shape[1] != dim:
+        raise ValueError(f"{grid.meta.video_id}: feature dim {grid.features.shape[1]}, "
+                         f"expected {dim}")
+    return grid.features
 
 
 def predict_proposal(model: LinearConceptModel, grid: SegmentGrid,
                      proposal: TimeInterval, k: int = 20) -> np.ndarray:
     """Max-pooled per-concept probabilities over K selected segments."""
-    feats = _gather_features(MimlExample(proposal, grid, np.zeros(model.n_concepts)), k)
+    feats = _features(grid, model.dim)[select_even_segments(proposal, grid.meta, k)]
     logits = feats @ model.W.T + model.b  # (k, C)
     return _sigmoid(logits).max(axis=0)
 
@@ -189,9 +194,11 @@ def _sum_over_bags(terms: np.ndarray, total=0.0):
     """`total` plus the terms along the leading (bag) axis, added one bag
     after another as the per-bag definition does.
 
-    numpy's own sum pairs terms up where the bag axis is the only one left
-    (per-bag losses, or C = 1), which rounds differently.
+    numpy reduces rows in that order, but pairs terms up where the bag axis
+    is the only one left (per-bag losses, or C = 1), which rounds differently.
     """
+    if terms.size > len(terms):
+        return np.add.reduce(terms, axis=0, initial=total)
     for term in terms:
         total += term
     return total
@@ -228,17 +235,38 @@ def objective_and_gradient(W: np.ndarray, b: np.ndarray,
     return float(_sum_over_bags(losses)) / n, _sum_over_bags(rows), _sum_over_bags(g)
 
 
-def _dataset_loss(W: np.ndarray, b: np.ndarray, bags: Sequence[np.ndarray],
+def _dataset_loss(W: np.ndarray, b: np.ndarray, table: np.ndarray, rows: np.ndarray,
                   labels: np.ndarray, stacked: np.ndarray) -> float:
-    """Mean BCE over all bags, stacked a chunk at a time into `stacked`."""
+    """Mean BCE over all bags, gathered a chunk at a time into `stacked`."""
     total = 0.0
     chunk = len(stacked)
-    for lo in range(0, len(bags), chunk):
-        part = bags[lo:lo + chunk]
-        losses = _pooled_forward(W, b, np.stack(part, out=stacked[:len(part)]),
-                                 labels[lo:lo + chunk])[0]
-        total = _sum_over_bags(losses, total)
-    return float(total) / len(bags)
+    for lo in range(0, len(rows), chunk):
+        part = rows[lo:lo + chunk]
+        bags = np.take(table, part, axis=0, out=stacked[:len(part)], mode="clip")
+        total = _sum_over_bags(_pooled_forward(W, b, bags, labels[lo:lo + chunk])[0], total)
+    return float(total) / len(rows)
+
+
+def _feature_table(examples: Sequence[MimlExample], k: int):
+    """The bags as (n, K) row indices into one (R, D) feature table.
+
+    The table holds each (grid, segment) row that some bag picks once.
+    Grids are told apart by identity: `load_labels` gives every proposal of
+    a video the same grid object.
+    """
+    seen, owner, picks = {}, [], []
+    for ex in examples:
+        owner.append(seen.setdefault(id(ex.grid), (len(seen), ex.grid))[0])
+        picks.append(select_even_segments(ex.proposal, ex.grid.meta, k))
+    grids = [grid for _, grid in seen.values()]
+    # number all grids' segments in one range and keep the picked numbers
+    bases = np.cumsum([0] + [grid.meta.segment_count for grid in grids])
+    used, rows = np.unique(np.add(picks, bases[owner, None]), return_inverse=True)
+    table = np.empty((len(used), _features(grids[0]).shape[1]))
+    cuts = np.searchsorted(used, bases)
+    for grid, base, lo, hi in zip(grids, bases, cuts, cuts[1:]):
+        np.take(_features(grid, table.shape[1]), used[lo:hi] - base, axis=0, out=table[lo:hi])
+    return table, rows.reshape(len(examples), k)
 
 
 def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
@@ -252,31 +280,30 @@ def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
     if not examples:
         raise ValueError("no training examples")
     c = len(examples[0].labels)
-    bags = [_gather_features(ex, cfg.k_segments) for ex in examples]
-    d = bags[0].shape[1]
+    table, rows = _feature_table(examples, cfg.k_segments)
     labels = np.stack([ex.labels for ex in examples])
     if vocabulary is None:
         vocabulary = ConceptVocabulary([f"concept_{i}" for i in range(c)])
 
     rng = np.random.default_rng(cfg.seed)
-    W = rng.normal(scale=cfg.weight_init_scale, size=(c, d))
+    W = rng.normal(scale=cfg.weight_init_scale, size=(c, table.shape[1]))
     b = np.zeros(c)
 
-    # one batch-sized buffer serves every mini-batch and loss chunk: a fresh
-    # (n, K, D) stack per step, beside the (n, C, D) gradient rows, makes the
-    # heap hand its pages back and fault them in again on every step
-    stacked = np.empty((min(cfg.batch_size, len(bags)),) + bags[0].shape)
+    # one batch-sized buffer serves every mini-batch and loss chunk (np.take fills
+    # it in place; mode "raise" would buffer): a fresh (n, K, D) stack per step makes
+    # the heap hand its pages back and fault them in again on every step
+    stacked = np.empty((min(cfg.batch_size, len(rows)), cfg.k_segments, table.shape[1]))
     trace = []
     order = np.arange(len(examples))
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            batch = np.stack([bags[i] for i in idx], out=stacked[:len(idx)])
+            batch = np.take(table, rows[idx], axis=0, out=stacked[:len(idx)], mode="clip")
             _, dW, db = objective_and_gradient(W, b, batch, labels[idx])
             W -= cfg.learning_rate * dW
             b -= cfg.learning_rate * db
-        loss = _dataset_loss(W, b, bags, labels, stacked)
+        loss = _dataset_loss(W, b, table, rows, labels, stacked)
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
         trace.append(loss)
@@ -305,13 +332,11 @@ def predict_report(model: LinearConceptModel, grid: SegmentGrid,
 def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample],
                       k: int = 20, threshold: float = 0.5) -> float:
     """Fraction of (proposal, concept) pairs predicted correctly at 0.5."""
-    correct = 0
-    total = 0
-    for ex in examples:
-        probs = predict_proposal(model, ex.grid, ex.proposal, k)
-        correct += int(np.sum((probs >= threshold) == (ex.labels >= 0.5)))
-        total += len(ex.labels)
-    return correct / total
+    if not examples:
+        raise ValueError("no examples")
+    hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal, k) >= threshold)
+                           == (ex.labels >= 0.5) for ex in examples])
+    return float(hits.mean())
 
 
 def assign_segment_labels(proposals: Sequence[TimeInterval],

@@ -431,6 +431,45 @@ class TestConceptsCli:
         assert "missing vocabulary" in capsys.readouterr().err
 
 
+def concepts_error_case(tmp_path, case):
+    """`concepts` arguments for one malformed input: a model two values wider
+    than its features, an inverted span, labels of a video without a features
+    file, or features of two widths."""
+    model, feat = one_concept_files(tmp_path)
+    if case == "inverted-span":
+        return predict_args(model, feat)[:-1] + ["8,0"]
+    if case == "model-width":
+        save_model(LinearConceptModel(np.zeros((1, 5)), np.zeros(1),
+                                      ConceptVocabulary(["run"])), model)
+        return predict_args(model, feat)
+    argv = concept_training_args(tmp_path, np.ones((16, 8)))
+    if case == "no-features-file":
+        (tmp_path / "feats" / "v1.feat").unlink()
+    else:
+        save_features(SegmentGrid(VideoMeta("v2", 64.0, fps=16.0), np.ones((16, 3))),
+                      tmp_path / "feats" / "v2.feat")
+        labels = json.loads((tmp_path / "labels.json").read_text())
+        labels["examples"]["v2"] = [{"timestamp": [0, 8], "concepts": ["run"]}]
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+    return argv + ["--epochs", "2", "--out", str(tmp_path / "out.bin")]
+
+
+class TestConceptsErrorSweep:
+    """Malformed `concepts` inputs end in an exit code and an error line."""
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("model-width", 1, "v1: feature dim 3, expected 5"),
+        ("inverted-span", 2, "inverted interval [8.0, 0.0]"),
+        ("no-features-file", 1, "no training examples"),
+        ("two-widths", 1, "v2: feature dim 3, expected 8"),
+    ])
+    def test_exits_with_error_line(self, tmp_path, capsys, case, code, message):
+        assert dispatch(concepts_error_case(tmp_path, case)) == code
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n"
+        assert not (tmp_path / "out.bin").exists()
+
+
 class TestContextsCli:
     def test_bundles(self, synthetic_dir, tmp_path):
         out = tmp_path / "bundles.json"

@@ -1,16 +1,18 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from densecap import (ConceptVocabulary, CorpusFormatError, LinearConceptModel,
                       SegmentGrid, TimeInterval, TrainConfig, VideoMeta,
                       assign_segment_labels, bce_loss, build_vocabulary,
                       load_model, predict_proposal, predict_segment,
                       save_model, select_even_segments, train)
-from densecap.concepts import (MimlExample, TrainingDiverged, load_labels,
+from densecap.concepts import (MimlExample, TrainingDiverged, _feature_table, load_labels,
                                objective_and_gradient, predict_report, proposal_accuracy,
                                top_concepts)
 from densecap.synthetic import make_separable_miml
@@ -64,6 +66,14 @@ class TestPredict:
             predict_segment(model, np.zeros(3))
 
 
+@st.composite
+def segment_spans(draw):
+    """(count, i, j): a video of `count` segments and a range 0 <= i < j <= count."""
+    count = draw(st.integers(1, 1000))
+    i = draw(st.integers(0, count - 1))
+    return count, i, draw(st.integers(i + 1, count))
+
+
 class TestSelectEvenSegments:
     def test_full_range(self):
         meta = VideoMeta("v", 80.0, fps=16.0)  # 20 segments
@@ -85,6 +95,19 @@ class TestSelectEvenSegments:
         a = select_even_segments(TimeInterval(3, 77), meta, 20)
         b = select_even_segments(TimeInterval(3, 77), meta, 20)
         assert a == b
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(segment_spans(), st.integers(1, 40))
+    @example((1, 0, 1), 20)    # a one-segment video
+    @example((9, 4, 5), 7)     # a one-segment range inside a longer video
+    @example((9, 2, 8), 1)     # k == 1
+    @example((1000, 3, 998), 40)
+    def test_linspace_rule(self, span, k):
+        count, i, j = span
+        meta = VideoMeta("v", 4.0 * count, fps=16.0)  # 4 s segments
+        assert meta.segment_count == count
+        want = [int(math.floor(p + 0.5)) for p in np.linspace(i, j - 1, num=k)]
+        assert select_even_segments(TimeInterval(4.0 * i, 4.0 * j), meta, k) == want
 
 
 class TestProposalPrediction:
@@ -108,6 +131,17 @@ class TestProposalPrediction:
                           [logit(0.2), logit(0.9)], [logit(0.7), logit(0.1)]])
         pooled = predict_proposal(model, grid, TimeInterval(0, 16), k=4)
         np.testing.assert_allclose(pooled, [0.7, 0.9], atol=1e-12)
+
+    def test_feature_width_must_match_the_model(self):
+        model = toy_model(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="v: feature dim 2, expected 3"):
+            predict_proposal(model, self.grid(np.ones((4, 2))), TimeInterval(0, 16), k=4)
+
+    def test_grid_without_features(self):
+        model = toy_model(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="v: grid has no features"):
+            predict_proposal(model, SegmentGrid(VideoMeta("v", 16.0, fps=16.0)),
+                             TimeInterval(0, 16), k=4)
 
     def test_dominates_segment_predictions(self):
         rng = np.random.default_rng(8)
@@ -249,6 +283,11 @@ class TestTraining:
                             size=(4, 16))
         np.testing.assert_allclose(model.W, init_W, atol=1e-9)
 
+    def test_accuracy_of_no_examples(self):
+        model = toy_model(np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(ValueError, match="no examples"):
+            proposal_accuracy(model, [])
+
     def test_learns_separable_set(self):
         examples = make_separable_miml(200, seed=5)
         model, trace = train(examples, TrainConfig(epochs=60, seed=0))
@@ -281,6 +320,78 @@ class TestTraining:
         assert same_bits(model.W, W)
         assert same_bits(model.b, b)
         assert trace == want
+
+
+class TestFeatureTable:
+    """Training bags are row indices into one table of the picked segment rows."""
+
+    def test_peak_memory(self):
+        examples = make_separable_miml(2000, 20, 128)
+        tracemalloc.start()
+        try:
+            train(examples, TrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the picked rows are 2000 grids x 4 segments x 128 float64 = 8.2 MB;
+        # a (K, D) copy per bag would be 2000 x 20 x 128 float64 = 41 MB
+        assert peak < 16e6
+
+    def shared_grid_examples(self, tmp_path):
+        """Examples as `load_labels` reads them: every proposal of a video
+        holds that video's one grid."""
+        rng = np.random.default_rng(31)
+        grids = {vid: SegmentGrid(VideoMeta(vid, 4.0 * count, fps=16.0),
+                                  rng.standard_normal((count, 6)))
+                 for vid, count in (("v1", 30), ("v2", 7))}
+        vocab = ["run", "jump", "swim", "sing"]
+        rows = {}
+        for vid, grid in grids.items():
+            rows[vid] = []
+            for _ in range(24 if vid == "v1" else 10):
+                s, e = sorted(rng.choice(int(grid.meta.duration_s) + 1, 2, replace=False))
+                rows[vid].append({"timestamp": [int(s), int(e)],
+                                  "concepts": [w for w in vocab if rng.random() < 0.5]})
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"vocabulary": vocab, "examples": rows}))
+        return load_labels(path, grids)[1]
+
+    def test_shared_grid_rows_kept_once(self, tmp_path):
+        examples = self.shared_grid_examples(tmp_path)
+        picks = [select_even_segments(ex.proposal, ex.grid.meta, 9) for ex in examples]
+        table, rows = _feature_table(examples, 9)
+        assert rows.shape == (len(examples), 9)
+        assert len(table) <= 30 + 7  # never more than the grids' segments
+        assert len(table) == len({(ex.grid.meta.video_id, s)
+                                  for ex, p in zip(examples, picks) for s in p})
+        assert len(np.unique(table, axis=0)) == len(table)
+        for ex, p, r in zip(examples, picks, rows):
+            assert same_bits(table[r], ex.grid.features[p])
+
+    def test_shared_grid_matches_per_bag_oracle_trainer(self, tmp_path):
+        examples = self.shared_grid_examples(tmp_path)
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=9, k_segments=9, seed=5)
+        model, trace = train(examples, cfg)
+        bags = [ex.grid.features[select_even_segments(ex.proposal, ex.grid.meta,
+                                                      cfg.k_segments)]
+                for ex in examples]
+        labels = np.stack([ex.labels for ex in examples])
+        W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
+                                  cfg.batch_size, cfg.seed, cfg.weight_init_scale)
+        assert same_bits(model.W, W)
+        assert same_bits(model.b, b)
+        assert trace == want
+
+    @pytest.mark.parametrize("features, message", [
+        (np.ones((4, 5)), "v2: feature dim 5, expected 3"),
+        (None, "v2: grid has no features"),
+    ])
+    def test_grids_must_share_one_feature_width(self, features, message):
+        grids = [SegmentGrid(VideoMeta(vid, 16.0, fps=16.0), f)
+                 for vid, f in (("v1", np.ones((4, 3))), ("v2", features))]
+        examples = [MimlExample(TimeInterval(0, 16), grid, [1.0]) for grid in grids]
+        with pytest.raises(ValueError, match=message):
+            train(examples, TrainConfig(epochs=1))
 
 
 class TestAssignSegmentLabels:
