@@ -9,20 +9,19 @@ segment per concept.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read_field,
-                   read_header, read_interval, read_items, read_json, read_object,
-                   read_rows, segment_range)
+from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read_container,
+                   read_field, read_interval, read_items, read_json, read_object,
+                   read_rows, segment_range, write_container)
 
 LOGIT_CLAMP = 30.0
 PROB_CLAMP = 1e-7
+WEIGHT_INIT_SCALE = 0.01
 
 _MODEL_MAGIC = b"CONM"
 
@@ -102,7 +101,6 @@ class TrainConfig:
     batch_size: int = 32
     k_segments: int = 20
     seed: int = 0
-    weight_init_scale: float = 0.01
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -114,8 +112,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.k_segments >= 1:
             raise ValueError("k_segments must be >= 1")
-        if not (math.isfinite(self.weight_init_scale) and self.weight_init_scale >= 0):
-            raise ValueError("weight_init_scale must be finite and >= 0")
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -269,6 +265,14 @@ def _feature_table(examples: Sequence[MimlExample], k: int):
     return table, rows.reshape(len(examples), k)
 
 
+def _check_labels(examples: Sequence[MimlExample], c: int) -> None:
+    """A ValueError naming the first example whose labels are not `c` long."""
+    for i, ex in enumerate(examples):
+        if ex.labels.shape != (c,):
+            raise ValueError(f"{ex.grid.meta.video_id}: example {i} has "
+                             f"{ex.labels.size} labels, expected {c}")
+
+
 def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
           vocabulary: Optional[ConceptVocabulary] = None):
     """Mini-batch gradient descent on proposal-level BCE.
@@ -280,13 +284,14 @@ def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
     if not examples:
         raise ValueError("no training examples")
     c = len(examples[0].labels)
+    _check_labels(examples, c)
     table, rows = _feature_table(examples, cfg.k_segments)
     labels = np.stack([ex.labels for ex in examples])
     if vocabulary is None:
         vocabulary = ConceptVocabulary([f"concept_{i}" for i in range(c)])
 
     rng = np.random.default_rng(cfg.seed)
-    W = rng.normal(scale=cfg.weight_init_scale, size=(c, table.shape[1]))
+    W = rng.normal(scale=WEIGHT_INIT_SCALE, size=(c, table.shape[1]))
     b = np.zeros(c)
 
     # one batch-sized buffer serves every mini-batch and loss chunk (np.take fills
@@ -334,6 +339,7 @@ def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample]
     """Fraction of (proposal, concept) pairs predicted correctly at 0.5."""
     if not examples:
         raise ValueError("no examples")
+    _check_labels(examples, model.n_concepts)
     hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal, k) >= threshold)
                            == (ex.labels >= 0.5) for ex in examples])
     return float(hits.mean())
@@ -394,40 +400,23 @@ def save_model(model: LinearConceptModel, path, binary: bool = True) -> None:
         "dim": model.dim,
         "vocabulary": model.vocabulary.concepts,
     }
-    if binary:
-        payload = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(_MODEL_MAGIC)
-            f.write(struct.pack("<I", len(payload)))
-            f.write(payload)
-            f.write(np.ascontiguousarray(model.W, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(model.b, dtype="<f8").tobytes())
-    else:
-        header["W"] = model.W.tolist()
-        header["b"] = model.b.tolist()
-        with open(path, "w") as f:
-            json.dump(header, f, sort_keys=True)
+    write_container(path, _MODEL_MAGIC, header, {"W": model.W, "b": model.b}, "<f8", binary)
 
 
 def load_model(path) -> LinearConceptModel:
-    with open(path, "rb") as f:
-        header, binary = read_header(f, _MODEL_MAGIC, path)
-        vocabulary = read_items(header, "vocabulary", str, path)
-        if binary:
-            c = read_field(header, "n_concepts", int, path)
-            d = read_field(header, "dim", int, path)
-            payload = f.read()
-            if len(payload) % 8:
-                raise CorpusFormatError(f"{path}: truncated model payload")
-            data = np.frombuffer(payload, dtype="<f8")
-            if c < 1 or d < 0 or data.size != c * d + c:
-                raise CorpusFormatError(
-                    f"{path}: {data.size} model values for {c} x {d} weights and {c} biases")
-            W = data[:c * d].reshape(c, d).copy()
-            b = data[c * d:].copy()
-        else:
-            W = read_rows(header, "W", path)
-            b = np.array(read_items(header, "b", (int, float), path), dtype=np.float64)
+    header, data = read_container(path, _MODEL_MAGIC, "<f8")
+    vocabulary = read_items(header, "vocabulary", str, path)
+    if data is not None:
+        c = read_field(header, "n_concepts", int, path)
+        d = read_field(header, "dim", int, path)
+        if c < 1 or d < 0 or data.size != c * d + c:
+            raise CorpusFormatError(
+                f"{path}: {data.size} model values for {c} x {d} weights and {c} biases")
+        W = data[:c * d].reshape(c, d).copy()
+        b = data[c * d:].copy()
+    else:
+        W = read_rows(header, "W", path)
+        b = np.array(read_items(header, "b", (int, float), path), dtype=np.float64)
     try:
         return LinearConceptModel(W, b, ConceptVocabulary(vocabulary))
     except ValueError as exc:  # shapes or a vocabulary that do not fit together

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -161,15 +160,14 @@ def read_interval(pair, duration_s, where):
         raise CorpusFormatError(f"bad timestamp {where}")
     start = float(_checked(pair[0], (int, float), where, "start"))
     end = float(_checked(pair[1], (int, float), where, "end"))
-    if start >= end:
-        raise CorpusFormatError(f"inverted interval {where}")
-    if start < 0:
-        raise CorpusFormatError(f"negative start {where}")
     if end > duration_s + DURATION_SLOP_S:
         raise CorpusFormatError(
             f"interval end {end} exceeds duration {duration_s} at {where}"
         )
-    return TimeInterval(start, min(end, duration_s))
+    try:
+        return TimeInterval(start, min(end, duration_s))
+    except CorpusFormatError as exc:  # inverted, or a negative start
+        raise CorpusFormatError(f"{exc} at {where}") from None
 
 
 def read_intervals(record: dict, key: str, duration_s, where) -> List[TimeInterval]:
@@ -252,24 +250,42 @@ def write_json(payload, path) -> None:
         raise
 
 
-def read_header(f, magic: bytes, path):
-    """Header of a file in either layout of the binary containers.
+def write_container(path, magic: bytes, header: dict, arrays: Dict[str, np.ndarray],
+                    dtype: str, binary: bool) -> None:
+    """Write `header` and `arrays` in a layout that `read_container` reads.
 
-    A binary file is `magic`, a little-endian u32 length, that many bytes of
-    JSON header and then the payload, where `f` is left. Any other file is
-    one JSON object that carries header and data together. Returns
-    (header, binary).
+    Binary: `magic`, a little-endian u32 length, that many bytes of JSON
+    header, then each array's values as `dtype`. JSON: one `write_json`
+    object, the header plus each array as nested lists under its name. A
+    value that is not finite as `dtype` is a ValueError before any write.
     """
-    if f.read(4) != magic:
-        f.seek(0)
-        return _json_object(f.read(), path), False
-    prefix = f.read(4)
-    if len(prefix) == 4:
-        (length,) = struct.unpack("<I", prefix)
-        blob = f.read(length)
-        if len(blob) == length:
-            return _json_object(blob, path), True
-    raise CorpusFormatError(f"{path}: truncated header")
+    with np.errstate(over="ignore"):  # too large for `dtype` becomes inf
+        cast = [np.ascontiguousarray(a, dtype=dtype) for a in arrays.values()]
+    if not all(np.isfinite(values).all() for values in cast):
+        raise ValueError(f"{path}: a value is not finite as {np.dtype(dtype).name}")
+    if binary:
+        blob = json.dumps(header, sort_keys=True).encode()
+        with open(path, "wb") as f:
+            f.write(magic + len(blob).to_bytes(4, "little") + blob)
+            for values in cast:  # one write each, no joined copy
+                f.write(values)
+    else:
+        write_json({**header, **{k: a.tolist() for k, a in arrays.items()}}, path)
+
+
+def read_container(path, magic: bytes, dtype: str):
+    """(header, flat `dtype` payload) of a binary `write_container` file, or
+    (object, None) of a JSON one, whose object carries the data itself."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:4] != magic:
+        return _json_object(blob, path), None
+    start = 8 + int.from_bytes(blob[4:8], "little")
+    if len(blob) < start:
+        raise CorpusFormatError(f"{path}: truncated header")
+    if (len(blob) - start) % np.dtype(dtype).itemsize:
+        raise CorpusFormatError(f"{path}: truncated payload")
+    return _json_object(blob[8:start], path), np.frombuffer(blob, dtype, offset=start)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +442,7 @@ def segment_range(interval: TimeInterval, meta: VideoMeta):
     i = int(math.floor(interval.start_s / seg_dur))
     i = min(i, count - 1)
     j = max(i + 1, int(math.ceil(interval.end_s / seg_dur)))
-    j = min(j, count)
-    if j <= i:
-        i = j - 1
-    return i, j
+    return i, min(j, count)
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +459,14 @@ def save_features(grid: SegmentGrid, path, binary: bool = True) -> None:
         "feature_tag": grid.feature_tag,
         **_meta_fields(grid.meta),
     }
-    if binary:
-        payload = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(_FEATURE_MAGIC)
-            f.write(struct.pack("<I", len(payload)))
-            f.write(payload)
-            f.write(np.ascontiguousarray(grid.features, dtype="<f4").tobytes())
-    else:
-        header["features"] = grid.features.tolist()
-        with open(path, "w") as f:
-            json.dump(header, f, sort_keys=True)
+    write_container(path, _FEATURE_MAGIC, header, {"features": grid.features}, "<f4", binary)
 
 
 def load_features(path) -> SegmentGrid:
     """Read a feature file written by save_features (either layout)."""
-    with open(path, "rb") as f:
-        header, binary = read_header(f, _FEATURE_MAGIC, path)
-        if binary:
-            payload = f.read()
-            if len(payload) % 4:
-                raise CorpusFormatError(f"{path}: truncated feature payload")
-            data = np.frombuffer(payload, dtype="<f4")
-        else:
-            data = read_rows(header, "features", path)
+    header, data = read_container(path, _FEATURE_MAGIC, "<f4")
+    if data is None:
+        data = read_rows(header, "features", path)
     if not np.isfinite(data).all():
         raise CorpusFormatError(f"{path}: non-finite feature value")
     meta = _read_meta(header, read_field(header, "video_id", str, path), path)

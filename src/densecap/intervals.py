@@ -102,23 +102,6 @@ def check_thresholds(thresholds: Sequence[float]) -> List[float]:
     return thresholds
 
 
-def video_precision_recall(preds: Sequence[TimeInterval],
-                           gt_union: Sequence[TimeInterval],
-                           thresholds: Sequence[float]):
-    """Raw hit counts for one video.
-
-    Returns ({t: predictions with max tIoU >= t}, {t: groundtruths with max
-    tIoU >= t}). Each side matches independently against the other, which is
-    the challenge evaluator's convention.
-    """
-    m = tiou_matrix(as_bounds(preds), as_bounds(gt_union))
-    pred_best = m.max(axis=1, initial=0.0)
-    gt_best = m.max(axis=0, initial=0.0)
-    pred_hits = {t: int(np.count_nonzero(pred_best >= t)) for t in thresholds}
-    gt_hits = {t: int(np.count_nonzero(gt_best >= t)) for t in thresholds}
-    return pred_hits, gt_hits
-
-
 def precision_recall(corpus: Corpus, thresholds: Sequence[float]) -> PRTable:
     """Corpus-level PRTable: per-video precision/recall averaged over videos.
 
@@ -127,8 +110,9 @@ def precision_recall(corpus: Corpus, thresholds: Sequence[float]) -> PRTable:
     are flagged in `zero_prediction_videos`.
     """
     thresholds = check_thresholds(thresholds)
-    prec_sum = {t: 0.0 for t in thresholds}
-    rec_sum = {t: 0.0 for t in thresholds}
+    levels = np.array(thresholds, dtype=float)
+    prec_sum = np.zeros(len(levels))
+    rec_sum = np.zeros(len(levels))
     n_videos = 0
     zero_pred = 0
     total_props = 0
@@ -143,16 +127,17 @@ def precision_recall(corpus: Corpus, thresholds: Sequence[float]) -> PRTable:
         if not preds:
             zero_pred += 1
             continue  # contributes 0 to both sums
-        pred_hits, gt_hits = video_precision_recall(preds, gt_union, thresholds)
-        for t in thresholds:
-            prec_sum[t] += pred_hits[t] / len(preds)
-            rec_sum[t] += gt_hits[t] / len(gt_union)
+        # each side matches independently against the other, as the
+        # challenge evaluator does
+        m = tiou_matrix(as_bounds(preds), as_bounds(gt_union))
+        prec_sum += np.count_nonzero(m.max(axis=1)[:, None] >= levels, axis=0) / len(preds)
+        rec_sum += np.count_nonzero(m.max(axis=0)[:, None] >= levels, axis=0) / len(gt_union)
     if n_videos == 0:
         raise ValueError("corpus has no videos with groundtruth")
     return PRTable(
         thresholds=thresholds,
-        precision={t: prec_sum[t] / n_videos for t in thresholds},
-        recall={t: rec_sum[t] / n_videos for t in thresholds},
+        precision=dict(zip(thresholds, (prec_sum / n_videos).tolist())),
+        recall=dict(zip(thresholds, (rec_sum / n_videos).tolist())),
         avg_proposals_per_video=total_props / n_videos,
         videos=n_videos,
         zero_prediction_videos=zero_pred,

@@ -113,12 +113,6 @@ def _pooled_bleu(counts) -> float:
                              sum(r for _, _, _, r in counts), smoothing=False)
 
 
-def corpus_bleu4(pairs: Sequence[Tuple[Sequence[str], Sequence[Sequence[str]]]]) -> float:
-    """Corpus-level BLEU-4: n-gram counts pooled over all pairs, unsmoothed."""
-    return _pooled_bleu([_bleu_counts(_sentence(list(cand)), [_sentence(r) for r in refs])
-                         for cand, refs in pairs if refs])
-
-
 # ---------------------------------------------------------------------------
 # CIDEr-D
 
@@ -161,12 +155,12 @@ def build_document_frequency(reference_docs: Sequence[Sequence[Sequence[str]]]):
     return _document_frequency([[_sentence(ref) for ref in doc] for doc in reference_docs])
 
 
-def _cider(cand_vec, ref_vecs, sigma: float = CIDER_SIGMA) -> float:
+def _cider(cand_vec, ref_vecs) -> float:
     """CIDEr-D of one candidate vector against a non-empty list of reference vectors."""
     cand_vecs, cand_norms, cand_len = cand_vec
     scores = np.zeros(MAX_N)
     for ref_vecs_n, ref_norms, ref_len in ref_vecs:
-        penalty = math.exp(-((cand_len - ref_len) ** 2) / (2.0 * sigma ** 2))
+        penalty = math.exp(-((cand_len - ref_len) ** 2) / (2.0 * CIDER_SIGMA ** 2))
         for n in range(MAX_N):
             num = 0.0
             for gram, cv in cand_vecs[n].items():
@@ -180,13 +174,13 @@ def _cider(cand_vec, ref_vecs, sigma: float = CIDER_SIGMA) -> float:
 
 
 def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                 df: Dict, n_docs: int, sigma: float = CIDER_SIGMA) -> float:
+                 df: Dict, n_docs: int) -> float:
     """CIDEr-D of one candidate against one event's reference set."""
     if not references:
         raise ValueError("references must be non-empty")
     idf = _Idf(df, n_docs)
     return _cider(_cider_vector(_sentence(candidate), idf),
-                  [_cider_vector(_sentence(ref), idf) for ref in references], sigma)
+                  [_cider_vector(_sentence(ref), idf) for ref in references])
 
 
 # ---------------------------------------------------------------------------

@@ -161,18 +161,17 @@ def caption_rerank(hypotheses: Sequence[str], concept_probs: np.ndarray,
 
 
 def augment(predictions: Sequence[TimeInterval],
-            annotation_set: AnnotationSet,
-            min_tiou: float = AUGMENT_TIOU) -> List[AugmentedPair]:
+            annotation_set: AnnotationSet) -> List[AugmentedPair]:
     """Training pairs from predicted proposals overlapping the groundtruth.
 
     Each prediction is matched to its best groundtruth interval and kept
-    only when tIoU is strictly greater than `min_tiou`; its caption is the
+    only when tIoU is strictly greater than AUGMENT_TIOU; its caption is the
     matched groundtruth sentence.
     """
     return [AugmentedPair(predictions[m.pred_index], m.gt_index, m.tiou,
                           annotation_set.sentences[m.gt_index])
             for m in match_all(predictions, annotation_set.intervals)
-            if m.gt_index is not None and m.tiou > min_tiou]
+            if m.gt_index is not None and m.tiou > AUGMENT_TIOU]
 
 
 def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],

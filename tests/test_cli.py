@@ -139,15 +139,34 @@ class TestDispatchBasics:
         assert not (tmp_path / "out.json").exists()
 
 
+def top_level_imports(tree):
+    """The absolute modules a parsed module imports, by their first name."""
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    return imported | {node.module.split(".")[0] for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
 def test_cli_imports_neither_json_nor_numpy():
     """File formats live in the library modules and arrays stay behind
     library calls, so the CLI needs neither."""
     tree = ast.parse(Path(cli.__file__).read_text())
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level == 0}
-    assert not imported & {"json", "numpy"}
+    assert not top_level_imports(tree) & {"json", "numpy"}
+
+
+def test_only_core_opens_files_or_imports_json_or_struct():
+    """File formats stay behind `densecap.core`: no other module calls
+    `open` or imports `json` or `struct`."""
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert {"cli.py", "concepts.py", "core.py"} <= {path.name for path in modules}
+    for path in modules:
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text())
+        opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "open"]
+        assert not top_level_imports(tree) & {"json", "struct"}, path.name
+        assert not opens, f"{path.name} calls open at lines {opens}"
 
 
 class TestGenSynthetic:
@@ -499,8 +518,8 @@ class TestContextsCli:
         assert "feature segments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("binary, edit", [
-        (True, lambda rows: rows[0].__setitem__(0, math.nan)),
-        (True, lambda rows: rows[1].__setitem__(1, -math.inf)),
+        (True, lambda values: values.__setitem__(0, math.nan)),
+        (True, lambda values: values.__setitem__(3, -math.inf)),
         (False, lambda rows: rows[0].__setitem__(0, math.nan)),
         (False, lambda rows: rows[1].__setitem__(1, math.inf)),
         (False, lambda rows: rows[0].__setitem__(0, "high")),
@@ -513,11 +532,14 @@ class TestContextsCli:
         grid = SegmentGrid(record.meta, np.ones((record.meta.segment_count, 2)))
         path = tmp_path / "feats" / "one.feat"
         path.parent.mkdir()
-        if binary:
-            edit(grid.features)
-            save_features(grid, path)
+        save_features(grid, path, binary=binary)
+        if binary:  # the writer refuses such values, so patch the payload bytes
+            raw = path.read_bytes()
+            start = len(raw) - grid.features.size * 4
+            values = np.frombuffer(raw, "<f4", offset=start).copy()
+            edit(values)
+            path.write_bytes(raw[:start] + values.tobytes())
         else:
-            save_features(grid, path, binary=False)
             doc = json.loads(path.read_text())
             edit(doc["features"])
             path.write_text(json.dumps(doc))

@@ -12,9 +12,10 @@ from densecap import (ConceptVocabulary, CorpusFormatError, LinearConceptModel,
                       assign_segment_labels, bce_loss, build_vocabulary,
                       load_model, predict_proposal, predict_segment,
                       save_model, select_even_segments, train)
-from densecap.concepts import (MimlExample, TrainingDiverged, _feature_table, load_labels,
-                               objective_and_gradient, predict_report, proposal_accuracy,
-                               top_concepts)
+from densecap.concepts import (WEIGHT_INIT_SCALE, MimlExample, TrainingDiverged,
+                               _feature_table, load_labels, objective_and_gradient,
+                               predict_report, proposal_accuracy, top_concepts)
+from densecap.core import write_json
 from densecap.synthetic import make_separable_miml
 from oracles import oracle_objective_and_gradient, oracle_train
 
@@ -254,15 +255,10 @@ class TestTrainConfig:
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("learning_rate", 0.0), ("learning_rate", -0.5),
         ("epochs", 0), ("batch_size", 0), ("k_segments", 0),
-        ("weight_init_scale", math.nan), ("weight_init_scale", math.inf),
-        ("weight_init_scale", -0.01),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
-
-    def test_zero_init_scale_allowed(self):
-        assert TrainConfig(weight_init_scale=0.0).weight_init_scale == 0.0
 
     def test_default_config_is_not_shared(self):
         assert inspect.signature(train).parameters["cfg"].default is None
@@ -279,14 +275,28 @@ class TestTraining:
         cfg_a = TrainConfig(learning_rate=1e-12, epochs=2, seed=3)
         model, _ = train(examples, cfg_a)
         rng = np.random.default_rng(3)
-        init_W = rng.normal(scale=cfg_a.weight_init_scale,
-                            size=(4, 16))
+        init_W = rng.normal(scale=WEIGHT_INIT_SCALE, size=(4, 16))
         np.testing.assert_allclose(model.W, init_W, atol=1e-9)
 
     def test_accuracy_of_no_examples(self):
         model = toy_model(np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="no examples"):
             proposal_accuracy(model, [])
+
+    def test_labels_of_another_length_name_the_example(self):
+        examples = make_separable_miml(10, seed=1)
+        short = examples[3]
+        short.labels = short.labels[:-1]
+        with pytest.raises(ValueError, match=rf"^{short.grid.meta.video_id}: example 3 has "
+                                             r"3 labels, expected 4$"):
+            train(examples, TrainConfig(epochs=1))
+
+    def test_accuracy_with_a_model_of_another_concept_count(self):
+        examples = make_separable_miml(10, seed=1)
+        model = toy_model(np.zeros((3, examples[0].grid.dim)), np.zeros(3))
+        first = examples[0].grid.meta.video_id
+        with pytest.raises(ValueError, match=rf"^{first}: example 0 has 4 labels, expected 3$"):
+            proposal_accuracy(model, examples)
 
     def test_learns_separable_set(self):
         examples = make_separable_miml(200, seed=5)
@@ -316,7 +326,7 @@ class TestTraining:
                 for ex in examples]
         labels = np.stack([ex.labels for ex in examples])
         W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
-                                  cfg.batch_size, cfg.seed, cfg.weight_init_scale)
+                                  cfg.batch_size, cfg.seed, WEIGHT_INIT_SCALE)
         assert same_bits(model.W, W)
         assert same_bits(model.b, b)
         assert trace == want
@@ -377,7 +387,7 @@ class TestFeatureTable:
                 for ex in examples]
         labels = np.stack([ex.labels for ex in examples])
         W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
-                                  cfg.batch_size, cfg.seed, cfg.weight_init_scale)
+                                  cfg.batch_size, cfg.seed, WEIGHT_INIT_SCALE)
         assert same_bits(model.W, W)
         assert same_bits(model.b, b)
         assert trace == want
@@ -428,6 +438,18 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.W, model.W)
         np.testing.assert_array_equal(loaded.b, model.b)
         assert loaded.vocabulary.concepts == model.vocabulary.concepts
+
+    def test_json_layout_is_the_write_json_layout(self, tmp_path):
+        model = toy_model([[1.5, -2.0], [0.25, 3.0]], [0.5, -0.5], names=["run", "jump"])
+        path, plain = tmp_path / "model.json", tmp_path / "plain.json"
+        save_model(model, path, binary=False)
+        doc = json.loads(path.read_text())
+        assert doc == {"n_concepts": 2, "dim": 2, "vocabulary": ["run", "jump"],
+                       "W": [[1.5, -2.0], [0.25, 3.0]], "b": [0.5, -0.5]}
+        write_json(doc, plain)
+        assert path.read_bytes() == plain.read_bytes()
+        loaded = load_model(path)
+        assert loaded.W.tolist() == doc["W"] and loaded.b.tolist() == doc["b"]
 
     @pytest.mark.parametrize("cut", range(1, 17))
     def test_truncated_binary_model_rejected(self, tmp_path, cut):

@@ -9,6 +9,7 @@ from densecap import (Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
                       TimeInterval, VideoMeta, load_features, load_ground_truth,
                       load_meta, load_predictions, save_features, save_ground_truth,
                       save_meta, save_predictions, segment_range)
+from densecap.core import read_interval, write_json
 from densecap.synthetic import gen_synthetic
 
 
@@ -92,6 +93,19 @@ class TestGroundTruthLoading:
             "v1": {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}})
         with pytest.raises(CorpusFormatError, match="duration mismatch"):
             load_ground_truth(path, meta_source={"v1": VideoMeta("v1", 30.6)})
+
+
+class TestReadInterval:
+    @pytest.mark.parametrize("pair, duration, message", [
+        ([40.0, 40.0000005], 40.0, r"inverted interval [40.0, 40.0] at v1[3]"),
+        ([5, 2], 40.0, r"inverted interval [5.0, 2.0] at v1[3]"),
+        ([-1, 2], 40.0, r"negative start -1.0 at v1[3]"),
+        ([0, 41], 40.0, r"interval end 41.0 exceeds duration 40.0 at v1[3]"),
+    ])
+    def test_every_error_names_the_location(self, pair, duration, message):
+        with pytest.raises(CorpusFormatError) as err:
+            read_interval(pair, duration, "v1[3]")
+        assert str(err.value) == message
 
 
 class TestMetaFiles:
@@ -329,6 +343,28 @@ class TestRoundTrip:
         path.write_bytes(content)
         with pytest.raises(CorpusFormatError):
             load_features(path)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e39])
+    def test_values_not_finite_as_float32_are_refused(self, tmp_path, binary, value):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        features = np.ones((meta.segment_count, 3))
+        features[1, 2] = value
+        path = tmp_path / "v1.feat"
+        with pytest.raises(ValueError, match="not finite as float32"):
+            save_features(SegmentGrid(meta, features), path, binary=binary)
+        assert not path.exists()
+
+    def test_json_features_are_in_the_write_json_layout(self, tmp_path):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        grid = SegmentGrid(meta, np.random.default_rng(4).standard_normal((4, 3)))
+        path, plain = tmp_path / "v1.json", tmp_path / "plain.json"
+        save_features(grid, path, binary=False)
+        doc = json.loads(path.read_text())
+        write_json(doc, plain)
+        assert path.read_bytes() == plain.read_bytes()
+        assert doc["features"] == grid.features.tolist()
+        assert load_features(path).features.tolist() == doc["features"]
 
     def test_json_features_required(self, tmp_path):
         meta = VideoMeta("v1", 16.0, fps=16.0)

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
                       diversity_report, repetition, self_bleu, tokenize)
-from densecap.metrics import (_sentence, _video_self_bleu, build_document_frequency,
-                              captions_by_set, cider_d_pair, corpus_bleu4)
+from densecap.metrics import (_bleu_counts, _pooled_bleu, _sentence, _video_self_bleu,
+                              build_document_frequency, captions_by_set, cider_d_pair)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
 from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4,
@@ -72,6 +72,13 @@ class TestBleu4:
             for smoothing in (False, True):
                 assert bleu4(cand, refs, smoothing=smoothing) == pytest.approx(
                     oracle_bleu4(cand, refs, smoothing), abs=1e-9)
+
+
+def corpus_bleu4(pairs):
+    """Corpus BLEU-4 the way `dense_eval` pools it: `_bleu_counts` of each
+    pair that has references, summed by `_pooled_bleu`."""
+    return _pooled_bleu([_bleu_counts(_sentence(cand), [_sentence(r) for r in refs])
+                         for cand, refs in pairs if refs])
 
 
 class TestCorpusBleu4:
