@@ -22,8 +22,7 @@ from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry,
 from .fusion import (CandidatePool, FusionConfig, FusedProposal,
                      HeuristicPointwiseScorer, HeuristicSequentialScorer,
                      enumerate_sliding_windows, fuse_select)
-from .intervals import (MatchResult, PRTable, match_all, precision_recall, tiou,
-                        tiou_matrix)
+from .intervals import PRTable, precision_recall, tiou, tiou_matrix
 from .metrics import (DenseEvalReport, DiversityReport, bleu4, dense_eval,
                       diversity_report, repetition, self_bleu, tokenize)
 from .rerank import (AugmentedPair, CaptionRerankParams, RerankWeights,

@@ -22,6 +22,7 @@ from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read
 LOGIT_CLAMP = 30.0
 PROB_CLAMP = 1e-7
 WEIGHT_INIT_SCALE = 0.01
+POSITIVE_AT = 0.5  # probabilities and labels at or above it count as positive
 
 _MODEL_MAGIC = b"CONM"
 
@@ -159,16 +160,11 @@ def predict_proposal(model: LinearConceptModel, grid: SegmentGrid,
     return _sigmoid(logits).max(axis=0)
 
 
-def _bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """BCE averaged over the last (concept) axis, with probability clamping."""
+def bce_loss(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row BCE averaged over the last (concept) axis, with probability clamping."""
     p = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1 - PROB_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
     return -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=-1)
-
-
-def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross entropy over concepts, with probability clamping."""
-    return float(_bce_rows(probs, labels))
 
 
 def _pooled_forward(W: np.ndarray, b: np.ndarray, bags: np.ndarray,
@@ -183,7 +179,7 @@ def _pooled_forward(W: np.ndarray, b: np.ndarray, bags: np.ndarray,
     first = np.argmax(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP), axis=1)
     top = np.take_along_axis(logits, first[:, None, :], axis=1)[:, 0]
     pooled = _sigmoid(top)
-    return _bce_rows(pooled, labels), first, top, pooled
+    return bce_loss(pooled, labels), first, top, pooled
 
 
 def _sum_over_bags(terms: np.ndarray, total=0.0):
@@ -335,13 +331,13 @@ def predict_report(model: LinearConceptModel, grid: SegmentGrid,
 
 
 def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample],
-                      k: int = 20, threshold: float = 0.5) -> float:
-    """Fraction of (proposal, concept) pairs predicted correctly at 0.5."""
+                      k: int = 20) -> float:
+    """Fraction of (proposal, concept) pairs predicted correctly at POSITIVE_AT."""
     if not examples:
         raise ValueError("no examples")
     _check_labels(examples, model.n_concepts)
-    hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal, k) >= threshold)
-                           == (ex.labels >= 0.5) for ex in examples])
+    hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal, k) >= POSITIVE_AT)
+                           == (ex.labels >= POSITIVE_AT) for ex in examples])
     return float(hits.mean())
 
 

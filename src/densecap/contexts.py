@@ -57,8 +57,8 @@ def local_context(event: TimeInterval, meta: VideoMeta,
     so they never overlap it. Empty ranges (i == j) occur at the video
     boundaries.
     """
-    if window_ratio <= 0:
-        raise ValueError("window_ratio must be > 0")
+    if not 0 < window_ratio < np.inf:  # written so that NaN fails the check
+        raise ValueError(f"window_ratio must be finite and > 0, not {window_ratio}")
     ev_i, ev_j = segment_range(event, meta)
     w = window_ratio * event.length_s
 
@@ -117,20 +117,19 @@ def sentence_history(captions: Sequence[str], target: int) -> List[str]:
 def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarray:
     """Mean or max pool the selected feature rows into one vector.
 
-    `selection` is a (start, end) index range, an index sequence, or a
-    boolean mask. Raises EmptyContext on an empty selection so the caller
-    can substitute a zero vector of the right dimension.
+    `selection` is a (start, end) index range or a boolean mask over the
+    segments; anything else is a ValueError. Raises EmptyContext on an empty
+    selection so the caller can substitute a zero vector of the right size.
     """
     if grid.features is None:
         raise ValueError(f"{grid.meta.video_id}: grid has no features")
     if isinstance(selection, tuple) and len(selection) == 2:
         rows = grid.features[selection[0]:selection[1]]
+    elif (isinstance(selection, np.ndarray) and selection.dtype == bool
+          and selection.shape == grid.features.shape[:1]):
+        rows = grid.features[selection]
     else:
-        selection = np.asarray(selection)
-        if selection.dtype == bool:
-            rows = grid.features[selection]
-        else:
-            rows = grid.features[selection.astype(int)]
+        raise ValueError("selection is neither a (start, end) range nor a segment mask")
     if rows.shape[0] == 0:
         raise EmptyContext("empty segment selection")
     if mode == "mean":

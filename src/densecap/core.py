@@ -35,13 +35,12 @@ class TimeInterval:
     start_s: float
     end_s: float
 
-    def __post_init__(self):
-        if not (self.start_s < self.end_s):
-            raise CorpusFormatError(
-                f"inverted interval [{self.start_s}, {self.end_s}]"
-            )
-        if self.start_s < 0:
-            raise CorpusFormatError(f"negative start {self.start_s}")
+    def __post_init__(self):  # one comparison, which NaN and infinite ends fail
+        if not 0 <= self.start_s < self.end_s < math.inf:
+            raise CorpusFormatError(f"inverted interval [{self.start_s}, {self.end_s}]"
+                                    if not self.start_s < self.end_s else
+                                    f"negative start {self.start_s}" if self.start_s < 0 else
+                                    f"non-finite end {self.end_s}")
 
     @property
     def length_s(self) -> float:
@@ -242,12 +241,13 @@ def read_json(path) -> dict:
 def write_json(payload, path) -> None:
     """The one JSON layout of every file the toolkit writes: sorted keys,
     indent 1, and no NaN or Infinity."""
-    try:
-        with open(path, "w") as f:
+    with open(path, "w") as f:
+        try:
             json.dump(payload, f, indent=1, sort_keys=True, allow_nan=False)
-    except ValueError:  # a NaN or an infinity: leave no half-written file
-        os.remove(path)
-        raise
+        except Exception:  # NaN, infinity or a type json cannot write
+            f.close()  # then leave no half-written file
+            os.remove(path)
+            raise
 
 
 def write_container(path, magic: bytes, header: dict, arrays: Dict[str, np.ndarray],

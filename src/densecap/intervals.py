@@ -1,20 +1,13 @@
-"""Temporal IoU, proposal-groundtruth matching and precision/recall tables."""
+"""Temporal IoU and proposal precision/recall tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .core import Corpus, TimeInterval
-
-
-@dataclass(frozen=True, slots=True)
-class MatchResult:
-    pred_index: int
-    gt_index: Optional[int]
-    tiou: float
 
 
 @dataclass
@@ -42,15 +35,6 @@ class PRTable:
         }
 
 
-def tiou(a: TimeInterval, b: TimeInterval) -> float:
-    """Temporal intersection-over-union of two intervals, in [0, 1]."""
-    inter = min(a.end_s, b.end_s) - max(a.start_s, b.start_s)
-    if inter <= 0:
-        return 0.0
-    union = max(a.end_s, b.end_s) - min(a.start_s, b.start_s)
-    return inter / union
-
-
 def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
     """(n, 2) float array of [start_s, end_s] rows."""
     return np.array([[iv.start_s for iv in intervals], [iv.end_s for iv in intervals]],
@@ -60,8 +44,7 @@ def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
 def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) tIoU of every row of `a` against every row of `b`.
 
-    Both are (n, 2) [start, end] arrays. Each element is computed with the
-    same operations as `tiou`, so it equals the scalar value bit for bit.
+    Both are (n, 2) [start, end] arrays; a pair that does not overlap has tIoU 0.
     """
     a_start, a_end = a[:, 0, None], a[:, 1, None]
     inter = np.minimum(a_end, b[:, 1]) - np.maximum(a_start, b[:, 0])
@@ -69,21 +52,9 @@ def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
 
 
-def match_all(preds: Sequence[TimeInterval],
-              gts: Sequence[TimeInterval]) -> List[MatchResult]:
-    """Independent best match per prediction (no one-to-one assignment).
-
-    Ties break toward the smaller index; a prediction overlapping no
-    groundtruth gets `gt_index` None.
-    """
-    if not preds:
-        return []
-    if not gts:
-        raise ValueError("match_all needs a non-empty groundtruth list")
-    m = tiou_matrix(as_bounds(preds), as_bounds(gts))
-    idx = m.argmax(axis=1)
-    return [MatchResult(p, g if v > 0 else None, v) for p, (g, v) in
-            enumerate(zip(idx.tolist(), m[np.arange(len(m)), idx].tolist()))]
+def tiou(a: TimeInterval, b: TimeInterval) -> float:
+    """Temporal intersection-over-union of two intervals, in [0, 1]."""
+    return float(tiou_matrix(as_bounds([a]), as_bounds([b]))[0, 0])
 
 
 def check_thresholds(thresholds: Sequence[float]) -> List[float]:

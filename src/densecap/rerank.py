@@ -19,7 +19,7 @@ import numpy as np
 from .concepts import ConceptVocabulary, LinearConceptModel, predict_proposal, top_concepts
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
                    TimeInterval, VideoMeta)
-from .intervals import as_bounds, match_all
+from .intervals import as_bounds, tiou_matrix
 from .metrics import tokenize
 
 AUGMENT_TIOU = 0.3
@@ -164,14 +164,14 @@ def augment(predictions: Sequence[TimeInterval],
             annotation_set: AnnotationSet) -> List[AugmentedPair]:
     """Training pairs from predicted proposals overlapping the groundtruth.
 
-    Each prediction is matched to its best groundtruth interval and kept
-    only when tIoU is strictly greater than AUGMENT_TIOU; its caption is the
-    matched groundtruth sentence.
+    Each prediction is matched to its best groundtruth interval (the first of
+    a tie) and kept only when tIoU is strictly greater than AUGMENT_TIOU; its
+    caption is the matched groundtruth sentence.
     """
-    return [AugmentedPair(predictions[m.pred_index], m.gt_index, m.tiou,
-                          annotation_set.sentences[m.gt_index])
-            for m in match_all(predictions, annotation_set.intervals)
-            if m.gt_index is not None and m.tiou > AUGMENT_TIOU]
+    m = tiou_matrix(as_bounds(predictions), as_bounds(annotation_set.intervals))
+    return [AugmentedPair(predictions[p], g, v, annotation_set.sentences[g])
+            for p, (g, v) in enumerate(zip(m.argmax(axis=1).tolist(), m.max(axis=1).tolist()))
+            if v > AUGMENT_TIOU]
 
 
 def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],

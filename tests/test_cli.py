@@ -452,11 +452,12 @@ class TestConceptsCli:
 
 def concepts_error_case(tmp_path, case):
     """`concepts` arguments for one malformed input: a model two values wider
-    than its features, an inverted span, labels of a video without a features
-    file, or features of two widths."""
+    than its features, an inverted or non-finite span, labels of a video
+    without a features file, or features of two widths."""
     model, feat = one_concept_files(tmp_path)
-    if case == "inverted-span":
-        return predict_args(model, feat)[:-1] + ["8,0"]
+    spans = {"inverted-span": "8,0", "infinite-span": "0,inf", "overflowing-span": "0,1e400"}
+    if case in spans:
+        return predict_args(model, feat)[:-1] + [spans[case]]
     if case == "model-width":
         save_model(LinearConceptModel(np.zeros((1, 5)), np.zeros(1),
                                       ConceptVocabulary(["run"])), model)
@@ -479,6 +480,8 @@ class TestConceptsErrorSweep:
     @pytest.mark.parametrize("case, code, message", [
         ("model-width", 1, "v1: feature dim 3, expected 5"),
         ("inverted-span", 2, "inverted interval [8.0, 0.0]"),
+        ("infinite-span", 2, "non-finite end inf"),
+        ("overflowing-span", 2, "non-finite end inf"),
         ("no-features-file", 1, "no training examples"),
         ("two-widths", 1, "v2: feature dim 3, expected 8"),
     ])
@@ -516,6 +519,14 @@ class TestContextsCli:
                          "--features-dir", str(feat_dir), "--out", str(tmp_path / "b.json")])
         assert code == 2
         assert "feature segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "0"])
+    def test_bad_window_ratio_exits_1(self, synthetic_dir, tmp_path, capsys, ratio):
+        code = dispatch(["contexts", "--events", str(synthetic_dir / "gt_set1.json"),
+                         "--window-ratio", ratio, "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: window_ratio must be finite")
+        assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize("binary, edit", [
         (True, lambda values: values.__setitem__(0, math.nan)),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ class TestLocalContext:
     def test_ratio_must_be_positive(self, simple_meta):
         with pytest.raises(ValueError):
             local_context(iv(4, 8), simple_meta, 0.0)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_ratio_must_be_finite(self, simple_meta, ratio):
+        with pytest.raises(ValueError, match=f"window_ratio must be finite and > 0, not {ratio}"):
+            local_context(iv(4, 8), simple_meta, ratio)
 
 
 class TestGlobalContext:
@@ -124,11 +130,11 @@ class TestPoolFeatures:
         np.testing.assert_array_equal(out, [1.0, 1.0])
 
     def test_mean(self):
-        out = pool_features(self.grid(), [0, 1], "mean")
+        out = pool_features(self.grid(), (0, 2), "mean")
         np.testing.assert_array_equal(out, [1.0, 1.0])
 
     def test_max(self):
-        out = pool_features(self.grid(), [0, 1], "max")
+        out = pool_features(self.grid(), (0, 2), "max")
         np.testing.assert_array_equal(out, [2.0, 2.0])
 
     def test_mask_selection(self):
@@ -139,13 +145,26 @@ class TestPoolFeatures:
         with pytest.raises(EmptyContext):
             pool_features(self.grid(), (1, 1), "mean")
 
-    @given(st.permutations([0, 1, 2, 3]))
-    def test_mean_permutation_invariant_and_bounded(self, perm):
-        grid = self.grid()
-        base = pool_features(grid, [0, 1, 2, 3], "mean")
-        permuted = pool_features(grid, perm, "mean")
+    @pytest.mark.parametrize("selection", [
+        [0, 3], np.array([0, 3]), np.array([0.0, 3.0]), (0, 1, 2),
+        np.array([True, False, True]), [True, False, False, True],
+    ], ids=["index-list", "index-array", "float-array", "triple", "short-mask", "list-mask"])
+    def test_other_selections_raise(self, selection):
+        with pytest.raises(ValueError, match="neither a"):
+            pool_features(self.grid(), selection, "mean")
+
+    @given(st.permutations([0, 1, 2, 3]), st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_mean_permutation_invariant_and_bounded(self, perm, picks):
+        """Reordering the segments and the mask together leaves the mean
+        unchanged, and it lies within the selected rows' range."""
+        grid, mask = self.grid(), np.array(picks)
+        if not mask.any():
+            return
+        base = pool_features(grid, mask, "mean")
+        shuffled = SegmentGrid(grid.meta, grid.features[perm])
+        permuted = pool_features(shuffled, mask[perm], "mean")
         np.testing.assert_allclose(base, permuted)
-        rows = grid.features[list(perm)]
+        rows = grid.features[mask]
         assert (permuted >= rows.min(axis=0) - 1e-12).all()
         assert (permuted <= rows.max(axis=0) + 1e-12).all()
 

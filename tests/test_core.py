@@ -108,6 +108,31 @@ class TestReadInterval:
         assert str(err.value) == message
 
 
+class TestTimeInterval:
+    @pytest.mark.parametrize("start, end, message", [
+        (5, 2, "inverted interval [5, 2]"),
+        (math.nan, 2, "inverted interval [nan, 2]"),
+        (0, math.nan, "inverted interval [0, nan]"),
+        (-1, 2, "negative start -1"),
+        (-math.inf, 2, "negative start -inf"),
+        (0, math.inf, "non-finite end inf"),
+        (0, float("1e400"), "non-finite end inf"),
+    ])
+    def test_rejected_with_the_value(self, start, end, message):
+        with pytest.raises(CorpusFormatError) as err:
+            TimeInterval(start, end)
+        assert str(err.value) == message
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [math.nan, np.int64(2), {1, 2}])
+    def test_unwritable_value_leaves_no_file(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises((ValueError, TypeError)):
+            write_json({"a": 1, "b": value}, path)
+        assert not path.exists()
+
+
 class TestMetaFiles:
     def test_round_trip(self, tmp_path):
         corpus = gen_synthetic(5, seed=3)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import (PredictionEntry, TimeInterval, match_all,
-                      precision_recall, tiou, tiou_matrix)
+from densecap import PredictionEntry, TimeInterval, precision_recall, tiou, tiou_matrix
 from densecap.intervals import as_bounds
 from conftest import interval_lists, make_corpus, make_video
-from oracles import oracle_best_match, oracle_pr_counts, oracle_tiou
+from oracles import oracle_pr_counts, oracle_tiou
 
 
 def iv(a, b):
@@ -54,41 +53,10 @@ class TestTiouMatrix:
     @given(interval_lists(), interval_lists())
     def test_bit_identical_to_scalar(self, a, b):
         m = tiou_matrix(as_bounds(a), as_bounds(b))
-        want = np.array([[tiou(x, y) for y in b] for x in a], dtype=float)
+        want = np.array([[oracle_tiou((x.start_s, x.end_s), (y.start_s, y.end_s))
+                          for y in b] for x in a], dtype=float)
         assert m.shape == (len(a), len(b))
         assert m.tobytes() == want.reshape(len(a), len(b)).tobytes()
-
-
-class TestMatchAll:
-    def test_no_overlap_has_no_index(self):
-        got = match_all([iv(0, 10), iv(50, 60)], [iv(0, 10), iv(20, 30)])
-        assert [(r.pred_index, r.gt_index, r.tiou) for r in got] == [
-            (0, 0, 1.0), (1, None, 0.0)]
-
-    @pytest.mark.parametrize("pred, gt_index, tiou", [
-        pytest.param(iv(0, 10), 0, 1.0, id="exact"),
-        pytest.param(iv(9, 21), 0, 1 / 21, id="tie_breaks_low_index"),
-        pytest.param(iv(25, 30), 1, 0.5, id="second_wins"),
-    ])
-    def test_hand_cases(self, pred, gt_index, tiou):
-        (got,) = match_all([pred], [iv(0, 10), iv(20, 30)])
-        assert (got.gt_index, got.tiou) == (gt_index, pytest.approx(tiou, abs=1e-6))
-
-    def test_empty_groundtruth_raises(self):
-        with pytest.raises(ValueError, match="match_all needs a non-empty"):
-            match_all([iv(0, 1)], [])
-
-    @given(interval_lists(), interval_lists(max_size=6))
-    def test_matches_best_match_oracle(self, preds, gts):
-        if not gts:
-            return
-        got = [(r.gt_index, r.tiou) for r in match_all(preds, gts)]
-        want = []
-        for p in preds:
-            idx, v = oracle_best_match((p.start_s, p.end_s),
-                                       [(g.start_s, g.end_s) for g in gts])
-            want.append((idx if v > 0 else None, v))
-        assert got == want
 
 
 def pred(a, b):

@@ -212,6 +212,18 @@ class TestAugment:
         assert pairs[0].caption == "first event"
         assert pairs[0].tiou == 1.0
 
+    @pytest.mark.parametrize("gts, pred, pairs", [
+        pytest.param([iv(0, 10), iv(20, 30)], iv(0, 10), [(0, 1.0)], id="exact"),
+        pytest.param([iv(0, 10), iv(10, 20)], iv(5, 15), [(0, 1 / 3)], id="tie_low_index"),
+        pytest.param([iv(0, 10), iv(20, 30)], iv(25, 30), [(1, 0.5)], id="second_wins"),
+        pytest.param([iv(0, 10), iv(20, 30)], iv(50, 60), [], id="no_overlap"),
+    ])
+    def test_best_match(self, gts, pred, pairs):
+        ann = AnnotationSet(gts, [f"gt {i}" for i in range(len(gts))])
+        got = augment([pred], ann)
+        assert [(p.interval, p.gt_index, p.tiou, p.caption) for p in got] == [
+            (pred, g, v, f"gt {g}") for g, v in pairs]
+
     def test_low_overlap_excluded(self):
         # tIoU = 2/10 = 0.2 < 0.3
         assert augment([iv(8, 12)], self.ann) == []
