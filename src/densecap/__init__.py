@@ -8,9 +8,8 @@ stages run against synthetic oracles in place of neural models.
 """
 
 from .concepts import (ConceptVocabulary, LinearConceptModel, MimlExample,
-                       TrainConfig, assign_segment_labels, bce_loss,
-                       build_vocabulary, load_model, predict_proposal,
-                       predict_segment, save_model, select_even_segments, train)
+                       TrainConfig, bce_loss, load_model, predict_proposal,
+                       save_model, select_even_segments, train)
 from .contexts import (EmptyContext, EventContextBundle, build_bundle,
                        event_neighbors, global_context, local_context,
                        pool_features, sentence_history)

@@ -10,7 +10,7 @@ segment per concept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,18 +46,6 @@ class ConceptVocabulary:
 
     def __len__(self):
         return len(self.concepts)
-
-
-def build_vocabulary(token_counts: Dict[str, int], lexicon: Sequence[str],
-                     min_count: int = 1) -> ConceptVocabulary:
-    """Frequent lexicon words, ordered by descending count then alphabetically."""
-    lexicon = set(lexicon)
-    kept = [(tok, n) for tok, n in token_counts.items()
-            if tok in lexicon and n >= min_count]
-    if not kept:
-        raise ValueError("no lexicon token reaches min_count")
-    kept.sort(key=lambda kv: (-kv[1], kv[0]))
-    return ConceptVocabulary([tok for tok, _ in kept])
 
 
 @dataclass
@@ -117,14 +105,6 @@ class TrainConfig:
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)))
-
-
-def predict_segment(model: LinearConceptModel, feature: np.ndarray) -> np.ndarray:
-    """Per-concept probabilities for one segment feature vector."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (model.dim,):
-        raise ValueError(f"feature dim {feature.shape} != model dim {model.dim}")
-    return _sigmoid(model.W @ feature + model.b)
 
 
 def select_even_segments(proposal: TimeInterval, meta: VideoMeta, k: int) -> List[int]:
@@ -339,22 +319,6 @@ def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample]
     hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal, k) >= POSITIVE_AT)
                            == (ex.labels >= POSITIVE_AT) for ex in examples])
     return float(hits.mean())
-
-
-def assign_segment_labels(proposals: Sequence[TimeInterval],
-                          proposal_labels: Sequence[np.ndarray],
-                          meta: VideoMeta) -> np.ndarray:
-    """Per-segment label matrix: each proposal stamps its labels onto its
-    segment range; overlaps take the element-wise OR; uncovered segments
-    stay all-zero."""
-    if len(proposals) != len(proposal_labels):
-        raise ValueError("proposals and labels must align")
-    c = len(proposal_labels[0]) if proposal_labels else 0
-    out = np.zeros((meta.segment_count, c))
-    for proposal, labels in zip(proposals, proposal_labels):
-        i, j = segment_range(proposal, meta)
-        out[i:j] = np.maximum(out[i:j], np.asarray(labels, dtype=np.float64))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,22 @@ def sentence_history(captions: Sequence[str], target: int) -> List[str]:
 def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarray:
     """Mean or max pool the selected feature rows into one vector.
 
-    `selection` is a (start, end) index range or a boolean mask over the
-    segments; anything else is a ValueError. Raises EmptyContext on an empty
-    selection so the caller can substitute a zero vector of the right size.
+    `selection` is a (start, end) integer range with 0 <= start <= end <=
+    segment count, or a boolean mask over the segments; anything else is a
+    ValueError. Raises EmptyContext on an empty selection so the caller can
+    substitute a zero vector of the right size.
     """
     if grid.features is None:
         raise ValueError(f"{grid.meta.video_id}: grid has no features")
     if isinstance(selection, tuple) and len(selection) == 2:
-        rows = grid.features[selection[0]:selection[1]]
+        start, end = selection
+        if (isinstance(start, bool) or isinstance(end, bool)
+                or not (isinstance(start, (int, np.integer))
+                        and isinstance(end, (int, np.integer))
+                        and 0 <= start <= end <= len(grid.features))):
+            raise ValueError(f"segment range {selection} is not within "
+                             f"0..{len(grid.features)}")
+        rows = grid.features[start:end]
     elif (isinstance(selection, np.ndarray) and selection.dtype == bool
           and selection.shape == grid.features.shape[:1]):
         rows = grid.features[selection]

@@ -48,9 +48,11 @@ class _Sentence(NamedTuple):
 
 
 def _sentence(tokens: Sequence[str], top_n: int = MAX_N) -> _Sentence:
-    """The record of `tokens` with grams up to `top_n` (`MAX_N` when lower)."""
+    """The record of `tokens` with grams up to `top_n`, at least up to `MAX_N`;
+    orders past the caption's length, which would be empty, are left out."""
+    top_n = max(MAX_N, min(top_n, len(tokens)))
     return _Sentence(len(tokens), tuple(Counter(zip(*(tokens[k:] for k in range(n))))
-                                        for n in range(1, max(MAX_N, top_n) + 1)))
+                                        for n in range(1, top_n + 1)))
 
 
 def _lengths(cand: _Sentence, ref_lengths):
@@ -356,7 +358,8 @@ def _video_repetition(sents: Sequence[_Sentence], n: int) -> Optional[float]:
     """Repeated-occurrence fraction of the video's pooled n-grams, times 100."""
     counts = Counter()
     for sent in sents:
-        counts.update(sent.grams[n - 1])
+        if n <= len(sent.grams):  # records stop at their caption's length
+            counts.update(sent.grams[n - 1])
     total = sum(counts.values())
     if total == 0:
         return None
@@ -364,91 +367,62 @@ def _video_repetition(sents: Sequence[_Sentence], n: int) -> Optional[float]:
     return 100.0 * repeats / total
 
 
-def _per_set_then_combined(captions_by_set_by_video, metric):
-    """Apply a per-video metric in per-set and combined modes.
-
-    Per-set: corpus value per set index, averaged over set indices.
-    Combined: all sets of a video pooled before scoring. Returns
-    (per_set value, combined value, per-video detail, excluded count).
-    """
-    n_sets = max((len(sets) for sets in captions_by_set_by_video.values()),
-                 default=0)
-    per_set_values = []
-    excluded = 0
-    detail: Dict[str, dict] = {}
-    for s in range(n_sets):
-        vals = []
-        for vid, sets in sorted(captions_by_set_by_video.items()):
-            if s >= len(sets):
-                continue
-            v = metric(sets[s])
-            detail.setdefault(vid, {})[f"set{s}"] = v
-            if v is None:
-                excluded += 1
-            else:
-                vals.append(v)
-        if vals:
-            per_set_values.append(float(np.mean(vals)))
-    combined_vals = []
-    for vid, sets in sorted(captions_by_set_by_video.items()):
-        pooled = [cap for one_set in sets for cap in one_set]
-        v = metric(pooled)
-        detail.setdefault(vid, {})["combined"] = v
-        if v is not None:
-            combined_vals.append(v)
-    per_set = float(np.mean(per_set_values)) if per_set_values else 0.0
-    combined = float(np.mean(combined_vals)) if combined_vals else 0.0
-    return per_set, combined, detail, excluded
+def _mean(values) -> float:
+    return float(np.mean(values)) if values else 0.0
 
 
-def _sentence_sets(captions_by_set_by_video, n: int = MAX_N):
-    """One `_Sentence` per caption with grams up to `n`; strings are tokenized."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return {vid: [[_sentence(tokenize(c) if isinstance(c, str) else list(c), n)
-                   for c in one_set] for one_set in sets]
-            for vid, sets in captions_by_set_by_video.items()}
+def _corpus_values(rows):
+    """(per-set, combined) corpus value of one metric's per-video rows.
+
+    Per set index: the mean over the videos with a value, then the mean over
+    the set indices that have one. Combined: the mean over videos."""
+    rows = list(rows)
+    keys = [f"set{s}" for s in range(max(map(len, rows), default=1) - 1)]
+    per_set = [[row[key] for row in rows if row.get(key) is not None] for key in keys]
+    return (_mean([_mean(values) for values in per_set if values]),
+            _mean([row["combined"] for row in rows if row["combined"] is not None]))
 
 
-def _corpus_value(captions_by_set_by_video, metric, mode: str, n: int = MAX_N) -> float:
-    """The per-set or the combined corpus value of a per-video metric."""
-    if mode not in ("per_set", "combined"):
-        raise ValueError(f"unknown mode {mode!r}")
-    per_set, combined, _, _ = _per_set_then_combined(
-        _sentence_sets(captions_by_set_by_video, n), metric)
-    return per_set if mode == "per_set" else combined
-
-
-def self_bleu(captions_by_set_by_video, mode: str = "per_set") -> float:
+def self_bleu(captions_by_set_by_video) -> float:
     """Corpus Self-BLEU in [0, 100]; lower means more diverse captions."""
-    return _corpus_value(captions_by_set_by_video, _video_self_bleu, mode)
+    return diversity_report(captions_by_set_by_video).self_bleu
 
 
-def repetition(captions_by_set_by_video, n: int = 4,
-               mode: str = "per_set") -> float:
+def repetition(captions_by_set_by_video, n: int = 4) -> float:
     """Corpus n-gram repetition score in [0, 100]."""
-    return _corpus_value(captions_by_set_by_video,
-                         lambda sents: _video_repetition(sents, n), mode, n)
+    return diversity_report(captions_by_set_by_video, n).repetition
 
 
-def captions_by_set(prediction_sets) -> Dict[str, List[List[str]]]:
-    """`diversity_report` input from prediction maps, one caption set per map;
-    entries without a sentence are left out."""
+def captions_by_set(prediction_sets: Sequence[dict]) -> Dict[str, List[List[str]]]:
+    """`diversity_report` input from prediction maps: every video gets one
+    caption set per map, empty where the map lacks the video; entries without
+    a sentence are left out."""
     by_video: Dict[str, List[List[str]]] = {}
-    for preds in prediction_sets:
+    for i, preds in enumerate(prediction_sets):
         for vid, entries in preds.items():
-            by_video.setdefault(vid, []).append(
-                [e.sentence for e in entries if e.sentence is not None])
+            by_video.setdefault(vid, [[] for _ in prediction_sets])[i] = [
+                e.sentence for e in entries if e.sentence is not None]
     return by_video
 
 
 def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:
-    """SelfB/RE plus their combined-set variants with per-video breakdown."""
-    sents = _sentence_sets(captions_by_set_by_video, n)
-    sb, sb2, sb_detail, excluded = _per_set_then_combined(sents, _video_self_bleu)
-    re_, re2, re_detail, _ = _per_set_then_combined(
-        sents, lambda one: _video_repetition(one, n))
-    per_video = {vid: {"self_bleu": sb_detail.get(vid, {}),
-                       "repetition": re_detail.get(vid, {})}
-                 for vid in sorted(sents)}
+    """SelfB/RE per annotation set and with a video's sets pooled, from one
+    per-video table of both metrics. Captions are strings or token lists."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    scorers = (("self_bleu", _video_self_bleu),
+               ("repetition", lambda sents: _video_repetition(sents, n)))
+    per_video = {}
+    for vid, sets in sorted(captions_by_set_by_video.items()):
+        sets = [[_sentence(tokenize(c) if isinstance(c, str) else list(c), n)
+                 for c in one_set] for one_set in sets]
+        pooled = [sent for one_set in sets for sent in one_set]
+        per_video[vid] = {
+            name: {**{f"set{s}": metric(one_set) for s, one_set in enumerate(sets)},
+                   "combined": metric(pooled)}
+            for name, metric in scorers}
+    sb, sb2 = _corpus_values(row["self_bleu"] for row in per_video.values())
+    re_, re2 = _corpus_values(row["repetition"] for row in per_video.values())
+    excluded = sum(v is None for row in per_video.values()
+                   for v in list(row["self_bleu"].values())[:-1])
     return DiversityReport(sb, re_, sb2, re2, per_video, excluded)

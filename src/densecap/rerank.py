@@ -103,7 +103,8 @@ def proposal_rerank(candidates: Sequence[PredictionEntry], meta: VideoMeta,
 
 def rerank_proposals(predictions: Dict[str, List[PredictionEntry]],
                      metas: Dict[str, VideoMeta], weights: Optional[RerankWeights] = None):
-    """`proposal_rerank` for every video that has a meta.
+    """`proposal_rerank` for every video that has a meta; a video without
+    candidates keeps an empty list.
 
     Returns ({video_id: ranked candidates}, candidates missing a caption
     log-probability, summed over videos).
@@ -111,7 +112,8 @@ def rerank_proposals(predictions: Dict[str, List[PredictionEntry]],
     out, missing = {}, 0
     for vid in sorted(predictions):
         if vid in metas:
-            out[vid], flagged = proposal_rerank(predictions[vid], metas[vid], weights)
+            out[vid], flagged = (proposal_rerank(predictions[vid], metas[vid], weights)
+                                 if predictions[vid] else ([], 0))
             missing += flagged
     return out, missing
 

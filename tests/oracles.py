@@ -316,6 +316,40 @@ def oracle_repetition_video(captions, n=4):
     return 100.0 * repeats / total
 
 
+def oracle_diversity_report(captions_by_set_by_video, n=4):
+    """`DiversityReport.to_dict()` of token-list captions, two passes per metric:
+    each set index over the videos that have it, then each video with its
+    sets pooled."""
+    per_video = {vid: {"self_bleu": {}, "repetition": {}}
+                 for vid in sorted(captions_by_set_by_video)}
+    report, excluded = {}, 0
+    for kind, key, metric in (("self_bleu", "SelfB", oracle_self_bleu_video),
+                              ("repetition", "RE",
+                               lambda caps: oracle_repetition_video(caps, n))):
+        n_sets = max((len(sets) for sets in captions_by_set_by_video.values()), default=0)
+        set_means = []
+        for s in range(n_sets):
+            values = []
+            for vid, sets in sorted(captions_by_set_by_video.items()):
+                if s < len(sets):
+                    v = per_video[vid][kind][f"set{s}"] = metric(sets[s])
+                    if v is not None:
+                        values.append(v)
+                    elif kind == "self_bleu":
+                        excluded += 1
+            if values:
+                set_means.append(sum(values) / len(values))
+        pooled = []
+        for vid, sets in sorted(captions_by_set_by_video.items()):
+            v = per_video[vid][kind]["combined"] = metric([c for one in sets for c in one])
+            if v is not None:
+                pooled.append(v)
+        report[key] = sum(set_means) / len(set_means) if set_means else 0.0
+        report[key + "2"] = sum(pooled) / len(pooled) if pooled else 0.0
+    return {**{key: report[key] for key in ("SelfB", "RE", "SelfB2", "RE2")},
+            "excluded_self_bleu_videos": excluded, "per_video": per_video}
+
+
 # ---------------------------------------------------------------------------
 # exactness references for the shared n-gram statistics: the per-caption
 # union SelfB and the per-threshold dense evaluation loop, which score every

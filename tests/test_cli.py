@@ -292,6 +292,21 @@ class TestRerankCli:
         for rows in preds.values():
             assert len(rows) <= 2
 
+    def test_rerank_proposals_after_fuse_stops_at_once(self, tmp_path, capsys):
+        (tmp_path / "meta.json").write_text(json.dumps({"v1": {"duration": 30.0}}))
+        scores = {"mode": "tables", "videos": {"v1": {
+            "candidates": [[0, 10], [10, 20]], "f_s": [0.9, 0.5],
+            "f_e_steps": [{"probs": {"0": 0.2, "1": 0.1}, "eos": 0.7}]}}}
+        (tmp_path / "scores.json").write_text(json.dumps(scores))
+        fused, top = tmp_path / "fused.json", tmp_path / "top.json"
+        assert dispatch(["fuse", "--meta", str(tmp_path / "meta.json"),
+                         "--scores", str(tmp_path / "scores.json"), "--out", str(fused)]) == 0
+        assert load_predictions(fused)[0] == {"v1": []}
+        assert dispatch(["rerank-proposals", "--pred", str(fused),
+                         "--meta", str(tmp_path / "meta.json"), "--out", str(top)]) == 0
+        assert load_predictions(top)[0] == {"v1": []}
+        assert "error:" not in capsys.readouterr().err
+
     def test_rerank_captions_diversity_only(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)
         out = tmp_path / "best.json"

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from densecap import (ConceptVocabulary, CorpusFormatError, LinearConceptModel,
-                      SegmentGrid, TimeInterval, TrainConfig, VideoMeta,
-                      assign_segment_labels, bce_loss, build_vocabulary,
-                      load_model, predict_proposal, predict_segment,
-                      save_model, select_even_segments, train)
+                      SegmentGrid, TimeInterval, TrainConfig, VideoMeta, bce_loss,
+                      load_model, predict_proposal, save_model, select_even_segments,
+                      train)
 from densecap.concepts import (WEIGHT_INIT_SCALE, MimlExample, TrainingDiverged,
                                _feature_table, load_labels, objective_and_gradient,
                                predict_report, proposal_accuracy, top_concepts)
@@ -21,20 +20,6 @@ from oracles import oracle_objective_and_gradient, oracle_train
 
 
 class TestVocabulary:
-    def test_filter_and_order(self):
-        vocab = build_vocabulary({"run": 5, "the": 9, "ball": 3},
-                                 ["run", "ball"], min_count=3)
-        assert vocab.concepts == ["run", "ball"]
-
-    def test_empty_result_raises(self):
-        with pytest.raises(ValueError):
-            build_vocabulary({"run": 5, "ball": 3}, ["run", "ball"], min_count=6)
-
-    def test_tie_breaks_lexicographic(self):
-        vocab = build_vocabulary({"zebra": 3, "apple": 3, "mango": 3},
-                                 ["zebra", "apple", "mango"], min_count=1)
-        assert vocab.concepts == ["apple", "mango", "zebra"]
-
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
             ConceptVocabulary(["a", "a"])
@@ -46,25 +31,31 @@ def toy_model(W, b, names=None):
     return LinearConceptModel(W, np.asarray(b, float), ConceptVocabulary(names))
 
 
+def predict_row(model, row):
+    """`predict_proposal` over a one-segment grid holding `row`: that segment's
+    per-concept probabilities."""
+    grid = SegmentGrid(VideoMeta("v", 4.0, fps=16.0), np.atleast_2d(np.asarray(row, float)))
+    return predict_proposal(model, grid, TimeInterval(0, 4), k=1)
+
+
 class TestPredict:
     def test_zero_model_gives_half(self):
         model = toy_model(np.zeros((3, 4)), np.zeros(3))
-        out = predict_segment(model, np.ones(4))
-        np.testing.assert_allclose(out, 0.5)
+        np.testing.assert_allclose(predict_row(model, np.ones(4)), 0.5)
 
     def test_logit_clamp(self):
         model = toy_model([[1000.0]], [0.0])
-        out = predict_segment(model, np.array([1.0]))
+        out = predict_row(model, [1.0])
         assert out[0] == pytest.approx(1.0 / (1.0 + math.exp(-30.0)))
 
     def test_orthogonal_feature(self):
         model = toy_model([[1.0, 0.0]], [0.0])
-        assert predict_segment(model, np.array([0.0, 5.0]))[0] == 0.5
+        assert predict_row(model, [0.0, 5.0])[0] == 0.5
 
     def test_dimension_mismatch(self):
         model = toy_model([[1.0, 0.0]], [0.0])
-        with pytest.raises(ValueError):
-            predict_segment(model, np.zeros(3))
+        with pytest.raises(ValueError, match="v: feature dim 3, expected 2"):
+            predict_row(model, np.zeros(3))
 
 
 @st.composite
@@ -120,8 +111,7 @@ class TestProposalPrediction:
         model = toy_model([[0.5, -0.2], [0.1, 0.3]], [0.0, 0.1])
         grid = self.grid([[1.0, 2.0]] * 4)
         pooled = predict_proposal(model, grid, TimeInterval(0, 16), k=4)
-        np.testing.assert_allclose(pooled,
-                                   predict_segment(model, grid.features[0]))
+        np.testing.assert_allclose(pooled, predict_row(model, grid.features[0]))
 
     def test_max_rule(self):
         # craft logits so segment probabilities are (0.2, 0.9) and (0.7, 0.1)
@@ -151,7 +141,7 @@ class TestProposalPrediction:
         proposal = TimeInterval(0, 16)
         pooled = predict_proposal(model, grid, proposal, k=4)
         for row in grid.features:
-            assert (pooled >= predict_segment(model, row) - 1e-12).all()
+            assert (pooled >= predict_row(model, row) - 1e-12).all()
 
 
 class TestBceLoss:
@@ -402,28 +392,6 @@ class TestFeatureTable:
         examples = [MimlExample(TimeInterval(0, 16), grid, [1.0]) for grid in grids]
         with pytest.raises(ValueError, match=message):
             train(examples, TrainConfig(epochs=1))
-
-
-class TestAssignSegmentLabels:
-    def test_full_cover(self):
-        meta = VideoMeta("v", 16.0, fps=16.0)
-        labels = assign_segment_labels([TimeInterval(0, 16)],
-                                       [np.array([1.0, 0.0])], meta)
-        assert labels.shape == (4, 2)
-        np.testing.assert_array_equal(labels, [[1, 0]] * 4)
-
-    def test_uncovered_zero(self):
-        meta = VideoMeta("v", 16.0, fps=16.0)
-        labels = assign_segment_labels([TimeInterval(0, 4)],
-                                       [np.array([1.0])], meta)
-        np.testing.assert_array_equal(labels.ravel(), [1, 0, 0, 0])
-
-    def test_overlap_takes_or(self):
-        meta = VideoMeta("v", 16.0, fps=16.0)
-        labels = assign_segment_labels(
-            [TimeInterval(0, 8), TimeInterval(4, 16)],
-            [np.array([1.0, 0.0]), np.array([0.0, 1.0])], meta)
-        np.testing.assert_array_equal(labels[1], [1, 1])
 
 
 class TestModelIO:

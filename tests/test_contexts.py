@@ -142,8 +142,9 @@ class TestPoolFeatures:
         np.testing.assert_array_equal(out, [2.0, 2.0])
 
     def test_empty_selection_raises(self):
-        with pytest.raises(EmptyContext):
-            pool_features(self.grid(), (1, 1), "mean")
+        for i in (0, 1, 4):
+            with pytest.raises(EmptyContext):
+                pool_features(self.grid(), (i, i), "mean")
 
     @pytest.mark.parametrize("selection", [
         [0, 3], np.array([0, 3]), np.array([0.0, 3.0]), (0, 1, 2),
@@ -152,6 +153,20 @@ class TestPoolFeatures:
     def test_other_selections_raise(self, selection):
         with pytest.raises(ValueError, match="neither a"):
             pool_features(self.grid(), selection, "mean")
+
+    @pytest.mark.parametrize("selection", [
+        (-1, 4), (2, 9), (3, 2), (0, 5), (True, 3), (0, True), (0.5, 3), (0, 3.0),
+        (None, 3), ("0", 3), (np.float64(1.0), 3),
+    ])
+    def test_range_outside_the_grid_raises(self, selection):
+        with pytest.raises(ValueError, match=r"segment range .* is not within 0\.\.4"):
+            pool_features(self.grid(), selection, "mean")
+
+    @pytest.mark.parametrize("selection", [(0, 4), (np.int64(1), np.int32(3))])
+    def test_integer_range_may_reach_the_grid_end(self, selection):
+        grid = self.grid()
+        np.testing.assert_array_equal(pool_features(grid, selection, "mean"),
+                                      grid.features[selection[0]:selection[1]].mean(axis=0))
 
     @given(st.permutations([0, 1, 2, 3]), st.lists(st.booleans(), min_size=4, max_size=4))
     def test_mean_permutation_invariant_and_bounded(self, perm, picks):

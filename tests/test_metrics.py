@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
                       diversity_report, repetition, self_bleu, tokenize)
-from densecap.metrics import (_bleu_counts, _pooled_bleu, _sentence, _video_self_bleu,
+from densecap.metrics import (MAX_N, _bleu_counts, _pooled_bleu, _sentence, _video_self_bleu,
                               build_document_frequency, captions_by_set, cider_d_pair)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
 from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4,
-                     oracle_dense_eval_loop, oracle_repetition_video,
+                     oracle_dense_eval_loop, oracle_diversity_report, oracle_repetition_video,
                      oracle_self_bleu_video, oracle_tiou, oracle_union_self_bleu_video)
 
 
@@ -355,27 +355,81 @@ class TestRepetition:
                 metric(caps, n=n)
 
 
+def test_sentence_records_no_order_past_the_caption():
+    assert len(_sentence(list("abc"), 100000).grams) == MAX_N
+    assert len(_sentence(list("abcdefg"), 100000).grams) == 7
+    assert len(_sentence(list("abcdefg"), 5).grams) == 5
+    assert len(_sentence([], 6).grams) == MAX_N
+    report = diversity_report({"v": [["a b c", "a b c d e"]]}, n=6)
+    assert report.per_video["v"]["repetition"] == {"set0": None, "combined": None}
+
+
+def assert_report_close(got, want, tol=1e-9):
+    """Equal keys in equal order, with floats within `tol`."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_report_close(got[key], want[key], tol)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, abs=tol)
+    else:
+        assert got == want
+
+
+# multi-video inputs: uneven set counts, empty sets, single-caption sets and
+# captions of 0-7 tokens over a 3-token vocabulary
+CAPTION_SETS = st.dictionaries(
+    st.sampled_from(["v1", "v2", "v3", "v4"]),
+    st.lists(st.lists(st.lists(st.sampled_from("abc"), max_size=7), max_size=4),
+             max_size=3),
+    max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(CAPTION_SETS, st.integers(1, 6))
+@example({}, 4)
+@example({"v1": [], "v2": [[]], "v3": [[["a"]]]}, 1)
+@example({"v1": [[["a", "b"]], [["a", "b"], ["a", "b"]]], "v2": [[["c"] * 7] * 3]}, 6)
+def test_diversity_report_matches_two_pass_oracle(captions, n):
+    assert_report_close(diversity_report(captions, n).to_dict(),
+                        oracle_diversity_report(captions, n))
+
+
 def test_captions_by_set_keeps_file_order_and_skips_captionless():
     first = {"v1": [pred(0, 1, "a"), PredictionEntry(TimeInterval(1, 2))],
              "v2": [pred(0, 1, "b")]}
     second = {"v1": [pred(0, 1, "c")]}
-    assert captions_by_set([first, second]) == {"v1": [["a"], ["c"]], "v2": [["b"]]}
+    assert captions_by_set([first, second]) == {"v1": [["a"], ["c"]], "v2": [["b"], []]}
+
+
+def test_captions_by_set_aligns_a_video_missing_from_the_first_file():
+    first = {"v1": [pred(0, 1, "a b c d e"), pred(1, 2, "a b c d e")]}
+    second = {"v1": [pred(0, 1, "a b c d e"), pred(1, 2, "f g h i j")],
+              "v2": [pred(0, 1, "k l m n o"), pred(1, 2, "k l m n o")]}
+    sets = captions_by_set([first, second])
+    assert sets["v2"][0] == []
+    report = diversity_report(sets)
+    # set0 holds v1 alone (SelfB 100, RE 50); set1 averages v1 and v2
+    assert report.self_bleu == pytest.approx(75.0, abs=1e-6)
+    assert report.repetition == pytest.approx(37.5, abs=1e-9)
+    assert report.excluded_self_bleu_videos == 1
+    assert report.per_video["v2"]["self_bleu"]["set0"] is None
 
 
 class TestDiversityModes:
     def test_per_set_averages_sets(self):
         set1 = ["a b c d e", "a b c d e"]          # RE 50
         set2 = ["a b c d e", "f g h i j"]          # RE 0
-        caps = {"v1": [set1, set2]}
-        assert repetition(caps, mode="per_set") == pytest.approx(25.0, abs=1e-9)
+        report = diversity_report({"v1": [set1, set2]})
+        assert report.repetition == pytest.approx(25.0, abs=1e-9)
 
     def test_combined_pools_sets(self):
         set1 = ["a b c d e"]
         set2 = ["a b c d e"]
-        caps = {"v1": [set1, set2]}
+        report = diversity_report({"v1": [set1, set2]})
         # each set alone has no repetition; pooled they repeat fully
-        assert repetition(caps, mode="per_set") == 0.0
-        assert repetition(caps, mode="combined") == pytest.approx(50.0, abs=1e-9)
+        assert report.repetition == 0.0
+        assert report.repetition_combined == pytest.approx(50.0, abs=1e-9)
 
     def test_permutation_invariance_over_videos(self):
         caps = {"v1": [["a b c d e", "a b c d f"]],

@@ -193,6 +193,14 @@ class TestCorpusLoops:
         assert ranked == {"v1": proposal_rerank(preds["v1"], META, RerankWeights(top_n=1))[0]}
         assert missing == 1
 
+    def test_rerank_proposals_keeps_a_video_without_candidates(self):
+        preds = {"v0": [], "v1": [cand(0, 10, 0.2)]}
+        ranked, missing = rerank_proposals(preds, {"v0": META, "v1": META})
+        assert ranked == {"v0": [], "v1": proposal_rerank(preds["v1"], META)[0]}
+        assert missing == 1
+        with pytest.raises(ValueError, match="no candidates"):
+            proposal_rerank([], META)
+
     def test_augment_rows(self):
         corpus = make_corpus(v1=make_video("v1", 40, [([[0, 10], [20, 30]], ["a", "b"])]),
                              v2=make_video("v2", 40, [([[0, 10]], ["c"])]),
