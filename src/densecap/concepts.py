@@ -122,13 +122,10 @@ def select_even_segments(proposal: TimeInterval, meta: VideoMeta, k: int) -> Lis
     return [math.floor(q * step + i + 0.5) for q in range(k - 1)] + [j - 1]
 
 
-def _features(grid: SegmentGrid, dim: Optional[int] = None) -> np.ndarray:
-    """The grid's feature rows; a ValueError names the video if none or not `dim` wide."""
-    if grid.features is None:
-        raise ValueError(f"{grid.meta.video_id}: grid has no features")
-    if dim is not None and grid.features.shape[1] != dim:
-        raise ValueError(f"{grid.meta.video_id}: feature dim {grid.features.shape[1]}, "
-                         f"expected {dim}")
+def _features(grid: SegmentGrid, dim: int) -> np.ndarray:
+    """The grid's feature rows; a ValueError names the video if they are not `dim` wide."""
+    if grid.dim != dim:
+        raise ValueError(f"{grid.meta.video_id}: feature dim {grid.dim}, expected {dim}")
     return grid.features
 
 
@@ -234,7 +231,7 @@ def _feature_table(examples: Sequence[MimlExample], k: int):
     # number all grids' segments in one range and keep the picked numbers
     bases = np.cumsum([0] + [grid.meta.segment_count for grid in grids])
     used, rows = np.unique(np.add(picks, bases[owner, None]), return_inverse=True)
-    table = np.empty((len(used), _features(grids[0]).shape[1]))
+    table = np.empty((len(used), grids[0].dim))
     cuts = np.searchsorted(used, bases)
     for grid, base, lo, hi in zip(grids, bases, cuts, cuts[1:]):
         np.take(_features(grid, table.shape[1]), used[lo:hi] - base, axis=0, out=table[lo:hi])

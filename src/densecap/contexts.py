@@ -9,7 +9,7 @@ events, and sentence context is the captions generated so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,8 +122,6 @@ def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarra
     ValueError. Raises EmptyContext on an empty selection so the caller can
     substitute a zero vector of the right size.
     """
-    if grid.features is None:
-        raise ValueError(f"{grid.meta.video_id}: grid has no features")
     if isinstance(selection, tuple) and len(selection) == 2:
         start, end = selection
         if (isinstance(start, bool) or isinstance(end, bool)

@@ -77,26 +77,25 @@ class VideoMeta:
 
 @dataclass
 class SegmentGrid:
-    """Fixed segmentation of one video, optionally carrying feature rows."""
+    """Fixed segmentation of one video with one feature row per segment."""
 
     meta: VideoMeta
-    features: Optional[np.ndarray] = None  # (segment_count, D) float array
+    features: np.ndarray  # (segment_count, D) float array
     feature_tag: str = "basic"
 
     def __post_init__(self):
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.ndim != 2:
-                raise CorpusFormatError("features must be a 2-D array")
-            if self.features.shape[0] != self.meta.segment_count:
-                raise CorpusFormatError(
-                    f"{self.meta.video_id}: {self.features.shape[0]} feature rows "
-                    f"for {self.meta.segment_count} segments"
-                )
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2:
+            raise CorpusFormatError("features must be a 2-D array")
+        if self.features.shape[0] != self.meta.segment_count:
+            raise CorpusFormatError(
+                f"{self.meta.video_id}: {self.features.shape[0]} feature rows "
+                f"for {self.meta.segment_count} segments"
+            )
 
     @property
-    def dim(self) -> Optional[int]:
-        return None if self.features is None else self.features.shape[1]
+    def dim(self) -> int:
+        return self.features.shape[1]
 
 
 @dataclass
@@ -450,12 +449,10 @@ def segment_range(interval: TimeInterval, meta: VideoMeta):
 
 def save_features(grid: SegmentGrid, path, binary: bool = True) -> None:
     """Write a per-video feature file (binary float32 or JSON)."""
-    if grid.features is None:
-        raise CorpusFormatError(f"{grid.meta.video_id}: grid has no features")
     header = {
         "video_id": grid.meta.video_id,
         "segment_count": grid.meta.segment_count,
-        "dim": int(grid.features.shape[1]),
+        "dim": grid.dim,
         "feature_tag": grid.feature_tag,
         **_meta_fields(grid.meta),
     }

@@ -7,7 +7,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Corpus, TimeInterval
+from .core import Corpus, TimeInterval, VideoRecord
 
 
 @dataclass
@@ -73,36 +73,41 @@ def check_thresholds(thresholds: Sequence[float]) -> List[float]:
     return thresholds
 
 
+def video_matches(record: VideoRecord, levels) -> np.ndarray:
+    """(P, G, T) booleans: prediction p reaches tIoU `levels[t]` with event g.
+
+    The events are the record's annotation sets, concatenated in set order.
+    """
+    events = [iv for ann in record.annotation_sets for iv in ann.intervals]
+    tious = tiou_matrix(as_bounds([p.interval for p in record.predictions]), as_bounds(events))
+    return tious[:, :, None] >= np.asarray(levels, dtype=float)
+
+
 def precision_recall(corpus: Corpus, thresholds: Sequence[float]) -> PRTable:
     """Corpus-level PRTable: per-video precision/recall averaged over videos.
 
     The groundtruth for each video is the union (concatenation) of all its
-    annotation sets. Videos with zero predictions count as precision 0 and
-    are flagged in `zero_prediction_videos`.
+    annotation sets; a video without groundtruth is skipped. Videos with
+    zero predictions count as precision 0 and are flagged in
+    `zero_prediction_videos`.
     """
     thresholds = check_thresholds(thresholds)
-    levels = np.array(thresholds, dtype=float)
-    prec_sum = np.zeros(len(levels))
-    rec_sum = np.zeros(len(levels))
-    n_videos = 0
-    zero_pred = 0
-    total_props = 0
+    prec_sum, rec_sum = np.zeros((2, len(thresholds)))
+    n_videos = zero_pred = total_props = 0
     for video_id in corpus.video_ids():
-        record = corpus.videos[video_id]
-        gt_union = [iv for ann in record.annotation_sets for iv in ann.intervals]
-        if not gt_union:
+        hits = video_matches(corpus.videos[video_id], thresholds)
+        n_preds, n_events, _ = hits.shape
+        if not n_events:
             continue
-        preds = [p.interval for p in record.predictions]
         n_videos += 1
-        total_props += len(preds)
-        if not preds:
+        total_props += n_preds
+        if not n_preds:
             zero_pred += 1
             continue  # contributes 0 to both sums
         # each side matches independently against the other, as the
         # challenge evaluator does
-        m = tiou_matrix(as_bounds(preds), as_bounds(gt_union))
-        prec_sum += np.count_nonzero(m.max(axis=1)[:, None] >= levels, axis=0) / len(preds)
-        rec_sum += np.count_nonzero(m.max(axis=0)[:, None] >= levels, axis=0) / len(gt_union)
+        prec_sum += np.count_nonzero(hits.any(axis=1), axis=0) / n_preds
+        rec_sum += np.count_nonzero(hits.any(axis=0), axis=0) / n_events
     if n_videos == 0:
         raise ValueError("corpus has no videos with groundtruth")
     return PRTable(

@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Corpus
-from .intervals import as_bounds, check_thresholds, tiou_matrix
+from .intervals import check_thresholds, video_matches
 
 _STRIP = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
 
@@ -232,7 +232,7 @@ def dense_eval(corpus: Corpus,
     Per threshold: each prediction is scored against the groundtruth
     sentences (across all annotation sets) whose intervals reach the
     threshold; unmatched predictions score zero. Scores average over a
-    video's predictions, then over videos.
+    video's predictions, then over the videos that have groundtruth.
     """
     thresholds = check_thresholds(thresholds)
     # document frequencies over all groundtruth events, one doc per event
@@ -241,59 +241,50 @@ def dense_eval(corpus: Corpus,
                 for vid, record in sorted(corpus.videos.items())}
     idf = _Idf(*_document_frequency([[s] for sents in gt_sents.values() for s in sents]))
 
-    b_s, b_u, cid = ({t: [] for t in thresholds} for _ in range(3))
-    corpus_counts = {t: [] for t in thresholds}
-    matched = {t: 0 for t in thresholds}
-    unmatched = {t: 0 for t in thresholds}
-
+    per_video = []  # (3, T) means: smoothed, unsmoothed BLEU-4 and CIDEr-D
+    corpus_counts = [[] for _ in thresholds]  # BLEU counts of each prediction matched at t
+    n_preds = 0
     for vid, gt in gt_sents.items():
         record = corpus.videos[vid]
         preds = record.predictions
         if not preds:
             continue
-        for pred in preds:
-            if pred.sentence is None:
-                raise ValueError(f"{vid}: prediction without sentence")
+        if any(pred.sentence is None for pred in preds):
+            raise ValueError(f"{vid}: prediction without sentence")
+        if not gt:
+            continue
+        n_preds += len(preds)
+        hits = video_matches(record, thresholds)
+        # only matched predictions are scored; the idf comes from groundtruth alone
+        scores = np.zeros((3, len(thresholds), len(preds)))
         gt_vecs = [_cider_vector(s, idf) for s in gt]
-        cands = [_sentence(tokenize(pred.sentence)) for pred in preds]
-        cand_vecs = [_cider_vector(c, idf) for c in cands]
-        tious = tiou_matrix(
-            as_bounds([pred.interval for pred in preds]),
-            as_bounds([iv for ann in record.annotation_sets for iv in ann.intervals])
-        ).tolist()
-        scored = {}  # a prediction's reference sets repeat across thresholds
-        for t in thresholds:
-            rows = []
-            for p, tiou_row in enumerate(tious):
-                refs = tuple(j for j, v in enumerate(tiou_row) if v >= t)
+        for p in np.flatnonzero(hits.any(axis=(1, 2))).tolist():
+            cand = _sentence(tokenize(preds[p].sentence))
+            cand_vec = _cider_vector(cand, idf)
+            scored = {}  # a prediction's reference sets repeat across thresholds
+            for t, row in enumerate(hits[p].T.tolist()):
+                refs = tuple(j for j, hit in enumerate(row) if hit)
                 if not refs:
-                    unmatched[t] += 1
-                    rows.append((0.0, 0.0, 0.0))
                     continue
-                matched[t] += 1
-                if (p, refs) not in scored:
-                    counts = _bleu_counts(cands[p], [gt[j] for j in refs])
-                    scored[p, refs] = counts, (
-                        _bleu_from_counts(*counts, smoothing=True),
-                        _bleu_from_counts(*counts, smoothing=False),
-                        _cider(cand_vecs[p], [gt_vecs[j] for j in refs]))
-                counts, scores = scored[p, refs]
+                if refs not in scored:
+                    counts = _bleu_counts(cand, [gt[j] for j in refs])
+                    scored[refs] = counts, (_bleu_from_counts(*counts, smoothing=True),
+                                            _bleu_from_counts(*counts, smoothing=False),
+                                            _cider(cand_vec, [gt_vecs[j] for j in refs]))
+                counts, scores[:, t, p] = scored[refs]
                 corpus_counts[t].append(counts)
-                rows.append(scores)
-            for per_video, column in zip((b_s, b_u, cid), zip(*rows)):
-                per_video[t].append(float(np.mean(column)))
+        per_video.append(scores.mean(axis=2))
 
-    def avg(per_video):
-        return {t: (float(np.mean(v)) if v else 0.0) for t, v in per_video.items()}
-
+    means = (np.stack(per_video, axis=-1).mean(axis=-1) if per_video
+             else np.zeros((3, len(thresholds)))).tolist()
     return DenseEvalReport(
         thresholds=thresholds,
-        bleu4_smoothed=avg(b_s),
-        bleu4_unsmoothed=avg(b_u),
-        bleu4_corpus={t: _pooled_bleu(corpus_counts[t]) for t in thresholds},
-        cider=avg(cid),
-        matched=matched,
-        unmatched=unmatched,
+        bleu4_smoothed=dict(zip(thresholds, means[0])),
+        bleu4_unsmoothed=dict(zip(thresholds, means[1])),
+        bleu4_corpus={t: _pooled_bleu(counts) for t, counts in zip(thresholds, corpus_counts)},
+        cider=dict(zip(thresholds, means[2])),
+        matched={t: len(counts) for t, counts in zip(thresholds, corpus_counts)},
+        unmatched={t: n_preds - len(counts) for t, counts in zip(thresholds, corpus_counts)},
     )
 
 

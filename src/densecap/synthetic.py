@@ -9,7 +9,7 @@ Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -147,6 +147,21 @@ def top_level_imports(tree):
                        if isinstance(node, ast.ImportFrom) and node.level == 0}
 
 
+def test_every_top_level_import_is_used():
+    """Each name a library module imports at top level is read somewhere in
+    that module; `__init__.py` only re-exports, so it is left out."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} does not use {sorted(imported - used)}"
+
+
 def test_cli_imports_neither_json_nor_numpy():
     """File formats live in the library modules and arrays stay behind
     library calls, so the CLI needs neither."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from densecap import PredictionEntry, TimeInterval, precision_recall, tiou, tiou_matrix
-from densecap.intervals import as_bounds
+from densecap.intervals import as_bounds, video_matches
 from conftest import interval_lists, make_corpus, make_video
 from oracles import oracle_pr_counts, oracle_tiou
 
@@ -61,6 +61,24 @@ class TestTiouMatrix:
 
 def pred(a, b):
     return PredictionEntry(iv(a, b))
+
+
+class TestVideoMatches:
+    def test_events_in_set_order_and_levels_on_the_last_axis(self):
+        record = make_video("v1", 40, [([[0, 10]], ["a"]), ([[20, 30], [0, 5]], ["b", "c"])],
+                            predictions=[pred(0, 10), pred(20, 25)])
+        hits = video_matches(record, [0.5, 0.0, 0.6])
+        assert hits.shape == (2, 3, 3)
+        # tIoU rows: [1, 0, 0.5] and [0, 0.5, 0]
+        assert hits[:, :, 0].tolist() == [[True, False, True], [False, True, False]]
+        assert hits[:, :, 1].all()
+        assert hits[:, :, 2].tolist() == [[True, False, False], [False, False, False]]
+
+    def test_empty_sides(self):
+        no_preds = make_video("v1", 40, [([[0, 10]], ["a"])])
+        no_events = make_video("v2", 40, [], predictions=[pred(0, 10)])
+        assert video_matches(no_preds, [0.5, 0.9]).shape == (0, 1, 2)
+        assert video_matches(no_events, [0.5]).shape == (1, 0, 1)
 
 
 class TestPrecisionRecall:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
-                      diversity_report, repetition, self_bleu, tokenize)
+                      diversity_report, precision_recall, repetition, self_bleu, tokenize)
 from densecap.metrics import (MAX_N, _bleu_counts, _pooled_bleu, _sentence, _video_self_bleu,
                               build_document_frequency, captions_by_set, cider_d_pair)
 from densecap.synthetic import gen_synthetic, identity_predictions
@@ -155,6 +155,36 @@ def matched_and_decoy_corpus():
     return corpus
 
 
+def crowded_corpus():
+    """16 synthetic videos, every other one with 16-24 predictions and the rest
+    with 4-15: events of either set with jittered ends, carrying their own or
+    another event's sentence, and short decoys. Per-video means over this
+    many predictions tell numpy's pairwise sum from a running sum."""
+    corpus = gen_synthetic(16, seed=5)
+    rng = np.random.default_rng(5)
+    for i, record in enumerate(corpus.videos.values()):
+        duration = record.meta.duration_s
+        events = [(iv, sentence) for ann in record.annotation_sets
+                  for iv, sentence in zip(ann.intervals, ann.sentences)]
+        preds = []
+        for _ in range(int(rng.integers(16, 25) if i % 2 else rng.integers(4, 16))):
+            if rng.random() < 0.25:
+                start = rng.uniform(0.0, 0.99 * duration)
+                preds.append(PredictionEntry(
+                    TimeInterval(start, start + 0.01 * duration), "the crowd cheers"))
+                continue
+            iv = events[rng.integers(len(events))][0]
+            sentence = events[rng.integers(len(events))][1]
+            w = 0.4 * iv.length_s
+            start = max(0.0, iv.start_s + rng.uniform(-w, w))
+            end = min(duration, iv.end_s + rng.uniform(-w, w))
+            if end <= start:
+                start, end = iv.start_s, iv.end_s
+            preds.append(PredictionEntry(TimeInterval(start, end), sentence))
+        record.predictions = preds
+    return corpus
+
+
 class TestDenseEval:
     def test_identity_scores_one(self):
         corpus = identity_predictions(gen_synthetic(5, seed=3))
@@ -241,6 +271,25 @@ class TestDenseEval:
         corpus = matched_and_decoy_corpus()
         assert dense_eval(corpus, thresholds).to_dict() == oracle_dense_eval_loop(
             corpus, thresholds)
+
+    @pytest.mark.parametrize("thresholds", [[0.3, 0.5, 0.7, 0.9], [0.0, 0.5, 1.0]])
+    def test_equals_per_threshold_loop_on_many_predictions(self, thresholds):
+        corpus = crowded_corpus()
+        assert max(len(r.predictions) for r in corpus.videos.values()) >= 16
+        assert dense_eval(corpus, thresholds).to_dict() == oracle_dense_eval_loop(
+            corpus, thresholds)
+
+    def test_video_without_groundtruth_is_skipped_as_in_precision_recall(self):
+        corpus = identity_predictions(gen_synthetic(3, seed=3))
+        without = dense_eval(corpus, [0.5]).to_dict()
+        corpus.videos["nogt"] = make_video(
+            "nogt", 40, [], predictions=[pred(0, 10, "a man runs down the street")])
+        report = dense_eval(corpus, [0.5])
+        assert report.to_dict() == without
+        assert report.bleu4_smoothed[0.5] == pytest.approx(1.0, abs=1e-9)
+        assert report.unmatched[0.5] == 0
+        table = precision_recall(corpus, [0.5])
+        assert (table.precision[0.5], table.videos) == (1.0, 3)
 
     @pytest.mark.parametrize("thresholds", [[], [math.nan], [math.inf], [1.5], [-0.1],
                                             [0.5, 0.5], [0.3, 0.5, 0.3]])
