@@ -94,7 +94,7 @@ def _cmd_eval_proposals(args) -> int:
 
 def _cmd_eval_captions(args) -> int:
     corpus = _load_corpus(args.gt)
-    core.load_predictions(args.pred, corpus=corpus)
+    _, skipped = core.load_predictions(args.pred, corpus=corpus)
     report = metrics.dense_eval(corpus, args.tiou)
     print(f"{'tIoU':>6} {'BLEU4':>8} {'BLEU4raw':>9} {'CIDEr':>8} "
           f"{'matched':>8} {'unmatched':>10}")
@@ -104,6 +104,8 @@ def _cmd_eval_captions(args) -> int:
               f"{report.matched[t]:>8} {report.unmatched[t]:>10}")
     print(f"average BLEU4 (smoothed): {report.avg_bleu4_smoothed:.4f}")
     print(f"average CIDEr: {report.avg_cider:.4f}")
+    if skipped:
+        print(f"skipped predictions for {skipped} unknown videos")
     _write_json(report.to_dict(), args.out)
     return 0
 
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="densecap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-synthetic", parents=[], help="generate a synthetic corpus")
+    p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
     p.add_argument("--videos", type=_positive_int("videos"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events-min", type=_positive_int("events-min"), default=2)

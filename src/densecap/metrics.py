@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -31,34 +32,41 @@ MAX_N = 4
 
 
 def tokenize(sentence: str) -> List[str]:
-    """Lowercase, split on whitespace, strip non-alphanumeric edges."""
+    """Lowercase, split on whitespace, strip edges outside [a-z0-9]; a token
+    that is all ASCII letters and digits has no such edge."""
     tokens = []
     for raw in sentence.lower().split():
-        tok = _STRIP.sub("", raw)
+        tok = raw if raw.isascii() and raw.isalnum() else _STRIP.sub("", raw)
         if tok:
             tokens.append(tok)
     return tokens
 
 
 class _Sentence(NamedTuple):
-    """A tokenized sentence's length and its n-gram counts for n = 1, 2, ..."""
+    """A tokenized sentence's length and its n-gram counts for n = 1, 2, ...,
+    each a dict in first-occurrence order (CIDEr-D sums in that order)."""
 
     length: int
-    grams: Tuple[Counter, ...]
+    grams: Tuple[Dict[tuple, int], ...]
 
 
 def _sentence(tokens: Sequence[str], top_n: int = MAX_N) -> _Sentence:
     """The record of `tokens` with grams up to `top_n`, at least up to `MAX_N`;
     orders past the caption's length, which would be empty, are left out."""
     top_n = max(MAX_N, min(top_n, len(tokens)))
-    return _Sentence(len(tokens), tuple(Counter(zip(*(tokens[k:] for k in range(n))))
-                                        for n in range(1, top_n + 1)))
+    grams = []
+    for n in range(1, top_n + 1):
+        counts = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tuple(tokens[i:i + n])
+            counts[gram] = counts.get(gram, 0) + 1
+        grams.append(counts)
+    return _Sentence(len(tokens), tuple(grams))
 
 
-def _lengths(cand: _Sentence, ref_lengths):
-    """Per-n n-gram totals, length and closest reference length (ties: shorter)."""
-    return ([max(cand.length - n, 0) for n in range(MAX_N)], cand.length,
-            min(ref_lengths, key=lambda L: (abs(L - cand.length), L)))
+def _lengths(cand: _Sentence, r: int):
+    """Per-n n-gram totals, candidate length and reference length `r`."""
+    return [max(cand.length - n, 0) for n in range(MAX_N)], cand.length, r
 
 
 def _bleu_counts(cand: _Sentence, refs: Sequence[_Sentence]):
@@ -75,7 +83,8 @@ def _bleu_counts(cand: _Sentence, refs: Sequence[_Sentence]):
             best = ref_max.get(gram, 0)
             hits += count if count < best else best
         clipped.append(hits)
-    return (clipped, *_lengths(cand, [ref.length for ref in refs]))
+    c = cand.length  # closest reference length, ties toward the shorter
+    return (clipped, *_lengths(cand, min((abs(ref.length - c), ref.length) for ref in refs)[1]))
 
 
 def _bleu_from_counts(clipped, total, c: int, r: int, smoothing: bool) -> float:
@@ -160,7 +169,7 @@ def build_document_frequency(reference_docs: Sequence[Sequence[Sequence[str]]]):
 def _cider(cand_vec, ref_vecs) -> float:
     """CIDEr-D of one candidate vector against a non-empty list of reference vectors."""
     cand_vecs, cand_norms, cand_len = cand_vec
-    scores = np.zeros(MAX_N)
+    scores = [0.0] * MAX_N
     for ref_vecs_n, ref_norms, ref_len in ref_vecs:
         penalty = math.exp(-((cand_len - ref_len) ** 2) / (2.0 * CIDER_SIGMA ** 2))
         for n in range(MAX_N):
@@ -171,8 +180,7 @@ def _cider(cand_vec, ref_vecs) -> float:
             if cand_norms[n] > 0 and ref_norms[n] > 0:
                 num /= cand_norms[n] * ref_norms[n]
             scores[n] += num * penalty
-    scores /= len(ref_vecs)
-    return float(10.0 * scores.mean())
+    return 10.0 * _mean([score / len(ref_vecs) for score in scores])
 
 
 def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -200,15 +208,15 @@ class DenseEvalReport:
 
     @property
     def avg_bleu4_smoothed(self) -> float:
-        return float(np.mean([self.bleu4_smoothed[t] for t in self.thresholds]))
+        return _mean([self.bleu4_smoothed[t] for t in self.thresholds])
 
     @property
     def avg_bleu4_unsmoothed(self) -> float:
-        return float(np.mean([self.bleu4_unsmoothed[t] for t in self.thresholds]))
+        return _mean([self.bleu4_unsmoothed[t] for t in self.thresholds])
 
     @property
     def avg_cider(self) -> float:
-        return float(np.mean([self.cider[t] for t in self.thresholds]))
+        return _mean([self.cider[t] for t in self.thresholds])
 
     def to_dict(self) -> dict:
         return {
@@ -257,7 +265,7 @@ def dense_eval(corpus: Corpus,
         hits = video_matches(record, thresholds)
         # only matched predictions are scored; the idf comes from groundtruth alone
         scores = np.zeros((3, len(thresholds), len(preds)))
-        gt_vecs = [_cider_vector(s, idf) for s in gt]
+        gt_vecs = [None] * len(gt)  # built when a matched prediction first refers to one
         for p in np.flatnonzero(hits.any(axis=(1, 2))).tolist():
             cand = _sentence(tokenize(preds[p].sentence))
             cand_vec = _cider_vector(cand, idf)
@@ -267,6 +275,9 @@ def dense_eval(corpus: Corpus,
                 if not refs:
                     continue
                 if refs not in scored:
+                    for j in refs:
+                        if gt_vecs[j] is None:
+                            gt_vecs[j] = _cider_vector(gt[j], idf)
                     counts = _bleu_counts(cand, [gt[j] for j in refs])
                     scored[refs] = counts, (_bleu_from_counts(*counts, smoothing=True),
                                             _bleu_from_counts(*counts, smoothing=False),
@@ -338,11 +349,17 @@ def _video_self_bleu(sents: Sequence[_Sentence]) -> Optional[float]:
                 best = second if owner == i else top
                 hits += count if count < best else best
             clipped[i].append(hits)
-    lengths = [sent.length for sent in sents]
-    scores = [_bleu_from_counts(clipped[i], *_lengths(sent, lengths[:i] + lengths[i + 1:]),
-                                smoothing=True)
-              for i, sent in enumerate(sents)]
-    return 100.0 * float(np.mean(scores))
+    order = sorted(sent.length for sent in sents)
+    scores = []
+    for i, sent in enumerate(sents):
+        # closest other length, ties toward the shorter: a neighbour of this
+        # caption's slot in `order` (a repeated length is its own neighbour)
+        c, k = sent.length, bisect_left(order, sent.length)
+        below = order[k - 1] if k else None
+        above = order[k + 1] if k + 1 < len(order) else None
+        r = above if below is None or (above is not None and above - c < c - below) else below
+        scores.append(_bleu_from_counts(clipped[i], *_lengths(sent, r), smoothing=True))
+    return 100.0 * _mean(scores)
 
 
 def _video_repetition(sents: Sequence[_Sentence], n: int) -> Optional[float]:
@@ -359,7 +376,8 @@ def _video_repetition(sents: Sequence[_Sentence], n: int) -> Optional[float]:
 
 
 def _mean(values) -> float:
-    return float(np.mean(values)) if values else 0.0
+    """`float(np.mean(values))` without its wrapper: the same pairwise sum and division."""
+    return float(np.add.reduce(np.asarray(values, dtype=float)) / len(values)) if values else 0.0
 
 
 def _corpus_values(rows):

@@ -8,6 +8,7 @@ results compare with ==.
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -348,6 +349,26 @@ def oracle_diversity_report(captions_by_set_by_video, n=4):
         report[key + "2"] = sum(pooled) / len(pooled) if pooled else 0.0
     return {**{key: report[key] for key in ("SelfB", "RE", "SelfB2", "RE2")},
             "excluded_self_bleu_videos": excluded, "per_video": per_video}
+
+
+# ---------------------------------------------------------------------------
+# exactness references for the per-caption kernels: the regex on every token,
+# `Counter` records and `np.mean`
+
+def oracle_tokenize(sentence):
+    """Lowercase, split on whitespace, strip edges outside [a-z0-9] with a regex."""
+    tokens = [re.sub(r"^[^a-z0-9]+|[^a-z0-9]+$", "", raw) for raw in sentence.lower().split()]
+    return [tok for tok in tokens if tok]
+
+
+def oracle_counter_grams(tokens, top_n=4):
+    """`_sentence(tokens, top_n).grams` as one `Counter(zip(...))` per order."""
+    top_n = max(4, min(top_n, len(tokens)))
+    return tuple(Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, top_n + 1))
+
+
+def oracle_mean(values):
+    return float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,18 @@ def test_bad_tiou_exits_1_before_any_table(synthetic_dir, tmp_path, capsys, comm
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval-proposals", "eval-captions"])
+def test_skipped_unknown_video_is_reported(synthetic_dir, tmp_path, capsys, command):
+    pred = identity_pred_file(synthetic_dir, tmp_path)
+    preds = json.loads(pred.read_text())
+    preds["results"]["ghost"] = [{"timestamp": [0, 1], "sentence": "a man runs"}]
+    pred.write_text(json.dumps(preds))
+    code = dispatch([command, "--pred", str(pred), "--gt", str(synthetic_dir / "gt_set1.json"),
+                     "--tiou", "0.5", "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert "skipped predictions for 1 unknown videos" in capsys.readouterr().out.splitlines()
+
+
 class TestEvalCaptions:
     def test_identity(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)

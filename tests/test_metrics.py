@@ -1,5 +1,6 @@
 import itertools
 import math
+import string
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
                       diversity_report, precision_recall, repetition, self_bleu, tokenize)
-from densecap.metrics import (MAX_N, _bleu_counts, _pooled_bleu, _sentence, _video_self_bleu,
-                              build_document_frequency, captions_by_set, cider_d_pair)
+from densecap.metrics import (MAX_N, _bleu_counts, _mean, _pooled_bleu, _sentence,
+                              _video_self_bleu, build_document_frequency, captions_by_set,
+                              cider_d_pair)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
-from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4,
-                     oracle_dense_eval_loop, oracle_diversity_report, oracle_repetition_video,
-                     oracle_self_bleu_video, oracle_tiou, oracle_union_self_bleu_video)
+from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4, oracle_counter_grams,
+                     oracle_dense_eval_loop, oracle_diversity_report, oracle_mean,
+                     oracle_repetition_video, oracle_self_bleu_video, oracle_tiou,
+                     oracle_tokenize, oracle_union_self_bleu_video)
 
 
 class TestTokenize:
@@ -28,6 +31,36 @@ class TestTokenize:
 
     def test_inner_punctuation_kept(self):
         assert tokenize("it's o-k") == ["it's", "o-k"]
+
+    # ASCII letters, digits and punctuation; non-ASCII letters, the Kelvin sign
+    # (it lowers to ASCII "k"), an Arabic-Indic digit (alphanumeric, not ASCII)
+    # and mixed whitespace
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(st.text(st.sampled_from(string.ascii_letters + string.digits + string.punctuation
+                                   + "\u00c9\u00df\u0130\u212a\u0661" + " \t\n\u00a0\u3000"),
+                   max_size=40))
+    @example("Kelvin \u212a \u212aB \u0130stanbul STRASSE stra\u00dfe \u00c9t\u00c9 \u0661a a\u0661")
+    def test_equals_regex_on_every_token(self, sentence):
+        assert tokenize(sentence) == oracle_tokenize(sentence)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from("abc"), max_size=9), st.integers(1, 10))
+@example(["a", "b", "a", "b", "a"], 4)
+def test_sentence_records_equal_counter_records_in_order(tokens, top_n):
+    sent = _sentence(tokens, top_n)
+    want = oracle_counter_grams(tokens, top_n)
+    assert sent.length == len(tokens)
+    assert [list(d.items()) for d in sent.grams] == [list(d.items()) for d in want]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.integers(-2 ** 60, 2 ** 60),
+                          st.sampled_from([0, 0.0, -0.0])), min_size=1, max_size=40))
+@example([0.1] * 40)
+@example([1, 2, 4])
+def test_mean_is_np_mean_bit_for_bit(values):
+    assert _mean(values).hex() == oracle_mean(values).hex()
 
 
 class TestBleu4:
@@ -279,6 +312,24 @@ class TestDenseEval:
         assert dense_eval(corpus, thresholds).to_dict() == oracle_dense_eval_loop(
             corpus, thresholds)
 
+    def test_event_no_prediction_matches_equals_per_threshold_loop(self):
+        # v1's third event and v2's only event are never matched, yet their
+        # sentences still count in the document frequencies; v1's first
+        # prediction matches one event of each set
+        corpus = make_corpus(
+            v1=make_video("v1", 60, [([[0, 10], [20, 30], [40, 50]],
+                                      ["a man runs down the street", "a dog barks at the mailman",
+                                       "children play in the park"]),
+                                     ([[0, 10.5]], ["a man jogs along the street"])],
+                          predictions=[pred(0, 10, "a man runs down a street"),
+                                       pred(21, 30, "the dog barks at a man")]),
+            v2=make_video("v2", 60, [([[0, 10]], ["the crowd cheers in the park"])],
+                          predictions=[pred(50, 60, "a crowd cheers")]))
+        thresholds = [0.3, 0.5, 0.7, 0.9]
+        report = dense_eval(corpus, thresholds)
+        assert report.unmatched[0.3] == 1 and report.cider[0.3] > 0.0
+        assert report.to_dict() == oracle_dense_eval_loop(corpus, thresholds)
+
     def test_video_without_groundtruth_is_skipped_as_in_precision_recall(self):
         corpus = identity_predictions(gen_synthetic(3, seed=3))
         without = dense_eval(corpus, [0.5]).to_dict()
@@ -353,6 +404,12 @@ class TestSelfBleu:
     @example([[], []])
     @example([["a", "b"], ["a", "b"], [], ["a", "b", "a", "b"]])
     @example([["a", "a", "a"], ["a", "a"], ["a", "a", "a"], ["a"]])
+    # closest other length: a tie between 3 and 5 for the caption of 4, a
+    # repeated length, two captions, an empty caption
+    @example([list("abcd"), list("abc"), list("abcde")])
+    @example([list("abcd"), list("bcda"), list("abcdef")])
+    @example([list("abcde"), list("abc")])
+    @example([[], list("ab"), list("abc")])
     def test_tables_equal_union_oracle(self, caps):
         assert (_video_self_bleu([_sentence(c) for c in caps])
                 == oracle_union_self_bleu_video(caps))
