@@ -104,6 +104,9 @@ def _cmd_eval_captions(args) -> int:
               f"{report.matched[t]:>8} {report.unmatched[t]:>10}")
     print(f"average BLEU4 (smoothed): {report.avg_bleu4_smoothed:.4f}")
     print(f"average CIDEr: {report.avg_cider:.4f}")
+    if report.zero_prediction_videos:
+        print(f"videos without predictions (left out of the averages): "
+              f"{report.zero_prediction_videos}")
     if skipped:
         print(f"skipped predictions for {skipped} unknown videos")
     _write_json(report.to_dict(), args.out)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (CorpusFormatError, PredictionEntry, TimeInterval, VideoMeta,
                    read_field, read_intervals, read_items, read_json, read_object)
-from .intervals import as_bounds, tiou_matrix
+from .intervals import IntervalArray, as_bounds, tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEDUP_TOL_S = 1e-6
@@ -50,12 +50,12 @@ class SequentialScorer(Protocol):
 class CandidatePool:
     """Deduplicated candidate intervals with their pointwise scores."""
 
-    candidates: List[TimeInterval]
+    candidates: IntervalArray  # a list of TimeIntervals is converted
     scores: Optional[np.ndarray] = None  # f_s per candidate, aligned with `candidates`
-    bounds: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):  # bounds: the (n, 2) [start, end] rows of `candidates`
-        self.bounds = as_bounds(self.candidates) if self.bounds is None else self.bounds
+    def __post_init__(self):
+        if not isinstance(self.candidates, IntervalArray):
+            self.candidates = IntervalArray(as_bounds(self.candidates), checked=True)
 
     def __len__(self):
         return len(self.candidates)
@@ -68,8 +68,7 @@ class CandidatePool:
         kept = np.flatnonzero(_dedup(bounds))
         scores = np.asarray(scorer.scores(bounds[kept]), dtype=float)
         keep = np.sort(np.argsort(-scores, kind="stable")[:cap])  # enumeration order
-        rows = kept[keep]
-        return cls([windows[i] for i in rows.tolist()], scores[keep], bounds[rows])
+        return cls(IntervalArray(bounds[kept[keep]], checked=True), scores[keep])
 
 
 @dataclass
@@ -121,7 +120,7 @@ def _dedup(bounds: np.ndarray) -> np.ndarray:
 
 def enumerate_sliding_windows(meta: VideoMeta,
                               scales: Sequence[float] = DEFAULT_SCALES,
-                              stride_ratio: float = 0.5) -> List[TimeInterval]:
+                              stride_ratio: float = 0.5) -> IntervalArray:
     """Multi-scale sliding windows over [0, duration], sorted by (start, length).
 
     For each scale, windows of length scale * duration start at multiples of
@@ -149,7 +148,7 @@ def enumerate_sliding_windows(meta: VideoMeta,
     bounds = np.array([starts, ends], dtype=float).T
     bounds = bounds[_dedup(bounds)]
     order = np.lexsort((bounds[:, 1] - bounds[:, 0], bounds[:, 0]))  # (start, length), stable
-    return [TimeInterval(s, e) for s, e in bounds[order].tolist()]
+    return IntervalArray(bounds[order])
 
 
 def _checked_distribution(f_e: SequentialScorer, prefix, pool, remaining):
@@ -182,7 +181,7 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
         raise ValueError("candidate pool is empty")
     cfg = cfg if cfg is not None else FusionConfig()
     f_s_vals = np.asarray(pool.scores if pool.scores is not None
-                          else f_s.scores(pool.bounds), dtype=float)
+                          else f_s.scores(pool.candidates.bounds), dtype=float)
     if f_s_vals.shape != (len(pool),) or not np.isfinite(f_s_vals).all():
         raise FusionError("pointwise scores must be one finite value per candidate")
 
@@ -219,10 +218,13 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
 class HeuristicPointwiseScorer:
     """f_s(c) = max tIoU of c against any attractor, floored at SCORE_FLOOR."""
 
-    attractors: List[TimeInterval]
+    attractors: IntervalArray  # a list of TimeIntervals is converted
+
+    def __post_init__(self):
+        self.attractors = IntervalArray(as_bounds(self.attractors), checked=True)
 
     def scores(self, bounds: np.ndarray) -> np.ndarray:
-        return tiou_matrix(bounds, as_bounds(self.attractors)).max(axis=1, initial=SCORE_FLOOR)
+        return tiou_matrix(bounds, self.attractors.bounds).max(axis=1, initial=SCORE_FLOOR)
 
 
 @dataclass
@@ -234,12 +236,15 @@ class HeuristicSequentialScorer:
     EOS_WEIGHT_OPEN, and the whole thing is normalized to a distribution.
     """
 
-    attractors: List[TimeInterval]
+    attractors: IntervalArray  # a list of TimeIntervals is converted
     _tious: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.attractors = IntervalArray(as_bounds(self.attractors), checked=True)
 
     def distribution(self, prefix, pool: CandidatePool):
         if self._tious[0] is not pool:  # selection asks about one pool at every step
-            self._tious = (pool, tiou_matrix(pool.bounds, as_bounds(self.attractors)))
+            self._tious = (pool, tiou_matrix(pool.candidates.bounds, self.attractors.bounds))
         tious = self._tious[1]  # pool x attractors
         remaining = np.ones(len(tious), dtype=bool)
         remaining[prefix] = False

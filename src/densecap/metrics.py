@@ -205,6 +205,7 @@ class DenseEvalReport:
     cider: Dict[float, float]
     matched: Dict[float, int]
     unmatched: Dict[float, int]
+    zero_prediction_videos: int = 0  # with groundtruth but no predictions; left out
 
     @property
     def avg_bleu4_smoothed(self) -> float:
@@ -230,6 +231,7 @@ class DenseEvalReport:
             "avg_bleu4_smoothed": self.avg_bleu4_smoothed,
             "avg_bleu4_unsmoothed": self.avg_bleu4_unsmoothed,
             "avg_cider": self.avg_cider,
+            "zero_prediction_videos": self.zero_prediction_videos,
         }
 
 
@@ -239,9 +241,9 @@ def dense_eval(corpus: Corpus,
 
     Per threshold: each prediction is scored against the groundtruth
     sentences (across all annotation sets) whose intervals reach the
-    threshold; unmatched predictions score zero. Scores average over a
-    video's predictions, then over the videos that have groundtruth.
-    """
+    threshold; unmatched predictions score zero. Scores average over a video's
+    predictions, then over the videos with both (`zero_prediction_videos`
+    counts those with groundtruth alone)."""
     thresholds = check_thresholds(thresholds)
     # document frequencies over all groundtruth events, one doc per event
     gt_sents = {vid: [_sentence(tokenize(sent)) for ann in record.annotation_sets
@@ -251,11 +253,12 @@ def dense_eval(corpus: Corpus,
 
     per_video = []  # (3, T) means: smoothed, unsmoothed BLEU-4 and CIDEr-D
     corpus_counts = [[] for _ in thresholds]  # BLEU counts of each prediction matched at t
-    n_preds = 0
+    n_preds = zero_pred = 0
     for vid, gt in gt_sents.items():
         record = corpus.videos[vid]
         preds = record.predictions
         if not preds:
+            zero_pred += bool(gt)
             continue
         if any(pred.sentence is None for pred in preds):
             raise ValueError(f"{vid}: prediction without sentence")
@@ -296,6 +299,7 @@ def dense_eval(corpus: Corpus,
         cider=dict(zip(thresholds, means[2])),
         matched={t: len(counts) for t, counts in zip(thresholds, corpus_counts)},
         unmatched={t: n_preds - len(counts) for t, counts in zip(thresholds, corpus_counts)},
+        zero_prediction_videos=zero_pred,
     )
 
 

@@ -424,9 +424,11 @@ def oracle_dense_eval_loop(corpus, thresholds):
     per_video = {key: {t: [] for t in thresholds} for key in ("bs", "bu", "cid")}
     counts_at = {t: [] for t in thresholds}
     matched = {t: 0 for t in thresholds}
+    zero_prediction_videos = 0
     for vid, events in gt.items():
         preds = corpus.videos[vid].predictions
         if not preds:
+            zero_prediction_videos += len(events) > 0
             continue
         for t in thresholds:
             rows = []
@@ -455,7 +457,8 @@ def oracle_dense_eval_loop(corpus, thresholds):
     return DenseEvalReport(
         thresholds=list(thresholds), bleu4_smoothed=avg("bs"), bleu4_unsmoothed=avg("bu"),
         bleu4_corpus={t: _pooled_bleu(counts_at[t]) for t in thresholds}, cider=avg("cid"),
-        matched=matched, unmatched={t: n_preds - matched[t] for t in thresholds}).to_dict()
+        matched=matched, unmatched={t: n_preds - matched[t] for t in thresholds},
+        zero_prediction_videos=zero_prediction_videos).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_precision_recall_brute_force_equivalence():
 
 class _TableF:
     def __init__(self, pool, values):
-        self._values = {tuple(b): v for b, v in zip(pool.bounds.tolist(), values)}
+        self._values = {tuple(b): v for b, v in zip(pool.candidates.bounds.tolist(), values)}
 
     def scores(self, bounds):
         return np.array([self._values[tuple(b)] for b in bounds.tolist()])

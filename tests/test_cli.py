@@ -243,6 +243,22 @@ def test_skipped_unknown_video_is_reported(synthetic_dir, tmp_path, capsys, comm
     assert "skipped predictions for 1 unknown videos" in capsys.readouterr().out.splitlines()
 
 
+def test_eval_captions_reports_videos_without_predictions(synthetic_dir, tmp_path, capsys):
+    pred = identity_pred_file(synthetic_dir, tmp_path)
+    preds = json.loads(pred.read_text())
+    preds["results"][min(preds["results"])] = []
+    pred.write_text(json.dumps(preds))
+    out = tmp_path / "cap.json"
+    code = dispatch(["eval-captions", "--pred", str(pred), "--gt",
+                     str(synthetic_dir / "gt_set1.json"), "--tiou", "0.5", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "videos without predictions (left out of the averages): 1" in lines
+    report = json.loads(out.read_text())
+    assert report["zero_prediction_videos"] == 1
+    assert report["bleu4_smoothed"]["0.5"] == pytest.approx(1.0)  # averages unchanged
+
+
 class TestEvalCaptions:
     def test_identity(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)

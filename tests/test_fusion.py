@@ -1,19 +1,20 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import interval_lists
 from densecap import (CandidatePool, CorpusFormatError, FusionConfig,
                       HeuristicPointwiseScorer, HeuristicSequentialScorer, TimeInterval,
                       VideoMeta, enumerate_sliding_windows, fuse_select, tiou)
 from densecap import fusion
-from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, EOS_WEIGHT_OPEN, SCORE_FLOOR,
-                             FusionError, TableSequentialScorer, _dedup, load_scores,
-                             select_proposals)
-from densecap.intervals import as_bounds
+from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, DEFAULT_SCALES, EOS_WEIGHT_OPEN,
+                             SCORE_FLOOR, FusionError, TableSequentialScorer, _dedup,
+                             load_scores, select_proposals)
+from densecap.intervals import IntervalArray, as_bounds
 from densecap.synthetic import gen_synthetic
 from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
                      resimulate_selection)
@@ -64,7 +65,7 @@ class TestSlidingWindows:
 def table_scorer_pair(pool, f_s_vals, steps):
     class _FS:
         def scores(self, bounds):
-            rows = pool.bounds.tolist()
+            rows = pool.candidates.bounds.tolist()
             return np.array([f_s_vals[rows.index(b)] for b in bounds.tolist()])
     return _FS(), TableSequentialScorer(steps)
 
@@ -444,11 +445,136 @@ def test_window_bounds_built_once(monkeypatch):
         monkeypatch.setattr(fusion, name, counted(name))
     pool = CandidatePool.from_windows(windows, f_s, cap=40)
     assert fuse_select(pool, f_s, f_e)
-    # the windows once; the rest are the scorers' attractors, never the pool
-    assert [args[0] is windows for args in calls["as_bounds"]].count(True) == 1
-    assert all(args[0] is windows or args[0] is attractors for args in calls["as_bounds"])
+    # the windows once; the scorers converted their attractors when they were built
+    assert [args[0] is windows for args in calls["as_bounds"]] == [True]
     assert [args[0].shape for args in calls["tiou_matrix"]] == [(len(windows), 2),
                                                                 (len(pool), 2)]
+
+
+def _list_path_windows(meta, scales=DEFAULT_SCALES, stride_ratio=0.5):
+    """Sliding windows as a list of checked TimeIntervals, one per row, as
+    `enumerate_sliding_windows` built them before it returned an IntervalArray."""
+    starts, ends = [], []
+    for scale in scales:
+        length = scale * meta.duration_s
+        stride = stride_ratio * length
+        k, last_end = 0, 0.0
+        while (start := k * stride) + length <= meta.duration_s + DEDUP_TOL_S:
+            last_end = min(start + length, meta.duration_s)
+            starts.append(start)
+            ends.append(last_end)
+            k += 1
+        if last_end < meta.duration_s - DEDUP_TOL_S:
+            starts.append(meta.duration_s - length)
+            ends.append(meta.duration_s)
+    rows = np.array([starts, ends], dtype=float).T
+    rows = rows[_dedup(rows)]
+    rows = rows[np.lexsort((rows[:, 1] - rows[:, 0], rows[:, 0]))]
+    return [TimeInterval(s, e) for s, e in rows.tolist()]
+
+
+# from 1e-4 s up the windows keep clear of DEDUP_TOL_S; below it they crowd
+# within it, so dedup grows quadratic and those durations are fixed examples
+durations = st.floats(1e-4, 1e6)
+attractor_fractions = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                               min_size=1, max_size=4)
+
+
+class TestIntervalArrayEquivalence:
+    """Windows and pools held as one bounds array give what the old
+    per-interval lists gave."""
+
+    @staticmethod
+    def check_windows(meta, **kwargs):
+        try:
+            want = _list_path_windows(meta, **kwargs)
+        except CorpusFormatError as exc:  # windows that start past the end of a tiny video
+            with pytest.raises(CorpusFormatError) as got:
+                enumerate_sliding_windows(meta, **kwargs)
+            assert str(got.value) == str(exc)
+            return None
+        windows = enumerate_sliding_windows(meta, **kwargs)
+        assert isinstance(windows, IntervalArray) and len(windows) == len(want)
+        assert list(windows) == want and all(type(w) is TimeInterval for w in windows)
+        assert windows.bounds.tolist() == [[w.start_s, w.end_s] for w in want]
+        return windows, want
+
+    @pytest.mark.parametrize("duration", [1e-7, 1e-6, 2.5e-6, 1e-5, 1e-3, 0.1, 1.0, 7.3,
+                                          123.4, 3600.0, 1e6])
+    def test_default_scales_at_each_magnitude(self, duration):
+        self.check_windows(VideoMeta("v", duration))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(durations)
+    def test_default_scales(self, duration):
+        self.check_windows(VideoMeta("v", duration))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(durations, st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+           st.floats(0.1, 1.0))
+    @example(10.0, [0.4], 0.5)  # a clamped tail window
+    @example(10.0, [0.5, 1.0, 0.5], 0.5)  # repeated scales, deduplicated
+    @example(1e-7, [0.5, 1.0], 1.0)  # windows past the end: an inverted interval
+    @example(2.5e-6, [0.5, 1.0], 1.0)
+    def test_custom_scales_and_strides(self, duration, scales, stride_ratio):
+        self.check_windows(VideoMeta("v", duration), scales=scales, stride_ratio=stride_ratio)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(durations, attractor_fractions, st.integers(1, 100))
+    def test_pool_and_selection(self, duration, fractions, cap):
+        meta = VideoMeta("v", duration)
+        spans = sorted((a * duration, b * duration) for a, b in map(sorted, fractions))
+        attractors = [iv(a, b) for a, b in spans if a < b] or [iv(0, duration)]
+        windows, listed = self.check_windows(meta)
+        f_s, f_e = HeuristicPointwiseScorer(attractors), HeuristicSequentialScorer(attractors)
+        pool = CandidatePool.from_windows(windows, f_s, cap=cap)
+        old = CandidatePool.from_windows(listed, HeuristicPointwiseScorer(attractors), cap=cap)
+        assert pool.candidates == old.candidates
+        assert pool.scores.tolist() == old.scores.tolist()
+        members = set(pool.candidates)
+        assert list(pool.candidates) == [w for w in listed if w in members]  # window order
+        for k in (1, 3):
+            cfg = FusionConfig(k=k)
+            want = fuse_select(CandidatePool(list(old.candidates), old.scores), None,
+                               HeuristicSequentialScorer(attractors), cfg)
+            assert fuse_select(pool, f_s, f_e, cfg) == want
+
+    @pytest.mark.parametrize("bad", [(5.0, 2.0), (-1.0, 2.0), (1.0, math.inf),
+                                     (1.0, math.nan), (math.nan, 1.0), (2.0, 2.0)])
+    def test_bad_row_raises_as_time_interval(self, bad):
+        with pytest.raises(CorpusFormatError) as want:
+            TimeInterval(*bad)
+        with pytest.raises(CorpusFormatError) as got:
+            IntervalArray([(0.0, 1.0), bad, (-3.0, -4.0)])  # the first bad row is reported
+        assert str(got.value) == str(want.value)
+
+    def test_bounds_are_shared_and_read_only(self):
+        windows = enumerate_sliding_windows(VideoMeta("v", 10.0))
+        assert as_bounds(windows) is windows.bounds
+        with pytest.raises(ValueError, match="read-only"):
+            windows.bounds[0, 0] = 5.0
+        assert windows[0] == TimeInterval(0.0, 0.5) and windows[-1] == TimeInterval(9.5, 10.0)
+        assert windows[1:3] == IntervalArray(windows.bounds[1:3]) and len(windows[1:3]) == 2
+        assert windows.index(TimeInterval(0.0, 10.0)) == list(windows).index(TimeInterval(0, 10))
+        with pytest.raises(TypeError):
+            windows[np.array([0, 1])]  # two rows would unpack into one broken interval
+
+
+def test_windows_and_pool_allocate_no_per_interval_objects():
+    """Windows and the pool of one video stay a few arrays: the gen-0 count of
+    objects the collector tracks grows by far less than one per window."""
+    record = next(iter(gen_synthetic(5, seed=7).videos.values()))
+    f_s = HeuristicPointwiseScorer(record.annotation_sets[0].intervals)
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        windows = enumerate_sliding_windows(record.meta)
+        pool = CandidatePool.from_windows(windows, f_s)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(windows) > 30 and len(pool) > 30
+    assert grown < 30
 
 
 def write_scores(tmp_path, payload):

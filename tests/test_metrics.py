@@ -342,6 +342,16 @@ class TestDenseEval:
         table = precision_recall(corpus, [0.5])
         assert (table.precision[0.5], table.videos) == (1.0, 3)
 
+    def test_video_without_predictions_is_counted_not_averaged(self):
+        corpus = identity_predictions(gen_synthetic(3, seed=3))
+        corpus.videos[min(corpus.videos)].predictions = []
+        corpus.videos["nogt"] = make_video("nogt", 40, [])  # neither side: not counted
+        report = dense_eval(corpus, [0.5])
+        assert report.zero_prediction_videos == 1
+        assert report.bleu4_smoothed[0.5] == pytest.approx(1.0, abs=1e-9)
+        assert report.to_dict() == oracle_dense_eval_loop(corpus, [0.5])
+        assert precision_recall(corpus, [0.5]).zero_prediction_videos == 1
+
     @pytest.mark.parametrize("thresholds", [[], [math.nan], [math.inf], [1.5], [-0.1],
                                             [0.5, 0.5], [0.3, 0.5, 0.3]])
     def test_bad_thresholds_rejected(self, thresholds):
