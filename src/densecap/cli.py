@@ -58,6 +58,15 @@ def _write_json(payload, path):
         core.write_json(payload, path)
 
 
+def _finish_eval(result, left_out, skipped, out) -> int:
+    if result.zero_prediction_videos:
+        print(f"videos without predictions ({left_out}): {result.zero_prediction_videos}")
+    if skipped:
+        print(f"skipped predictions for {skipped} unknown videos")
+    _write_json(result.to_dict(), out)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -83,13 +92,7 @@ def _cmd_eval_proposals(args) -> int:
     for t, p, r in table.rows():
         print(f"{t:>6.2f} {p:>10.4f} {r:>10.4f}")
     print(f"avg proposals/video: {table.avg_proposals_per_video:.2f}")
-    if table.zero_prediction_videos:
-        print(f"videos without predictions (precision counted as 0): "
-              f"{table.zero_prediction_videos}")
-    if skipped:
-        print(f"skipped predictions for {skipped} unknown videos")
-    _write_json(table.to_dict(), args.out)
-    return 0
+    return _finish_eval(table, "precision counted as 0", skipped, args.out)
 
 
 def _cmd_eval_captions(args) -> int:
@@ -104,13 +107,7 @@ def _cmd_eval_captions(args) -> int:
               f"{report.matched[t]:>8} {report.unmatched[t]:>10}")
     print(f"average BLEU4 (smoothed): {report.avg_bleu4_smoothed:.4f}")
     print(f"average CIDEr: {report.avg_cider:.4f}")
-    if report.zero_prediction_videos:
-        print(f"videos without predictions (left out of the averages): "
-              f"{report.zero_prediction_videos}")
-    if skipped:
-        print(f"skipped predictions for {skipped} unknown videos")
-    _write_json(report.to_dict(), args.out)
-    return 0
+    return _finish_eval(report, "left out of the averages", skipped, args.out)
 
 
 def _cmd_eval_diversity(args) -> int:

@@ -55,7 +55,7 @@ class CandidatePool:
 
     def __post_init__(self):
         if not isinstance(self.candidates, IntervalArray):
-            self.candidates = IntervalArray(as_bounds(self.candidates), checked=True)
+            self.candidates = IntervalArray(as_bounds(self.candidates))
 
     def __len__(self):
         return len(self.candidates)
@@ -68,7 +68,7 @@ class CandidatePool:
         kept = np.flatnonzero(_dedup(bounds))
         scores = np.asarray(scorer.scores(bounds[kept]), dtype=float)
         keep = np.sort(np.argsort(-scores, kind="stable")[:cap])  # enumeration order
-        return cls(IntervalArray(bounds[kept[keep]], checked=True), scores[keep])
+        return cls(IntervalArray(bounds[kept[keep]]), scores[keep])
 
 
 @dataclass
@@ -125,7 +125,8 @@ def enumerate_sliding_windows(meta: VideoMeta,
 
     For each scale, windows of length scale * duration start at multiples of
     stride_ratio * length; a final window is clamped to end at the duration
-    when the regular stride would overshoot. Duplicates are removed.
+    when the regular stride would overshoot. Duplicates are removed. Ends may
+    miss the duration by DEDUP_TOL_S, or half a stride when that is less.
     """
     if not all(0 < s <= 1 for s in scales):
         raise ValueError("scales must lie in (0, 1]")
@@ -136,13 +137,13 @@ def enumerate_sliding_windows(meta: VideoMeta,
     for scale in scales:
         length = scale * duration
         stride = stride_ratio * length
-        k, last_end = 0, 0.0
-        while (start := k * stride) + length <= duration + DEDUP_TOL_S:
+        k, last_end, tol = 0, 0.0, min(DEDUP_TOL_S, stride / 2)  # no window past the end
+        while (start := k * stride) + length <= duration + tol:
             last_end = min(start + length, duration)
             starts.append(start)
             ends.append(last_end)
             k += 1
-        if last_end < duration - DEDUP_TOL_S:
+        if last_end < duration - tol:
             starts.append(duration - length)
             ends.append(duration)
     bounds = np.array([starts, ends], dtype=float).T
@@ -218,13 +219,10 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
 class HeuristicPointwiseScorer:
     """f_s(c) = max tIoU of c against any attractor, floored at SCORE_FLOOR."""
 
-    attractors: IntervalArray  # a list of TimeIntervals is converted
-
-    def __post_init__(self):
-        self.attractors = IntervalArray(as_bounds(self.attractors), checked=True)
+    attractors: List[TimeInterval]
 
     def scores(self, bounds: np.ndarray) -> np.ndarray:
-        return tiou_matrix(bounds, self.attractors.bounds).max(axis=1, initial=SCORE_FLOOR)
+        return tiou_matrix(bounds, as_bounds(self.attractors)).max(axis=1, initial=SCORE_FLOOR)
 
 
 @dataclass
@@ -236,15 +234,12 @@ class HeuristicSequentialScorer:
     EOS_WEIGHT_OPEN, and the whole thing is normalized to a distribution.
     """
 
-    attractors: IntervalArray  # a list of TimeIntervals is converted
+    attractors: List[TimeInterval]
     _tious: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.attractors = IntervalArray(as_bounds(self.attractors), checked=True)
 
     def distribution(self, prefix, pool: CandidatePool):
         if self._tious[0] is not pool:  # selection asks about one pool at every step
-            self._tious = (pool, tiou_matrix(pool.candidates.bounds, self.attractors.bounds))
+            self._tious = (pool, tiou_matrix(pool.candidates.bounds, as_bounds(self.attractors)))
         tious = self._tious[1]  # pool x attractors
         remaining = np.ones(len(tious), dtype=bool)
         remaining[prefix] = False

@@ -37,44 +37,30 @@ class PRTable:
 
 
 class IntervalArray(Sequence[TimeInterval]):
-    """Read-only TimeIntervals held as one (n, 2) float `bounds` array. Rows are
-    checked once, here, unless `checked` says they come from TimeIntervals, and
-    the first bad one raises TimeInterval's error; items skip a second check."""
+    """Read-only TimeIntervals held as one (n, 2) float `bounds` array. Every row
+    is checked here, and the first bad one raises TimeInterval's error."""
 
     __slots__ = ("bounds",)
 
-    def __init__(self, bounds, checked: bool = False):
+    def __init__(self, bounds):
         self.bounds = np.array(bounds, dtype=float).reshape(len(bounds), 2)
         self.bounds.setflags(write=False)
-        if not checked:
-            start, end = self.bounds.T
-            ok = (0 <= start) & (start < end) & (end < np.inf)  # NaN fails every comparison
-            if not ok.all():
-                TimeInterval(*self.bounds[np.argmin(ok)].tolist())  # raises for that row
+        start, end = self.bounds.T
+        ok = (0 <= start) & (start < end) & (end < np.inf)  # NaN fails every comparison
+        if not ok.all():
+            TimeInterval(*self.bounds[np.argmin(ok)].tolist())  # raises for that row
 
     def __len__(self) -> int:
         return len(self.bounds)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return IntervalArray(self.bounds[i], checked=True)
-        return _item(*self.bounds[operator.index(i)].tolist())  # one row, not an index array
+    def __getitem__(self, i) -> TimeInterval:
+        return TimeInterval(*self.bounds[operator.index(i)].tolist())  # one row, not a slice
 
     def __iter__(self):
-        return map(_item, *self.bounds.T.tolist())
+        return map(TimeInterval, *self.bounds.T.tolist())
 
     def __eq__(self, other):
         return isinstance(other, IntervalArray) and np.array_equal(self.bounds, other.bounds)
-
-
-_SET_START, _SET_END = TimeInterval.start_s.__set__, TimeInterval.end_s.__set__
-
-
-def _item(start_s: float, end_s: float) -> TimeInterval:
-    iv = object.__new__(TimeInterval)  # set through the slots: the row was checked
-    _SET_START(iv, start_s)
-    _SET_END(iv, end_s)
-    return iv
 
 
 def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
