@@ -176,7 +176,7 @@ def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],
     for vid in corpus.video_ids():
         record = corpus.videos[vid]
         ann = record.annotation_sets[0]
-        order = sorted(range(len(ann.intervals)), key=lambda i: ann.intervals[i].start_s)
+        order = np.argsort(ann.intervals.bounds[:, 0], kind="stable").tolist()
         events = [ann.intervals[i] for i in order]
         captions = [ann.sentences[i] for i in order]
         grid = grids.get(vid)

@@ -2,17 +2,20 @@
 
 Everything here is deliberately dumb data: intervals in seconds, a fixed
 segment grid per video, groundtruth annotation sets and prediction entries.
-All types are immutable after load and safe to share across workers.
+A set of intervals is one read-only `IntervalArray` of (n, 2) bounds, and a
+single interval a `TimeInterval`; both check the same contract. `TimeInterval`
+and `VideoMeta` are frozen; the other records are plain mutable dataclasses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +48,41 @@ class TimeInterval:
     @property
     def length_s(self) -> float:
         return self.end_s - self.start_s
+
+
+class IntervalArray(Sequence[TimeInterval]):
+    """Read-only TimeIntervals held as one (n, 2) float `bounds` array. Every row
+    is checked here, and the first bad one raises TimeInterval's error."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, bounds):
+        self.bounds = np.array(bounds, dtype=float).reshape(len(bounds), 2)
+        self.bounds.setflags(write=False)
+        start, end = self.bounds.T
+        ok = (0 <= start) & (start < end) & (end < np.inf)  # NaN fails every comparison
+        if not ok.all():
+            TimeInterval(*self.bounds[np.argmin(ok)].tolist())  # raises for that row
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __getitem__(self, i) -> TimeInterval:
+        return TimeInterval(*self.bounds[operator.index(i)].tolist())  # one row, not a slice
+
+    def __iter__(self):
+        return map(TimeInterval, *self.bounds.T.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, IntervalArray) and np.array_equal(self.bounds, other.bounds)
+
+
+def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
+    """(n, 2) float array of [start_s, end_s] rows; an IntervalArray's own."""
+    if isinstance(intervals, IntervalArray):
+        return intervals.bounds
+    return np.array([[iv.start_s for iv in intervals], [iv.end_s for iv in intervals]],
+                    dtype=float).T  # two float lists convert faster than n pairs
 
 
 @dataclass(frozen=True)
@@ -102,10 +140,12 @@ class SegmentGrid:
 class AnnotationSet:
     """One groundtruth segmentation: parallel intervals and sentences."""
 
-    intervals: List[TimeInterval]
+    intervals: IntervalArray  # a list of TimeIntervals is converted
     sentences: List[str]
 
     def __post_init__(self):
+        if not isinstance(self.intervals, IntervalArray):
+            self.intervals = IntervalArray(as_bounds(self.intervals))
         if len(self.intervals) != len(self.sentences):
             raise CorpusFormatError(
                 f"{len(self.intervals)} intervals vs {len(self.sentences)} sentences"
@@ -168,11 +208,12 @@ def read_interval(pair, duration_s, where):
         raise CorpusFormatError(f"{exc} at {where}") from None
 
 
-def read_intervals(record: dict, key: str, duration_s, where) -> List[TimeInterval]:
+def read_intervals(record: dict, key: str, duration_s, where) -> IntervalArray:
     """The required list `record[key]` of [start, end] pairs, each read by
-    `read_interval`."""
-    return [read_interval(pair, duration_s, f"{where}[{i}]")
-            for i, pair in enumerate(read_field(record, key, list, where))]
+    `read_interval`, as one IntervalArray."""
+    intervals = [read_interval(pair, duration_s, f"{where}[{i}]")
+                 for i, pair in enumerate(read_field(record, key, list, where))]
+    return IntervalArray(as_bounds(intervals))
 
 
 _REQUIRED = object()
@@ -362,7 +403,7 @@ def save_ground_truth(corpus: Corpus, path, set_index: int = 0) -> None:
         ann = record.annotation_sets[set_index]
         out[video_id] = {
             "duration": record.meta.duration_s,
-            "timestamps": [[iv.start_s, iv.end_s] for iv in ann.intervals],
+            "timestamps": ann.intervals.bounds.tolist(),
             "sentences": list(ann.sentences),
         }
     write_json(out, path)

@@ -15,9 +15,9 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CorpusFormatError, PredictionEntry, TimeInterval, VideoMeta,
-                   read_field, read_intervals, read_items, read_json, read_object)
-from .intervals import IntervalArray, as_bounds, tiou_matrix
+from .core import (CorpusFormatError, IntervalArray, PredictionEntry, TimeInterval, VideoMeta,
+                   as_bounds, read_field, read_intervals, read_items, read_json, read_object)
+from .intervals import tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEDUP_TOL_S = 1e-6

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Corpus, TimeInterval, VideoRecord
+from .core import Corpus, TimeInterval, VideoRecord, as_bounds
 
 
 @dataclass
@@ -34,41 +33,6 @@ class PRTable:
             "videos": self.videos,
             "zero_prediction_videos": self.zero_prediction_videos,
         }
-
-
-class IntervalArray(Sequence[TimeInterval]):
-    """Read-only TimeIntervals held as one (n, 2) float `bounds` array. Every row
-    is checked here, and the first bad one raises TimeInterval's error."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, bounds):
-        self.bounds = np.array(bounds, dtype=float).reshape(len(bounds), 2)
-        self.bounds.setflags(write=False)
-        start, end = self.bounds.T
-        ok = (0 <= start) & (start < end) & (end < np.inf)  # NaN fails every comparison
-        if not ok.all():
-            TimeInterval(*self.bounds[np.argmin(ok)].tolist())  # raises for that row
-
-    def __len__(self) -> int:
-        return len(self.bounds)
-
-    def __getitem__(self, i) -> TimeInterval:
-        return TimeInterval(*self.bounds[operator.index(i)].tolist())  # one row, not a slice
-
-    def __iter__(self):
-        return map(TimeInterval, *self.bounds.T.tolist())
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalArray) and np.array_equal(self.bounds, other.bounds)
-
-
-def as_bounds(intervals: Sequence[TimeInterval]) -> np.ndarray:
-    """(n, 2) float array of [start_s, end_s] rows; an IntervalArray's own."""
-    if isinstance(intervals, IntervalArray):
-        return intervals.bounds
-    return np.array([[iv.start_s for iv in intervals], [iv.end_s for iv in intervals]],
-                    dtype=float).T  # two float lists convert faster than n pairs
 
 
 def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,8 +72,9 @@ def video_matches(record: VideoRecord, levels) -> np.ndarray:
 
     The events are the record's annotation sets, concatenated in set order.
     """
-    events = [iv for ann in record.annotation_sets for iv in ann.intervals]
-    tious = tiou_matrix(as_bounds([p.interval for p in record.predictions]), as_bounds(events))
+    events = np.concatenate([np.zeros((0, 2)),  # a record may have no annotation set
+                             *(ann.intervals.bounds for ann in record.annotation_sets)])
+    tious = tiou_matrix(as_bounds([p.interval for p in record.predictions]), events)
     return tious[:, :, None] >= np.asarray(levels, dtype=float)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .concepts import ConceptVocabulary, LinearConceptModel, predict_proposal, top_concepts
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
-                   TimeInterval, VideoMeta)
-from .intervals import as_bounds, tiou_matrix
+                   TimeInterval, VideoMeta, as_bounds)
+from .intervals import tiou_matrix
 from .metrics import tokenize
 
 AUGMENT_TIOU = 0.3
@@ -170,7 +170,7 @@ def augment(predictions: Sequence[TimeInterval],
     a tie) and kept only when tIoU is strictly greater than AUGMENT_TIOU; its
     caption is the matched groundtruth sentence.
     """
-    m = tiou_matrix(as_bounds(predictions), as_bounds(annotation_set.intervals))
+    m = tiou_matrix(as_bounds(predictions), annotation_set.intervals.bounds)
     return [AugmentedPair(predictions[p], g, v, annotation_set.sentences[g])
             for p, (g, v) in enumerate(zip(m.argmax(axis=1).tolist(), m.max(axis=1).tolist()))
             if v > AUGMENT_TIOU]

@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .concepts import MimlExample
-from .core import (AnnotationSet, Corpus, PredictionEntry, SegmentGrid,
+from .core import (AnnotationSet, Corpus, IntervalArray, PredictionEntry, SegmentGrid,
                    TimeInterval, VideoMeta, VideoRecord)
 
 SUBJECTS = ["man", "woman", "dog", "girl", "boy", "chef"]
@@ -46,30 +46,23 @@ def _paraphrase(sentence: str) -> str:
     return " ".join(SYNONYMS.get(tok, tok) for tok in sentence.split())
 
 
-def _plant_events(duration: float, n_events: int,
-                  rng: np.random.Generator) -> List[TimeInterval]:
-    """Non-overlapping events with lengths in EVENT_LEN_FRAC of the duration."""
+def _plant_events(duration: float, n_events: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, 2) bounds of non-overlapping events, in order, with lengths in
+    EVENT_LEN_FRAC of the duration."""
     lengths = rng.uniform(*EVENT_LEN_FRAC, size=n_events) * duration
     slack = duration - lengths.sum()
     cuts = np.sort(rng.uniform(0, slack, size=n_events))
     gaps = np.diff(np.concatenate([[0.0], cuts]))
-    events = []
-    cursor = 0.0
-    for gap, length in zip(gaps, lengths):
-        start = cursor + gap
-        events.append(TimeInterval(start, start + length))
-        cursor = start + length
-    return events
+    # each start is the previous end plus a gap, each end the start plus a length
+    return np.cumsum(np.column_stack([gaps, lengths])).reshape(n_events, 2)
 
 
-def _jitter(interval: TimeInterval, duration: float,
-            rng: np.random.Generator) -> TimeInterval:
-    w = JITTER_FRAC * interval.length_s
-    start = float(np.clip(interval.start_s + rng.uniform(-w, w), 0.0, duration))
-    end = float(np.clip(interval.end_s + rng.uniform(-w, w), 0.0, duration))
-    if end <= start:
-        return interval
-    return TimeInterval(start, end)
+def _jitter(bounds: np.ndarray, duration: float, rng: np.random.Generator) -> np.ndarray:
+    """Each row's ends moved by up to JITTER_FRAC of its length and clipped to
+    the video; a row whose moved ends would not form an interval stays put."""
+    w = JITTER_FRAC * (bounds[:, 1:] - bounds[:, :1])
+    moved = np.clip(bounds + rng.uniform(-w, w, size=bounds.shape), 0.0, duration)
+    return np.where(moved[:, 1:] > moved[:, :1], moved, bounds)
 
 
 def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
@@ -92,13 +85,11 @@ def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
         duration = float(rng.uniform(MIN_DURATION_S, MAX_DURATION_S))
         n_events = int(rng.integers(lo, hi + 1))
         events = _plant_events(duration, n_events, rng)
-        sentences = [_template_sentence(rng) for _ in events]
-        sets = [AnnotationSet(events, sentences)]
+        sentences = [_template_sentence(rng) for _ in range(n_events)]
+        sets = [AnnotationSet(IntervalArray(events), sentences)]
         if two_sets:
-            sets.append(AnnotationSet(
-                [_jitter(iv, duration, rng) for iv in events],
-                [_paraphrase(s) for s in sentences],
-            ))
+            sets.append(AnnotationSet(IntervalArray(_jitter(events, duration, rng)),
+                                      [_paraphrase(s) for s in sentences]))
         meta = VideoMeta(video_id, duration)
         corpus.videos[video_id] = VideoRecord(meta, sets)
     return corpus

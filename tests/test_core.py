@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import (Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
+from densecap import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
                       TimeInterval, VideoMeta, load_features, load_ground_truth,
                       load_meta, load_predictions, save_features, save_ground_truth,
                       save_meta, save_predictions, segment_range)
-from densecap.core import read_interval, write_json
+from densecap.core import IntervalArray, read_interval, read_intervals, write_json
 from densecap.synthetic import gen_synthetic
 
 
@@ -106,6 +106,60 @@ class TestReadInterval:
         with pytest.raises(CorpusFormatError) as err:
             read_interval(pair, duration, "v1[3]")
         assert str(err.value) == message
+
+
+class TestReadIntervals:
+    def test_returns_one_interval_array(self):
+        got = read_intervals({"ts": [[0, 10], [12, 30.0000004], [1.5, 2]]}, "ts", 30.0, "v1")
+        assert isinstance(got, IntervalArray)
+        assert got.bounds.tolist() == [[0.0, 10.0], [12.0, 30.0], [1.5, 2.0]]
+        assert read_intervals({"ts": []}, "ts", 30.0, "v1").bounds.shape == (0, 2)
+
+    @pytest.mark.parametrize("pair", [
+        [40.0, 40.0000005], [5, 2], [-1, 2], [0, 41], [0, math.nan], [0], "0,1",
+        [True, 2], [0, "2"], [0, 1e400],
+    ])
+    def test_each_error_names_the_pair_index(self, pair):
+        """Every message is the one `read_interval` gives, at the pair's index."""
+        with pytest.raises(CorpusFormatError) as want:
+            read_interval(pair, 40.0, "v1[1]")
+        with pytest.raises(CorpusFormatError) as got:
+            read_intervals({"ts": [[0, 1], pair, [3, 2]]}, "ts", 40.0, "v1")
+        assert str(got.value) == str(want.value)
+
+    def test_first_bad_pair_in_file_order_is_reported(self):
+        """With several bad pairs, the first in the file is reported, whatever its error."""
+        with pytest.raises(CorpusFormatError,
+                           match=r"^inverted interval \[5.0, 2.0\] at v1\[0\]$"):
+            read_intervals({"ts": [[5, 2], [0, "x"]]}, "ts", 40.0, "v1")
+        with pytest.raises(CorpusFormatError, match=r"^v1\[0\]: bad end 'x'$"):
+            read_intervals({"ts": [[0, "x"], [5, 2]]}, "ts", 40.0, "v1")
+
+
+class TestAnnotationSet:
+    def test_list_is_converted_to_the_same_array(self):
+        events = [TimeInterval(0.0, 10.0), TimeInterval(5.5, 7.25)]
+        from_list = AnnotationSet(events, ["a", "b"])
+        assert isinstance(from_list.intervals, IntervalArray)
+        assert from_list == AnnotationSet(IntervalArray([[0.0, 10.0], [5.5, 7.25]]), ["a", "b"])
+        assert list(from_list.intervals) == events
+
+    def test_bounds_are_read_only(self):
+        ann = AnnotationSet([TimeInterval(0.0, 10.0)], ["a"])
+        with pytest.raises(ValueError, match="read-only"):
+            ann.intervals.bounds[0, 1] = 20.0
+
+    def test_bad_row_raises_as_time_interval(self):
+        with pytest.raises(CorpusFormatError, match=r"^inverted interval \[5.0, 2.0\]$"):
+            AnnotationSet(IntervalArray([[0, 1], [5, 2]]), ["a", "b"])
+
+    @pytest.mark.parametrize("intervals, sentences, message", [
+        ([], [], "annotation set must contain at least one event"),
+        (IntervalArray([[0, 1]]), ["a", "b"], "1 intervals vs 2 sentences"),
+    ])
+    def test_size_errors(self, intervals, sentences, message):
+        with pytest.raises(CorpusFormatError, match=message):
+            AnnotationSet(intervals, sentences)
 
 
 class TestTimeInterval:

@@ -14,7 +14,7 @@ from densecap import fusion
 from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, DEFAULT_SCALES, EOS_WEIGHT_OPEN,
                              SCORE_FLOOR, FusionError, TableSequentialScorer, _dedup,
                              load_scores, select_proposals)
-from densecap.intervals import IntervalArray, as_bounds
+from densecap.core import IntervalArray, as_bounds
 from densecap.synthetic import gen_synthetic
 from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
                      resimulate_selection)

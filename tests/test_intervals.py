@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import PredictionEntry, TimeInterval, precision_recall, tiou, tiou_matrix
-from densecap.intervals import as_bounds, video_matches
+from densecap import (PredictionEntry, TimeInterval, dense_eval, gen_synthetic,
+                      identity_predictions, precision_recall, tiou, tiou_matrix)
+from densecap.core import as_bounds
+from densecap.intervals import video_matches
 from conftest import interval_lists, make_corpus, make_video
 from oracles import oracle_pr_counts, oracle_tiou
 
@@ -79,6 +81,19 @@ class TestVideoMatches:
         no_events = make_video("v2", 40, [], predictions=[pred(0, 10)])
         assert video_matches(no_preds, [0.5, 0.9]).shape == (0, 1, 2)
         assert video_matches(no_events, [0.5]).shape == (1, 0, 1)
+
+
+def test_evaluators_build_no_time_interval(monkeypatch):
+    """Both evaluators read every event and prediction as bounds rows: none
+    goes through a TimeInterval on the way."""
+    corpus = identity_predictions(gen_synthetic(20, seed=7))
+    built = []
+    monkeypatch.setattr(TimeInterval, "__post_init__", lambda self: built.append(self))
+    assert precision_recall(corpus, [0.5, 0.9]).precision[0.9] == 1.0
+    assert dense_eval(corpus, [0.5, 0.9]).unmatched == {0.5: 0, 0.9: 0}
+    assert built == []
+    TimeInterval(0.0, 1.0)  # and the counter does count
+    assert len(built) == 1
 
 
 class TestPrecisionRecall:

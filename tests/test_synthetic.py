@@ -1,7 +1,34 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from densecap import gen_synthetic, tiou
-from densecap.synthetic import make_separable_miml
+from densecap import TimeInterval, gen_synthetic, tiou
+from densecap.synthetic import (EVENT_LEN_FRAC, JITTER_FRAC, _jitter, _plant_events,
+                                make_separable_miml)
+
+
+def loop_plant_events(duration, n_events, rng):
+    """Events one TimeInterval at a time, as `_plant_events` built them before
+    it returned one bounds array."""
+    lengths = rng.uniform(*EVENT_LEN_FRAC, size=n_events) * duration
+    slack = duration - lengths.sum()
+    cuts = np.sort(rng.uniform(0, slack, size=n_events))
+    gaps = np.diff(np.concatenate([[0.0], cuts]))
+    events, cursor = [], 0.0
+    for gap, length in zip(gaps, lengths):
+        start = cursor + gap
+        events.append(TimeInterval(start, start + length))
+        cursor = start + length
+    return events
+
+
+def loop_jitter(interval, duration, rng):
+    """One interval's jitter, as `_jitter` did it per interval."""
+    w = JITTER_FRAC * interval.length_s
+    start = float(np.clip(interval.start_s + rng.uniform(-w, w), 0.0, duration))
+    end = float(np.clip(interval.end_s + rng.uniform(-w, w), 0.0, duration))
+    if end <= start:
+        return interval
+    return TimeInterval(start, end)
 
 
 class TestGenSynthetic:
@@ -25,10 +52,9 @@ class TestGenSynthetic:
     def test_events_non_overlapping_and_in_bounds(self):
         corpus = gen_synthetic(20, seed=1)
         for record in corpus.videos.values():
-            events = record.annotation_sets[0].intervals
-            for a, b in zip(events, events[1:]):
-                assert a.end_s <= b.start_s + 1e-9
-            assert events[-1].end_s <= record.meta.duration_s + 1e-9
+            bounds = record.annotation_sets[0].intervals.bounds
+            assert (bounds[:-1, 1] <= bounds[1:, 0] + 1e-9).all()
+            assert bounds[-1, 1] <= record.meta.duration_s + 1e-9
 
     def test_mean_events_per_video(self):
         corpus = gen_synthetic(500, seed=3)
@@ -49,6 +75,24 @@ class TestGenSynthetic:
             for ann in record.annotation_sets:
                 for sent in ann.sentences:
                     assert len(sent.split()) >= 5
+
+
+class TestWholeArrayGeneration:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.floats(1e-3, 1e5), st.floats(0.5, 2.0))
+    def test_matches_the_per_event_loops(self, seed, n_events, duration, clip_frac):
+        """Same bounds as the loops, bit for bit, and the generator left at the
+        same place; `clip_frac` < 1 clips jittered ends to a shorter video,
+        so some rows cross and keep their place."""
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = loop_plant_events(duration, n_events, old)
+        events = _plant_events(duration, n_events, new)
+        assert events.tolist() == [[iv.start_s, iv.end_s] for iv in want]
+        clip_to = duration * clip_frac
+        want = [loop_jitter(iv, clip_to, old) for iv in want]
+        assert _jitter(events, clip_to, new).tolist() == [[iv.start_s, iv.end_s] for iv in want]
+        assert new.random() == old.random()
 
 
 class TestSeparableMiml:
