@@ -24,8 +24,9 @@ def main():
     print(f"proposal-level accuracy: {proposal_accuracy(model, examples):.3f}")
 
     ex = examples[0]
-    probs = predict_proposal(model, ex.grid, ex.proposal, k=20)
-    print("\nfirst proposal:")
+    probs = predict_proposal(model, ex.grid, ex.proposal)
+    print(f"\nfirst proposal, pooled over the K = {model.k_segments} segments "
+          "the model was trained with:")
     print(f"  true labels:    {ex.labels.astype(int)}")
     print(f"  pooled probs:   {np.round(probs, 3)}")
 

@@ -192,7 +192,7 @@ def _cmd_concepts_predict(args) -> int:
     model = concepts_mod.load_model(args.model)
     grid = core.load_features(args.features)
     rows = concepts_mod.predict_report(
-        model, grid, [TimeInterval(s, e) for s, e in args.timestamps], args.k, args.top)
+        model, grid, [TimeInterval(s, e) for s, e in args.timestamps], args.top)
     for row in rows:
         head = ", ".join(f"{r['concept']}:{r['probability']:.3f}"
                          for r in row["top_concepts"][:5])
@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--lr", type=float, default=0.05)
     pt.add_argument("--epochs", type=_positive_int("epochs"), default=100)
     pt.add_argument("--batch", type=_positive_int("batch"), default=32)
-    pt.add_argument("--k", type=_positive_int("k"), default=20)
+    pt.add_argument("--k", type=_positive_int("k"), default=20,
+                    help="segments pooled per proposal; the model keeps it for prediction")
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=_cmd_concepts_train)
@@ -305,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--features", required=True)
     pp.add_argument("--timestamps", required=True, type=_spans,
                     help='semicolon-separated "start,end" spans')
-    pp.add_argument("--k", type=_positive_int("k"), default=20)
     pp.add_argument("--top", type=_positive_int("top"), default=10)
     pp.add_argument("--out")
     pp.set_defaults(func=_cmd_concepts_predict)

@@ -53,6 +53,7 @@ class LinearConceptModel:
     W: np.ndarray  # (C, D)
     b: np.ndarray  # (C,)
     vocabulary: ConceptVocabulary
+    k_segments: int  # K, the segments a proposal is pooled over; set by training
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -63,6 +64,8 @@ class LinearConceptModel:
             raise ValueError("weight rows must match vocabulary size")
         if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
             raise ValueError("model parameters must be finite")
+        if not self.k_segments >= 1:
+            raise ValueError("k_segments must be >= 1")
 
     @property
     def n_concepts(self) -> int:
@@ -130,9 +133,10 @@ def _features(grid: SegmentGrid, dim: int) -> np.ndarray:
 
 
 def predict_proposal(model: LinearConceptModel, grid: SegmentGrid,
-                     proposal: TimeInterval, k: int = 20) -> np.ndarray:
-    """Max-pooled per-concept probabilities over K selected segments."""
-    feats = _features(grid, model.dim)[select_even_segments(proposal, grid.meta, k)]
+                     proposal: TimeInterval) -> np.ndarray:
+    """Max-pooled per-concept probabilities over the model's K selected segments."""
+    picks = select_even_segments(proposal, grid.meta, model.k_segments)
+    feats = _features(grid, model.dim)[picks]
     logits = feats @ model.W.T + model.b  # (k, C)
     return _sigmoid(logits).max(axis=0)
 
@@ -285,7 +289,7 @@ def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
         trace.append(loss)
-    return LinearConceptModel(W, b, vocabulary), trace
+    return LinearConceptModel(W, b, vocabulary, cfg.k_segments), trace
 
 
 def top_concepts(probs: np.ndarray, vocabulary: ConceptVocabulary,
@@ -297,23 +301,21 @@ def top_concepts(probs: np.ndarray, vocabulary: ConceptVocabulary,
 
 
 def predict_report(model: LinearConceptModel, grid: SegmentGrid,
-                   proposals: Sequence[TimeInterval], k: int = 20,
-                   top: int = 10) -> List[dict]:
+                   proposals: Sequence[TimeInterval], top: int = 10) -> List[dict]:
     """Per proposal, its `top` concepts by `predict_proposal`, as JSON-ready rows."""
     return [{"timestamp": [p.start_s, p.end_s],
              "top_concepts": [{"concept": c, "probability": v} for c, v in
-                              top_concepts(predict_proposal(model, grid, p, k),
+                              top_concepts(predict_proposal(model, grid, p),
                                            model.vocabulary, top)]}
             for p in proposals]
 
 
-def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample],
-                      k: int = 20) -> float:
+def proposal_accuracy(model: LinearConceptModel, examples: Sequence[MimlExample]) -> float:
     """Fraction of (proposal, concept) pairs predicted correctly at POSITIVE_AT."""
     if not examples:
         raise ValueError("no examples")
     _check_labels(examples, model.n_concepts)
-    hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal, k) >= POSITIVE_AT)
+    hits = np.concatenate([(predict_proposal(model, ex.grid, ex.proposal) >= POSITIVE_AT)
                            == (ex.labels >= POSITIVE_AT) for ex in examples])
     return float(hits.mean())
 
@@ -326,7 +328,8 @@ def load_labels(path, grids: Dict[str, SegmentGrid]):
     """Read a labels file into (vocabulary, training examples).
 
     Examples of videos without a grid in `grids` are skipped, as are
-    concepts outside the vocabulary.
+    concepts outside the vocabulary. Timestamps are read against the grid's
+    duration, as groundtruth timestamps are.
     """
     doc = read_json(path)
     words = read_items(doc, "vocabulary", str, path)
@@ -343,8 +346,9 @@ def load_labels(path, grids: Dict[str, SegmentGrid]):
             for word in read_items(read_object(row, where), "concepts", str, where):
                 if word in vocab.lookup:
                     labels[vocab.lookup[word]] = 1.0
-            examples.append(MimlExample(read_interval(row.get("timestamp"), math.inf, where),
-                                        grids[vid], labels))
+            examples.append(MimlExample(
+                read_interval(row.get("timestamp"), grids[vid].meta.duration_s, where),
+                grids[vid], labels))
     return vocab, examples
 
 
@@ -355,6 +359,7 @@ def save_model(model: LinearConceptModel, path, binary: bool = True) -> None:
     header = {
         "n_concepts": model.n_concepts,
         "dim": model.dim,
+        "k_segments": model.k_segments,
         "vocabulary": model.vocabulary.concepts,
     }
     write_container(path, _MODEL_MAGIC, header, {"W": model.W, "b": model.b}, "<f8", binary)
@@ -363,6 +368,7 @@ def save_model(model: LinearConceptModel, path, binary: bool = True) -> None:
 def load_model(path) -> LinearConceptModel:
     header, data = read_container(path, _MODEL_MAGIC, "<f8")
     vocabulary = read_items(header, "vocabulary", str, path)
+    k = read_field(header, "k_segments", int, path)
     if data is not None:
         c = read_field(header, "n_concepts", int, path)
         d = read_field(header, "dim", int, path)
@@ -375,6 +381,6 @@ def load_model(path) -> LinearConceptModel:
         W = read_rows(header, "W", path)
         b = np.array(read_items(header, "b", (int, float), path), dtype=np.float64)
     try:
-        return LinearConceptModel(W, b, ConceptVocabulary(vocabulary))
-    except ValueError as exc:  # shapes or a vocabulary that do not fit together
+        return LinearConceptModel(W, b, ConceptVocabulary(vocabulary), k)
+    except ValueError as exc:  # shapes, K or a vocabulary that do not fit together
         raise CorpusFormatError(f"{path}: {exc}") from exc

@@ -48,8 +48,10 @@ def _paraphrase(sentence: str) -> str:
 
 def _plant_events(duration: float, n_events: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 2) bounds of non-overlapping events, in order, with lengths in
-    EVENT_LEN_FRAC of the duration."""
-    lengths = rng.uniform(*EVENT_LEN_FRAC, size=n_events) * duration
+    EVENT_LEN_FRAC of the duration, scaled down when n such lengths could
+    add up past it (more than 6 events)."""
+    scale = duration * min(1, 1 / (n_events * EVENT_LEN_FRAC[1]))
+    lengths = rng.uniform(*EVENT_LEN_FRAC, size=n_events) * scale
     slack = duration - lengths.sum()
     cuts = np.sort(rng.uniform(0, slack, size=n_events))
     gaps = np.diff(np.concatenate([[0.0], cuts]))

@@ -1,17 +1,21 @@
 import ast
 import json
 import math
+import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from densecap import (PredictionEntry, SegmentGrid, VideoMeta,
-                      load_ground_truth, load_predictions, save_features,
+                      load_features, load_ground_truth, load_predictions, save_features,
                       save_predictions)
 from densecap import cli
 from densecap.cli import dispatch
-from densecap.concepts import ConceptVocabulary, LinearConceptModel, save_model
+from densecap.concepts import ConceptVocabulary, LinearConceptModel, load_model, save_model
+from densecap.rerank import CaptionRerankParams, merge_captions
+from densecap.synthetic import synthetic_grid
 
 
 @pytest.fixture
@@ -182,6 +186,26 @@ def test_only_core_opens_files_or_imports_json_or_struct():
                  and isinstance(node.func, ast.Name) and node.func.id == "open"]
         assert not top_level_imports(tree) & {"json", "struct"}, path.name
         assert not opens, f"{path.name} calls open at lines {opens}"
+
+
+def readme_command_lines():
+    """The `densecap ...` lines of README's Command line block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("densecap ")]
+
+
+def test_readme_command_lines_parse():
+    """Every README command line parses, and together they run every
+    subcommand, so a renamed or removed flag shows here."""
+    parser = cli.build_parser()
+    handlers = set()
+    for line in readme_command_lines():
+        try:
+            handlers.add(parser.parse_args(shlex.split(line)[1:]).func.__name__)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+    assert handlers == {name for name in vars(cli) if name.startswith("_cmd_")}
 
 
 class TestGenSynthetic:
@@ -432,7 +456,7 @@ def one_concept_files(tmp_path):
     save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), feat)
     model = tmp_path / "model.bin"
     save_model(LinearConceptModel(np.zeros((1, 3)), np.zeros(1),
-                                  ConceptVocabulary(["run"])), model)
+                                  ConceptVocabulary(["run"]), 4), model)
     return model, feat
 
 
@@ -454,8 +478,7 @@ class TestConceptsCli:
         out = tmp_path / "probs.json"
         code = dispatch(["concepts", "predict", "--model", str(model_path),
                          "--features", str(feat_dir / "v1.feat"),
-                         "--timestamps", "0,32;32,64", "--k", "8",
-                         "--out", str(out)])
+                         "--timestamps", "0,32;32,64", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload) == 2
@@ -488,11 +511,75 @@ class TestConceptsCli:
         model.write_bytes(model.read_bytes()[:-6])
         assert dispatch(predict_args(model, feat)) == 2
 
-    @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary"])
+    @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary", "k_segments"])
     def test_model_header_field_missing_exits_2(self, tmp_path, rewrite_header, key):
         model, feat = one_concept_files(tmp_path)
         rewrite_header(model, lambda header: header.pop(key))
         assert dispatch(predict_args(model, feat)) == 2
+
+    @pytest.mark.parametrize("value", [None, False, "4", 0, -1])
+    def test_bad_k_segments_exits_2(self, tmp_path, capsys, rewrite_header, value):
+        model, feat = one_concept_files(tmp_path)
+        rewrite_header(model, lambda header: header.update(k_segments=value))
+        assert dispatch(predict_args(model, feat)) == 2
+        assert "k_segments" in capsys.readouterr().err
+
+    def test_predict_takes_k_from_the_model(self, tmp_path, capsys):
+        model, feat = one_concept_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            dispatch(predict_args(model, feat) + ["--k", "4"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --k 4" in capsys.readouterr().err
+
+    def test_label_past_the_features_end_exits_2(self, tmp_path, capsys):
+        argv = concept_training_args(tmp_path, np.ones((16, 8)))  # a 64 s video
+        labels = tmp_path / "labels.json"
+        doc = json.loads(labels.read_text())
+        doc["examples"]["v1"][0]["timestamp"] = [500, 600]
+        labels.write_text(json.dumps(doc))
+        assert dispatch(argv + ["--out", str(tmp_path / "model.bin")]) == 2
+        assert capsys.readouterr().err == (
+            "error: interval end 600.0 exceeds duration 64.0 at v1[0]\n")
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_rerank_captions_pools_over_the_trained_k(self, synthetic_dir, tmp_path):
+        """A model trained at --k 4 picks each caption from probabilities
+        max-pooled over 4 segments, not over the training default."""
+        corpus = load_ground_truth(synthetic_dir / "gt_set1.json")
+        feat_dir = tmp_path / "feats"
+        feat_dir.mkdir()
+        examples, first, second = {}, {}, {}
+        for n, (vid, record) in enumerate(sorted(corpus.videos.items())):
+            save_features(synthetic_grid(record.meta, 8, seed=n), feat_dir / f"{vid}.seg")
+            ann = record.annotation_sets[0]
+            examples[vid] = [{"timestamp": [iv.start_s, iv.end_s], "concepts": sent.split()}
+                             for iv, sent in zip(ann.intervals, ann.sentences)]
+            # the second captioner offers the next event's sentence
+            others = ann.sentences[1:] + ann.sentences[:1]
+            first[vid] = [PredictionEntry(iv, sentence=s) for iv, s in
+                          zip(ann.intervals, ann.sentences)]
+            second[vid] = [replace(e, sentence=s) for e, s in zip(first[vid], others)]
+        vocabulary = sorted({w for rows in examples.values() for row in rows
+                             for w in row["concepts"]} - {"the", "with"})
+        (tmp_path / "labels.json").write_text(json.dumps(
+            {"vocabulary": vocabulary, "examples": examples}))
+        save_predictions(first, tmp_path / "a.json")
+        save_predictions(second, tmp_path / "b.json")
+        model_path, out = tmp_path / "model.bin", tmp_path / "best.json"
+        assert dispatch(["concepts", "train", "--features-dir", str(feat_dir),
+                         "--labels", str(tmp_path / "labels.json"), "--epochs", "5",
+                         "--k", "4", "--out", str(model_path)]) == 0
+        assert dispatch(["rerank-captions", "--pred-multi", f"{tmp_path / 'a.json'},"
+                         f"{tmp_path / 'b.json'}", "--concept-model", str(model_path),
+                         "--features-dir", str(feat_dir), "--top-concepts", "3",
+                         "--out", str(out)]) == 0
+        model = load_model(model_path)
+        grids = {vid: load_features(feat_dir / f"{vid}.seg") for vid in first}
+        params = CaptionRerankParams(top_concepts=3)
+        want, other = (merge_captions([first, second], params, replace(model, k_segments=k),
+                                      grids) for k in (4, 20))
+        assert want != other  # the K the probabilities are pooled over picks other captions
+        assert load_predictions(out)[0] == want
 
     @pytest.mark.parametrize("key", ["video_id", "duration", "segment_count", "dim"])
     def test_feature_header_field_missing_exits_2(self, tmp_path, rewrite_header, key):
@@ -518,7 +605,7 @@ def concepts_error_case(tmp_path, case):
         return predict_args(model, feat)[:-1] + [spans[case]]
     if case == "model-width":
         save_model(LinearConceptModel(np.zeros((1, 5)), np.zeros(1),
-                                      ConceptVocabulary(["run"])), model)
+                                      ConceptVocabulary(["run"]), 4), model)
         return predict_args(model, feat)
     argv = concept_training_args(tmp_path, np.ones((16, 8)))
     if case == "no-features-file":

@@ -25,17 +25,17 @@ class TestVocabulary:
             ConceptVocabulary(["a", "a"])
 
 
-def toy_model(W, b, names=None):
+def toy_model(W, b, names=None, k=4):
     W = np.atleast_2d(np.asarray(W, float))
     names = names or [f"c{i}" for i in range(W.shape[0])]
-    return LinearConceptModel(W, np.asarray(b, float), ConceptVocabulary(names))
+    return LinearConceptModel(W, np.asarray(b, float), ConceptVocabulary(names), k)
 
 
 def predict_row(model, row):
     """`predict_proposal` over a one-segment grid holding `row`: that segment's
     per-concept probabilities."""
     grid = SegmentGrid(VideoMeta("v", 4.0, fps=16.0), np.atleast_2d(np.asarray(row, float)))
-    return predict_proposal(model, grid, TimeInterval(0, 4), k=1)
+    return predict_proposal(model, grid, TimeInterval(0, 4))
 
 
 class TestPredict:
@@ -105,7 +105,7 @@ class TestProposalPrediction:
     def test_identical_segments(self):
         model = toy_model([[0.5, -0.2], [0.1, 0.3]], [0.0, 0.1])
         grid = self.grid([[1.0, 2.0]] * 4)
-        pooled = predict_proposal(model, grid, TimeInterval(0, 16), k=4)
+        pooled = predict_proposal(model, grid, TimeInterval(0, 16))
         np.testing.assert_allclose(pooled, predict_row(model, grid.features[0]))
 
     def test_max_rule(self):
@@ -115,20 +115,30 @@ class TestProposalPrediction:
         model = toy_model([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         grid = self.grid([[logit(0.2), logit(0.9)], [logit(0.7), logit(0.1)],
                           [logit(0.2), logit(0.9)], [logit(0.7), logit(0.1)]])
-        pooled = predict_proposal(model, grid, TimeInterval(0, 16), k=4)
+        pooled = predict_proposal(model, grid, TimeInterval(0, 16))
         np.testing.assert_allclose(pooled, [0.7, 0.9], atol=1e-12)
+
+    @pytest.mark.parametrize("k, picks", [(1, [0]), (2, [0, 3]), (4, [0, 1, 2, 3])])
+    def test_pools_over_the_model_k(self, k, picks):
+        # concept 0 peaks at segment 1, which K = 1 and K = 2 do not pick
+        model = toy_model([[1.0], [-1.0]], [0.0, 0.0], k=k)
+        grid = self.grid([[0.0], [3.0], [1.0], [2.0]])
+        want = np.maximum.reduce([predict_row(model, grid.features[s]) for s in picks])
+        np.testing.assert_array_equal(predict_proposal(model, grid, TimeInterval(0, 16)),
+                                      want)
+        assert select_even_segments(TimeInterval(0, 16), grid.meta, k) == picks
 
     def test_feature_width_must_match_the_model(self):
         model = toy_model(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="v: feature dim 2, expected 3"):
-            predict_proposal(model, self.grid(np.ones((4, 2))), TimeInterval(0, 16), k=4)
+            predict_proposal(model, self.grid(np.ones((4, 2))), TimeInterval(0, 16))
 
     def test_dominates_segment_predictions(self):
         rng = np.random.default_rng(8)
         model = toy_model(rng.standard_normal((3, 5)), rng.standard_normal(3))
         grid = self.grid(rng.standard_normal((4, 5)))
         proposal = TimeInterval(0, 16)
-        pooled = predict_proposal(model, grid, proposal, k=4)
+        pooled = predict_proposal(model, grid, proposal)
         for row in grid.features:
             assert (pooled >= predict_row(model, row) - 1e-12).all()
 
@@ -309,6 +319,7 @@ class TestTraining:
         assert same_bits(model.W, W)
         assert same_bits(model.b, b)
         assert trace == want
+        assert model.k_segments == cfg.k_segments
 
 
 class TestFeatureTable:
@@ -387,20 +398,37 @@ class TestModelIO:
     def test_round_trip(self, tmp_path, binary):
         rng = np.random.default_rng(6)
         model = toy_model(rng.standard_normal((3, 5)), rng.standard_normal(3),
-                          names=["run", "jump", "swim"])
+                          names=["run", "jump", "swim"], k=7)
         path = tmp_path / "model.bin"
         save_model(model, path, binary=binary)
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.W, model.W)
         np.testing.assert_array_equal(loaded.b, model.b)
         assert loaded.vocabulary.concepts == model.vocabulary.concepts
+        assert loaded.k_segments == 7
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("value, message", [
+        (None, "missing k_segments"), (True, "bad k_segments True"),
+        ("4", "bad k_segments '4'"), (4.0, "bad k_segments 4.0"),
+        (0, "k_segments must be >= 1"), (-3, "k_segments must be >= 1"),
+    ])
+    def test_bad_k_segments_rejected(self, tmp_path, rewrite_header, binary, value, message):
+        path = tmp_path / "model.bin"
+        save_model(toy_model(np.ones((2, 3)), np.zeros(2)), path, binary=binary)
+        if binary:
+            rewrite_header(path, lambda header: header.update(k_segments=value))
+        else:
+            path.write_text(json.dumps({**json.loads(path.read_text()), "k_segments": value}))
+        with pytest.raises(CorpusFormatError, match=message):
+            load_model(path)
 
     def test_json_layout_is_the_write_json_layout(self, tmp_path):
         model = toy_model([[1.5, -2.0], [0.25, 3.0]], [0.5, -0.5], names=["run", "jump"])
         path, plain = tmp_path / "model.json", tmp_path / "plain.json"
         save_model(model, path, binary=False)
         doc = json.loads(path.read_text())
-        assert doc == {"n_concepts": 2, "dim": 2, "vocabulary": ["run", "jump"],
+        assert doc == {"n_concepts": 2, "dim": 2, "k_segments": 4, "vocabulary": ["run", "jump"],
                        "W": [[1.5, -2.0], [0.25, 3.0]], "b": [0.5, -0.5]}
         write_json(doc, plain)
         assert path.read_bytes() == plain.read_bytes()
@@ -415,7 +443,7 @@ class TestModelIO:
         with pytest.raises(CorpusFormatError):
             load_model(path)
 
-    @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary"])
+    @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary", "k_segments"])
     def test_header_field_required(self, tmp_path, rewrite_header, key):
         path = tmp_path / "model.bin"
         save_model(toy_model(np.ones((2, 3)), np.zeros(2)), path)
@@ -434,7 +462,7 @@ class TestModelIO:
         {"vocabulary": []},
     ])
     def test_malformed_json_model_rejected(self, tmp_path, edit):
-        doc = {"n_concepts": 2, "dim": 2, "vocabulary": ["run", "jump"],
+        doc = {"n_concepts": 2, "dim": 2, "k_segments": 4, "vocabulary": ["run", "jump"],
                "W": [[1.0, 2.0], [3.0, 4.0]], "b": [0.0, 0.0], **edit}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -461,9 +489,9 @@ class TestTopConcepts:
         meta = VideoMeta("v", 16.0, fps=16.0)
         grid = SegmentGrid(meta, np.ones((meta.segment_count, 2)))
         model = toy_model(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2),
-                          names=["run", "jump"])
-        (row,) = predict_report(model, grid, [TimeInterval(0, 8)], k=2, top=1)
-        probs = predict_proposal(model, grid, TimeInterval(0, 8), k=2)
+                          names=["run", "jump"], k=2)
+        (row,) = predict_report(model, grid, [TimeInterval(0, 8)], top=1)
+        probs = predict_proposal(model, grid, TimeInterval(0, 8))
         assert row == {"timestamp": [0, 8],
                        "top_concepts": [{"concept": "run", "probability": probs[0]}]}
 
@@ -486,6 +514,20 @@ class TestLabelsFile:
         assert [(ex.proposal, ex.labels.tolist(), ex.grid) for ex in examples] == [
             (TimeInterval(0, 8), [0.0, 1.0], self.GRID),
             (TimeInterval(8, 16), [0.0, 0.0], self.GRID)]
+
+    def test_end_within_slop_clamped_to_the_features(self, tmp_path):
+        path = self.write(tmp_path, {"vocabulary": ["run"], "examples": {
+            "v1": [{"timestamp": [8, 16 + 5e-7], "concepts": ["run"]}]}})
+        (example,) = load_labels(path, {"v1": self.GRID})[1]
+        assert example.proposal == TimeInterval(8, 16)
+
+    @pytest.mark.parametrize("end", [16.01, 600])
+    def test_end_past_the_features_refused(self, tmp_path, end):
+        path = self.write(tmp_path, {"vocabulary": ["run"], "examples": {
+            "v1": [{"timestamp": [8, end], "concepts": ["run"]}]}})
+        with pytest.raises(CorpusFormatError,
+                           match=rf"^interval end {float(end)} exceeds duration 16.0 at v1\[0\]$"):
+            load_labels(path, {"v1": self.GRID})
 
     @pytest.mark.parametrize("payload", [
         [],

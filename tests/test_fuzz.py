@@ -244,7 +244,7 @@ def small_files(tmp_path_factory):
                            for iv in rec.annotation_sets[0].intervals]
                      for vid, rec in _CORPUS.videos.items()}}))
     model = LinearConceptModel(np.arange(6.0).reshape(2, 3), np.array([0.5, -0.5]),
-                               ConceptVocabulary(["man", "run"]))
+                               ConceptVocabulary(["man", "run"]), k_segments=3)
     save_model(model, folder / "model.bin")
     save_model(model, folder / "model.json", binary=False)
     return {name: (folder / name).read_bytes() for name in READERS}

@@ -51,7 +51,7 @@ SCRIPT = [
      "--epochs", "3", "--batch", "16", "--k", "4", "--seed", "3", "--out", "{tmp}/model.bin"],
     ["concepts", "predict", "--model", "{tmp}/model.bin",
      "--features", "{tmp}/features/v_0007_00000.seg", "--timestamps", "0,10;12.5,30",
-     "--k", "4", "--top", "3", "--out", "{tmp}/concepts.json"],
+     "--top", "3", "--out", "{tmp}/concepts.json"],
     ["rerank-captions", "--pred-multi", "{tmp}/pred.json,{tmp}/pred2.json",
      "--concept-model", "{tmp}/model.bin", "--features-dir", "{tmp}/features",
      "--top-concepts", "3", "--out", "{tmp}/captions_model.json"],

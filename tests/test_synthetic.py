@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from densecap import TimeInterval, gen_synthetic, tiou
@@ -53,6 +54,16 @@ class TestGenSynthetic:
         corpus = gen_synthetic(20, seed=1)
         for record in corpus.videos.values():
             bounds = record.annotation_sets[0].intervals.bounds
+            assert (bounds[:-1, 1] <= bounds[1:, 0] + 1e-9).all()
+            assert bounds[-1, 1] <= record.meta.duration_s + 1e-9
+
+    @pytest.mark.parametrize("n_events", [7, 8, 20, 50])
+    def test_many_events_fit_the_video(self, n_events):
+        # 7 lengths of up to 16 % of the duration could add up past it
+        corpus = gen_synthetic(200, events_range=(n_events, n_events), seed=7)
+        for record in corpus.videos.values():
+            bounds = record.annotation_sets[0].intervals.bounds
+            assert len(bounds) == n_events
             assert (bounds[:-1, 1] <= bounds[1:, 0] + 1e-9).all()
             assert bounds[-1, 1] <= record.meta.duration_s + 1e-9
 
