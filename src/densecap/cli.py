@@ -152,12 +152,14 @@ def _cmd_rerank_proposals(args) -> int:
 
 
 def _cmd_rerank_captions(args) -> int:
+    if bool(args.concept_model) != bool(args.features_dir):
+        missing = "--features-dir" if args.concept_model else "--concept-model"
+        raise ValueError(f"--concept-model and --features-dir go together: {missing} is missing")
     pred_files = [p for p in args.pred_multi.split(",") if p]
     all_preds = [core.load_predictions(p)[0] for p in pred_files]
     model = concepts_mod.load_model(args.concept_model) if args.concept_model else None
     params = rerank.CaptionRerankParams(args.alpha, args.beta, args.top_concepts)
-    grids = (core.load_features_dir(args.features_dir)
-             if model is not None and args.features_dir else {})
+    grids = core.load_features_dir(args.features_dir) if model is not None else {}
     out = rerank.merge_captions(all_preds, params, model, grids)
     core.save_predictions(out, args.out)
     print(f"re-ranked captions for {len(out)} videos "

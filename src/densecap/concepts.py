@@ -346,9 +346,8 @@ def load_labels(path, grids: Dict[str, SegmentGrid]):
             for word in read_items(read_object(row, where), "concepts", str, where):
                 if word in vocab.lookup:
                     labels[vocab.lookup[word]] = 1.0
-            examples.append(MimlExample(
-                read_interval(row.get("timestamp"), grids[vid].meta.duration_s, where),
-                grids[vid], labels))
+            span = read_interval(row.get("timestamp"), grids[vid].meta.duration_s, where)
+            examples.append(MimlExample(TimeInterval(*span), grids[vid], labels))
     return vocab, examples
 
 

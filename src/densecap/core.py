@@ -188,32 +188,31 @@ class Corpus:
 
 
 def read_interval(pair, duration_s, where):
-    """Validate one raw [start, end] pair against the video duration.
+    """One raw [start, end] pair, checked against the video duration, as two floats.
 
     Both ends are checked as `read_field` checks a number, so booleans and
-    numeric strings fail. An end past the duration by at most
-    DURATION_SLOP_S is clamped to it.
+    numeric strings fail. An end past the duration by at most DURATION_SLOP_S
+    is clamped to it. Then `0 <= start < end` must hold, as in TimeInterval.
     """
     if not isinstance(pair, list) or len(pair) != 2:
         raise CorpusFormatError(f"bad timestamp {where}")
     start = float(_checked(pair[0], (int, float), where, "start"))
     end = float(_checked(pair[1], (int, float), where, "end"))
     if end > duration_s + DURATION_SLOP_S:
-        raise CorpusFormatError(
-            f"interval end {end} exceeds duration {duration_s} at {where}"
-        )
-    try:
-        return TimeInterval(start, min(end, duration_s))
-    except CorpusFormatError as exc:  # inverted, or a negative start
-        raise CorpusFormatError(f"{exc} at {where}") from None
+        raise CorpusFormatError(f"interval end {end} exceeds duration {duration_s} at {where}")
+    end = min(end, duration_s)
+    if not start < end:
+        raise CorpusFormatError(f"inverted interval [{start}, {end}] at {where}")
+    if start < 0:
+        raise CorpusFormatError(f"negative start {start} at {where}")
+    return start, end
 
 
 def read_intervals(record: dict, key: str, duration_s, where) -> IntervalArray:
     """The required list `record[key]` of [start, end] pairs, each read by
     `read_interval`, as one IntervalArray."""
-    intervals = [read_interval(pair, duration_s, f"{where}[{i}]")
-                 for i, pair in enumerate(read_field(record, key, list, where))]
-    return IntervalArray(as_bounds(intervals))
+    return IntervalArray([read_interval(pair, duration_s, f"{where}[{i}]")
+                          for i, pair in enumerate(read_field(record, key, list, where))])
 
 
 _REQUIRED = object()
@@ -433,7 +432,7 @@ def load_predictions(path, corpus: Optional[Corpus] = None):
             where = f"{video_id}[{i}]"
             read_object(entry, where)
             parsed.append(PredictionEntry(
-                read_interval(entry.get("timestamp"), duration, where),
+                TimeInterval(*read_interval(entry.get("timestamp"), duration, where)),
                 sentence=read_field(entry, "sentence", str, where, None),
                 proposal_score=read_field(entry, "proposal_score", (int, float), where, None),
                 caption_logprob=read_field(entry, "caption_logprob", (int, float),
@@ -520,6 +519,12 @@ def load_features(path) -> SegmentGrid:
 
 
 def load_features_dir(path) -> Dict[str, SegmentGrid]:
-    """Every feature file in a directory, keyed by the video id in its header."""
-    grids = (load_features(os.path.join(path, name)) for name in os.listdir(path))
-    return {grid.meta.video_id: grid for grid in grids}
+    """Every feature file in a directory, keyed by the (unique) video id in its header."""
+    grids, names = {}, {}
+    for name in sorted(os.listdir(path)):
+        grid = load_features(os.path.join(path, name))
+        vid = grid.meta.video_id
+        if vid in grids:
+            raise CorpusFormatError(f"{path}: video {vid} in both {names[vid]} and {name}")
+        grids[vid], names[vid] = grid, name
+    return grids

@@ -116,12 +116,13 @@ def bleu4(candidate: Sequence[str], references: Sequence[Sequence[str]],
     return _bleu_from_counts(*counts, smoothing)
 
 
-def _pooled_bleu(counts) -> float:
-    """Unsmoothed BLEU-4 of `_bleu_counts` results summed over pairs."""
-    clipped = [sum(m[n] for m, _, _, _ in counts) for n in range(MAX_N)]
-    total = [sum(t[n] for _, t, _, _ in counts) for n in range(MAX_N)]
-    return _bleu_from_counts(clipped, total, sum(c for _, _, c, _ in counts),
-                             sum(r for _, _, _, r in counts), smoothing=False)
+_NO_COUNTS = ((0,) * MAX_N, (0,) * MAX_N, 0, 0)  # `_bleu_counts` summed over no pairs
+
+
+def _add_counts(a, b):
+    """Two `_bleu_counts` results summed term by term (ints, so exactly)."""
+    return ([x + y for x, y in zip(a[0], b[0])], [x + y for x, y in zip(a[1], b[1])],
+            a[2] + b[2], a[3] + b[3])
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +146,23 @@ def _cider_vector(sent: _Sentence, idf: _Idf):
     return vecs, [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs], sent.length
 
 
-def _document_frequency(docs: Sequence[Sequence[_Sentence]]):
-    df: Dict = {}
-    for doc in docs:
+def build_document_frequency(reference_docs):
+    """Document frequencies over a reference corpus, any iterable of documents.
+
+    One document is one event's reference sentence set, as token lists; an
+    n-gram of order 1..MAX_N counts once per document it appears in. Returns
+    (df, number of documents).
+    """
+    df, n_docs = {}, 0
+    for n_docs, doc in enumerate(reference_docs, 1):
         seen = set()
-        for sent in doc:
-            for grams in sent.grams:
-                seen.update(grams)
+        for tokens in doc:
+            tails = [tokens[k:] for k in range(MAX_N)]
+            for n in range(1, MAX_N + 1):
+                seen.update(zip(*tails[:n]))
         for gram in seen:
             df[gram] = df.get(gram, 0.0) + 1.0
-    return df, len(docs)
-
-
-def build_document_frequency(reference_docs: Sequence[Sequence[Sequence[str]]]):
-    """Document frequencies over a reference corpus.
-
-    One document is one event's reference sentence set; an n-gram counts
-    once per document it appears in. Returns (df, number of documents).
-    """
-    return _document_frequency([[_sentence(ref) for ref in doc] for doc in reference_docs])
+    return df, n_docs
 
 
 def _cider(cand_vec, ref_vecs) -> float:
@@ -245,25 +244,28 @@ def dense_eval(corpus: Corpus,
     predictions, then over the videos with both (`zero_prediction_videos`
     counts those with groundtruth alone)."""
     thresholds = check_thresholds(thresholds)
-    # document frequencies over all groundtruth events, one doc per event
-    gt_sents = {vid: [_sentence(tokenize(sent)) for ann in record.annotation_sets
-                      for sent in ann.sentences]
-                for vid, record in sorted(corpus.videos.items())}
-    idf = _Idf(*_document_frequency([[s] for sents in gt_sents.values() for s in sents]))
+    # document frequencies over all groundtruth events, one doc per event; a
+    # video's records are built only when it is scored, and dropped after
+    idf = _Idf(*build_document_frequency([tokenize(s)] for record in corpus.videos.values()
+                                         for ann in record.annotation_sets for s in ann.sentences))
 
-    per_video = []  # (3, T) means: smoothed, unsmoothed BLEU-4 and CIDEr-D
-    corpus_counts = [[] for _ in thresholds]  # BLEU counts of each prediction matched at t
-    n_preds = zero_pred = 0
-    for vid, gt in gt_sents.items():
+    # (3, T) means of each scored video: smoothed, unsmoothed BLEU-4 and CIDEr-D
+    per_video = np.empty((3, len(thresholds), len(corpus.videos)))
+    pooled = [_NO_COUNTS] * len(thresholds)  # BLEU counts summed over the predictions matched at t
+    matched = [0] * len(thresholds)
+    scored_videos = n_preds = zero_pred = 0
+    for vid in sorted(corpus.videos):
         record = corpus.videos[vid]
         preds = record.predictions
+        sents = [s for ann in record.annotation_sets for s in ann.sentences]
         if not preds:
-            zero_pred += bool(gt)
+            zero_pred += bool(sents)
             continue
         if any(pred.sentence is None for pred in preds):
             raise ValueError(f"{vid}: prediction without sentence")
-        if not gt:
+        if not sents:
             continue
+        gt = [_sentence(tokenize(sent)) for sent in sents]
         n_preds += len(preds)
         hits = video_matches(record, thresholds)
         # only matched predictions are scored; the idf comes from groundtruth alone
@@ -286,19 +288,21 @@ def dense_eval(corpus: Corpus,
                                             _bleu_from_counts(*counts, smoothing=False),
                                             _cider(cand_vec, [gt_vecs[j] for j in refs]))
                 counts, scores[:, t, p] = scored[refs]
-                corpus_counts[t].append(counts)
-        per_video.append(scores.mean(axis=2))
+                pooled[t] = _add_counts(pooled[t], counts)
+                matched[t] += 1
+        per_video[..., scored_videos] = scores.mean(axis=2)
+        scored_videos += 1
 
-    means = (np.stack(per_video, axis=-1).mean(axis=-1) if per_video
+    means = (per_video[..., :scored_videos].mean(axis=-1) if scored_videos
              else np.zeros((3, len(thresholds)))).tolist()
     return DenseEvalReport(
         thresholds=thresholds,
         bleu4_smoothed=dict(zip(thresholds, means[0])),
         bleu4_unsmoothed=dict(zip(thresholds, means[1])),
-        bleu4_corpus={t: _pooled_bleu(counts) for t, counts in zip(thresholds, corpus_counts)},
+        bleu4_corpus={t: _bleu_from_counts(*c, False) for t, c in zip(thresholds, pooled)},
         cider=dict(zip(thresholds, means[2])),
-        matched={t: len(counts) for t, counts in zip(thresholds, corpus_counts)},
-        unmatched={t: n_preds - len(counts) for t, counts in zip(thresholds, corpus_counts)},
+        matched=dict(zip(thresholds, matched)),
+        unmatched={t: n_preds - m for t, m in zip(thresholds, matched)},
         zero_prediction_videos=zero_pred,
     )
 
@@ -421,8 +425,8 @@ def captions_by_set(prediction_sets: Sequence[dict]) -> Dict[str, List[List[str]
 def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:
     """SelfB/RE per annotation set and with a video's sets pooled, from one
     per-video table of both metrics. Captions are strings or token lists."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be >= 1 and an int, got {n!r}")
     scorers = (("self_bleu", _video_self_bleu),
                ("repetition", lambda sents: _video_repetition(sents, n)))
     per_video = {}

@@ -13,8 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from densecap.metrics import (DenseEvalReport, _bleu_from_counts, _cider, _document_frequency,
-                              _pooled_bleu, _Sentence, tokenize)
+from densecap.metrics import DenseEvalReport, _bleu_from_counts, _cider, _Sentence, tokenize
 from densecap.rerank import _znorm
 
 
@@ -243,6 +242,20 @@ def oracle_corpus_bleu4(pairs):
     return bp * math.exp(log_p)
 
 
+def oracle_document_frequency(gram, all_documents):
+    """Number of documents (lists of token lists) with a sentence holding `gram`."""
+    df = 0
+    for doc in all_documents:
+        present = False
+        for ref in doc:
+            if gram in _gram_counts(ref, len(gram)):
+                present = True
+                break
+        if present:
+            df += 1
+    return df
+
+
 def oracle_cider_d(candidate, references, all_documents, sigma=6.0):
     """Step-by-step CIDEr-D for one candidate against one reference set.
 
@@ -251,23 +264,11 @@ def oracle_cider_d(candidate, references, all_documents, sigma=6.0):
     """
     n_docs = len(all_documents)
 
-    def doc_freq(gram):
-        n = len(gram)
-        df = 0
-        for doc in all_documents:
-            present = False
-            for ref in doc:
-                if gram in _gram_counts(ref, n):
-                    present = True
-                    break
-            if present:
-                df += 1
-        return df
-
     def tfidf_vector(tokens, n):
         vec = {}
         for gram, count in _gram_counts(tokens, n).items():
-            idf = math.log(max(n_docs, 1)) - math.log(max(doc_freq(gram), 1.0))
+            idf = (math.log(max(n_docs, 1))
+                   - math.log(max(oracle_document_frequency(gram, all_documents), 1.0)))
             vec[gram] = count * idf
         return vec
 
@@ -413,14 +414,26 @@ def oracle_cider_vector(sent, df, log_n):
     return vecs, [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs], sent.length
 
 
+def oracle_pooled_bleu(counts):
+    """Unsmoothed BLEU-4 of bleu-count tuples, each term summed over the list."""
+    clipped = [sum(m[n] for m, _, _, _ in counts) for n in range(4)]
+    total = [sum(t[n] for _, t, _, _ in counts) for n in range(4)]
+    return _bleu_from_counts(clipped, total, sum(c for _, _, c, _ in counts),
+                             sum(r for _, _, _, r in counts), smoothing=False)
+
+
 def oracle_dense_eval_loop(corpus, thresholds):
     """`dense_eval(corpus, thresholds).to_dict()`, every matched (prediction,
     threshold) pair scored on its own."""
     gt = {vid: [(iv, _union_record(tokenize(s))) for ann in rec.annotation_sets
                 for iv, s in zip(ann.intervals, ann.sentences)]
           for vid, rec in sorted(corpus.videos.items())}
-    df, n_docs = _document_frequency([[s] for events in gt.values() for _, s in events])
-    log_n = math.log(max(n_docs, 1))
+    # one document per groundtruth event; each gram's count by brute force
+    docs = [[tokenize(s)] for rec in corpus.videos.values()
+            for ann in rec.annotation_sets for s in ann.sentences]
+    grams = {gram for doc in docs for n in (1, 2, 3, 4) for gram in _gram_counts(doc[0], n)}
+    df = {gram: oracle_document_frequency(gram, docs) for gram in grams}
+    log_n = math.log(max(len(docs), 1))
     per_video = {key: {t: [] for t in thresholds} for key in ("bs", "bu", "cid")}
     counts_at = {t: [] for t in thresholds}
     matched = {t: 0 for t in thresholds}
@@ -456,7 +469,7 @@ def oracle_dense_eval_loop(corpus, thresholds):
 
     return DenseEvalReport(
         thresholds=list(thresholds), bleu4_smoothed=avg("bs"), bleu4_unsmoothed=avg("bu"),
-        bleu4_corpus={t: _pooled_bleu(counts_at[t]) for t in thresholds}, cider=avg("cid"),
+        bleu4_corpus={t: oracle_pooled_bleu(counts_at[t]) for t in thresholds}, cider=avg("cid"),
         matched=matched, unmatched={t: n_preds - matched[t] for t in thresholds},
         zero_prediction_videos=zero_prediction_videos).to_dict()
 

@@ -581,6 +581,21 @@ class TestConceptsCli:
         assert want != other  # the K the probabilities are pooled over picks other captions
         assert load_predictions(out)[0] == want
 
+    @pytest.mark.parametrize("given, missing", [("--concept-model", "--features-dir"),
+                                                ("--features-dir", "--concept-model")])
+    def test_rerank_captions_lone_concept_flag_exits_1(self, synthetic_dir, tmp_path, capsys,
+                                                       given, missing):
+        """Either flag alone is a usage error, not a run without concepts."""
+        model, feat = one_concept_files(tmp_path)
+        pred = identity_pred_file(synthetic_dir, tmp_path)
+        out = tmp_path / "best.json"
+        path = model if given == "--concept-model" else feat.parent
+        assert dispatch(["rerank-captions", "--pred-multi", f"{pred},{pred}", given, str(path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --concept-model and --features-dir go together: {missing} is missing\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["video_id", "duration", "segment_count", "dim"])
     def test_feature_header_field_missing_exits_2(self, tmp_path, rewrite_header, key):
         model, feat = one_concept_files(tmp_path)

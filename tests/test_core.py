@@ -9,7 +9,8 @@ from densecap import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry,
                       TimeInterval, VideoMeta, load_features, load_ground_truth,
                       load_meta, load_predictions, save_features, save_ground_truth,
                       save_meta, save_predictions, segment_range)
-from densecap.core import IntervalArray, read_interval, read_intervals, write_json
+from densecap.core import (IntervalArray, load_features_dir, read_interval, read_intervals,
+                           write_json)
 from densecap.synthetic import gen_synthetic
 
 
@@ -109,6 +110,28 @@ class TestReadInterval:
 
 
 class TestReadIntervals:
+    def test_read_interval_returns_the_checked_floats(self):
+        assert read_interval([0, 30.0000004], 30.0, "v1[0]") == (0.0, 30.0)
+        assert read_interval([1, 2.5], math.inf, "v1[0]") == (1.0, 2.5)
+
+    def test_ground_truth_builds_no_time_interval(self, tmp_path, monkeypatch):
+        """Each pair is read once, as two floats: the rows are checked as one
+        IntervalArray, with no TimeInterval per pair."""
+        path = write_gt(tmp_path, "gt.json", {
+            "v1": {"duration": 30, "timestamps": [[0, 10], [12, 28], [5, 30.0000004]],
+                   "sentences": ["a", "b", "c"]},
+            "v2": {"duration": 9, "timestamps": [[1, 2]], "sentences": ["d"]}})
+        calls = []
+        checked = TimeInterval.__post_init__
+        monkeypatch.setattr(TimeInterval, "__post_init__",
+                            lambda self: calls.append(self) or checked(self))
+        corpus = load_ground_truth(path)
+        assert corpus.videos["v1"].annotation_sets[0].intervals.bounds.tolist() == [
+            [0.0, 10.0], [12.0, 28.0], [5.0, 30.0]]
+        assert calls == []
+        TimeInterval(0, 1)  # the counter sees the objects that are built
+        assert len(calls) == 1
+
     def test_returns_one_interval_array(self):
         got = read_intervals({"ts": [[0, 10], [12, 30.0000004], [1.5, 2]]}, "ts", 30.0, "v1")
         assert isinstance(got, IntervalArray)
@@ -433,6 +456,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="not finite as float32"):
             save_features(SegmentGrid(meta, features), path, binary=binary)
         assert not path.exists()
+
+    def test_features_dir_keys_by_header_video_id(self, tmp_path):
+        for name, vid in (("a.bin", "v2"), ("b.bin", "v1")):
+            meta = VideoMeta(vid, 16.0, fps=16.0)
+            save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), tmp_path / name)
+        assert sorted(load_features_dir(tmp_path)) == ["v1", "v2"]
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_features_dir_refuses_a_repeated_video_id(self, tmp_path, binary):
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        for name, value in (("b.bin", 2.0), ("a.bin", 1.0)):
+            save_features(SegmentGrid(meta, np.full((meta.segment_count, 3), value)),
+                          tmp_path / name, binary=binary)
+        with pytest.raises(CorpusFormatError) as err:
+            load_features_dir(tmp_path)
+        assert str(err.value) == f"{tmp_path}: video v1 in both a.bin and b.bin"
 
     def test_json_features_are_in_the_write_json_layout(self, tmp_path):
         meta = VideoMeta("v1", 16.0, fps=16.0)

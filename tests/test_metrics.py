@@ -1,6 +1,8 @@
 import itertools
 import math
 import string
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from densecap import (PredictionEntry, TimeInterval, bleu4, dense_eval,
                       diversity_report, precision_recall, repetition, self_bleu, tokenize)
-from densecap.metrics import (MAX_N, _bleu_counts, _mean, _pooled_bleu, _sentence,
-                              _video_self_bleu, build_document_frequency, captions_by_set,
-                              cider_d_pair)
+from densecap.metrics import (MAX_N, _NO_COUNTS, _add_counts, _bleu_counts, _bleu_from_counts,
+                              _mean, _sentence, _video_self_bleu, build_document_frequency,
+                              captions_by_set, cider_d_pair)
 from densecap.synthetic import gen_synthetic, identity_predictions
 from conftest import make_corpus, make_video
 from oracles import (oracle_bleu4, oracle_cider_d, oracle_corpus_bleu4, oracle_counter_grams,
-                     oracle_dense_eval_loop, oracle_diversity_report, oracle_mean,
-                     oracle_repetition_video, oracle_self_bleu_video, oracle_tiou,
+                     oracle_dense_eval_loop, oracle_diversity_report, oracle_document_frequency,
+                     oracle_mean, oracle_repetition_video, oracle_self_bleu_video, oracle_tiou,
                      oracle_tokenize, oracle_union_self_bleu_video)
 
 
@@ -109,9 +111,10 @@ class TestBleu4:
 
 def corpus_bleu4(pairs):
     """Corpus BLEU-4 the way `dense_eval` pools it: `_bleu_counts` of each
-    pair that has references, summed by `_pooled_bleu`."""
-    return _pooled_bleu([_bleu_counts(_sentence(cand), [_sentence(r) for r in refs])
-                         for cand, refs in pairs if refs])
+    pair that has references, summed by `_add_counts`."""
+    counts = [_bleu_counts(_sentence(cand), [_sentence(r) for r in refs])
+              for cand, refs in pairs if refs]
+    return _bleu_from_counts(*reduce(_add_counts, counts, _NO_COUNTS), smoothing=False)
 
 
 class TestCorpusBleu4:
@@ -155,6 +158,34 @@ class TestCiderD:
         refs = [tokenize("a man plays a guitar")]
         df, n = build_document_frequency([refs])
         assert cider_d_pair(tokenize("purple elephants dance wildly"), refs, df, n) == 0.0
+
+
+def brute_force_document_frequency(docs):
+    grams = {tuple(tokens[i:i + n]) for doc in docs for tokens in doc
+             for n in range(1, MAX_N + 1) for i in range(len(tokens) - n + 1)}
+    return {gram: oracle_document_frequency(gram, docs) for gram in grams}, len(docs)
+
+
+class TestDocumentFrequency:
+    """`build_document_frequency` against a count of documents per gram."""
+
+    def test_criterion_5_documents(self):
+        refs_fixed = [["a", "b", "a", "b"], ["b", "a", "a"], ["a"] * 5]
+        docs = [refs_fixed, [["b", "b", "a", "a", "b"]], [["a", "b"]]]
+        df, n_docs = build_document_frequency(docs)
+        assert (df, n_docs) == brute_force_document_frequency(docs)
+        assert (df[("a", "b")], df[("b", "b")], df[("a",) * 4], n_docs) == (3.0, 1.0, 1.0, 3)
+
+    def test_criterion_4_corpus_one_document_per_event(self):
+        corpus = gen_synthetic(8, seed=11)
+        docs = [[tokenize(s)] for vid in corpus.video_ids()
+                for ann in corpus.videos[vid].annotation_sets for s in ann.sentences]
+        assert build_document_frequency(docs) == brute_force_document_frequency(docs)
+        assert build_document_frequency(iter(docs)) == build_document_frequency(docs)
+
+    def test_empty_documents(self):
+        assert build_document_frequency([]) == ({}, 0)
+        assert build_document_frequency([[], [[]], [["a"]]]) == ({("a",): 1.0}, 3)
 
 
 def pred(a, b, sentence):
@@ -365,6 +396,23 @@ class TestDenseEval:
         with pytest.raises(ValueError):
             dense_eval(corpus, [0.5])
 
+    def test_peak_memory_is_not_linear_in_the_corpus(self):
+        # groundtruth records live one video at a time, so the peak follows the
+        # vocabulary (the document frequencies), not the number of videos. An
+        # untraced call first fills the object free lists, so that what ran
+        # before does not move the two peaks.
+        corpora = [identity_predictions(gen_synthetic(n, seed=7)) for n in (40, 320)]
+        dense_eval(corpora[1], [0.5])
+        peaks = []
+        for corpus in corpora:
+            tracemalloc.start()
+            try:
+                dense_eval(corpus, [0.5])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]  # about 1.2; 10 with every record held to the end
+
 
 class TestSelfBleu:
     def test_identical_pair_is_100(self):
@@ -463,11 +511,12 @@ class TestRepetition:
                 assert diversity_report({"v": [caps]}, n=n).per_video["v"][
                     "repetition"]["set0"] == want
 
-    @pytest.mark.parametrize("n", [0, -2])
+    # anything but an int of at least 1: a bool, a float (even 4.0), NaN, a string
+    @pytest.mark.parametrize("n", [0, -2, -1, 1.5, True, False, math.nan, 4.0, "4", None])
     def test_n_below_one_rejected(self, n):
         caps = {"v": [["a b c", "a b d"]]}
         for metric in (repetition, diversity_report):
-            with pytest.raises(ValueError, match="n must be >= 1"):
+            with pytest.raises(ValueError, match="n must be >= 1 and an int"):
                 metric(caps, n=n)
 
 
