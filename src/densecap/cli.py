@@ -26,15 +26,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(name):
-    def convert(value):
-        n = int(value)
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1")
-        return n
-    return convert
-
-
 def _float_list(value):
     return [float(x) for x in value.split(",") if x]
 
@@ -125,10 +116,9 @@ def _cmd_eval_diversity(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    cfg = fusion.FusionConfig(k=args.k, max_steps=args.max_steps, candidate_cap=args.cap)
     metas = core.load_meta(args.meta)
     scorers = fusion.load_scores(args.scores)
-    cfg = fusion.FusionConfig(k=args.k, max_steps=args.max_steps,
-                              candidate_cap=args.cap)
     predictions = fusion.select_proposals(scorers, metas, cfg)
     core.save_predictions(predictions, args.out)
     print(f"selected {sum(map(len, predictions.values()))} proposals "
@@ -137,12 +127,12 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_rerank_proposals(args) -> int:
-    metas = core.load_meta(args.meta)
-    preds, _ = core.load_predictions(args.pred)
     if len(args.weights) != 4:
         raise ValueError("--weights needs four values: "
                          "quality,describability,position,length")
     weights = rerank.RerankWeights(*args.weights, top_n=args.top)
+    metas = core.load_meta(args.meta)
+    preds, _ = core.load_predictions(args.pred)
     out, flagged = rerank.rerank_proposals(preds, metas, weights)
     core.save_predictions(out, args.out)
     if flagged:
@@ -155,10 +145,10 @@ def _cmd_rerank_captions(args) -> int:
     if bool(args.concept_model) != bool(args.features_dir):
         missing = "--features-dir" if args.concept_model else "--concept-model"
         raise ValueError(f"--concept-model and --features-dir go together: {missing} is missing")
+    params = rerank.CaptionRerankParams(args.alpha, args.beta, args.top_concepts)
     pred_files = [p for p in args.pred_multi.split(",") if p]
     all_preds = [core.load_predictions(p)[0] for p in pred_files]
     model = concepts_mod.load_model(args.concept_model) if args.concept_model else None
-    params = rerank.CaptionRerankParams(args.alpha, args.beta, args.top_concepts)
     grids = core.load_features_dir(args.features_dir) if model is not None else {}
     out = rerank.merge_captions(all_preds, params, model, grids)
     core.save_predictions(out, args.out)
@@ -178,11 +168,10 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_concepts_train(args) -> int:
+    cfg = concepts_mod.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
+                                   batch_size=args.batch, k_segments=args.k, seed=args.seed)
     vocab, examples = concepts_mod.load_labels(
         args.labels, core.load_features_dir(args.features_dir))
-    cfg = concepts_mod.TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
-        k_segments=args.k, seed=args.seed)
     model, trace = concepts_mod.train(examples, cfg, vocabulary=vocab)
     concepts_mod.save_model(model, args.out)
     print(f"trained on {len(examples)} proposals; "
@@ -222,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
-    p.add_argument("--videos", type=_positive_int("videos"), required=True)
+    p.add_argument("--videos", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--events-min", type=_positive_int("events-min"), default=2)
-    p.add_argument("--events-max", type=_positive_int("events-max"), default=5)
+    p.add_argument("--events-min", type=int, default=2)
+    p.add_argument("--events-max", type=int, default=5)
     p.add_argument("--single-set", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_gen_synthetic)
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--pred2", action="append",
                    help="second caption set; repeat for more")
-    p.add_argument("--n", type=_positive_int("n"), default=4)
+    p.add_argument("--n", type=int, default=4)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_diversity)
 
@@ -257,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", required=True, help="video metadata JSON")
     p.add_argument("--scores", required=True,
                    help="heuristic attractors or precomputed score tables (JSON)")
-    p.add_argument("--k", type=_positive_int("k"), default=1)
-    p.add_argument("--cap", type=_positive_int("cap"), default=80)
-    p.add_argument("--max-steps", type=_positive_int("max-steps"), default=20)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--cap", type=int, default=80)
+    p.add_argument("--max-steps", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fuse)
 
@@ -268,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", required=True)
     p.add_argument("--weights", type=_float_list, default=[1.0, 1.0, 1.0, 1.0],
                    help="quality,describability,position,length")
-    p.add_argument("--top", type=_positive_int("top"), default=5)
+    p.add_argument("--top", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rerank_proposals)
 
@@ -279,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-dir")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--top-concepts", type=_positive_int("top-concepts"), default=20)
+    p.add_argument("--top-concepts", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rerank_captions)
 
@@ -296,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--labels", required=True,
                     help='JSON {"vocabulary": [...], "examples": {vid: [...]}}')
     pt.add_argument("--lr", type=float, default=0.05)
-    pt.add_argument("--epochs", type=_positive_int("epochs"), default=100)
-    pt.add_argument("--batch", type=_positive_int("batch"), default=32)
-    pt.add_argument("--k", type=_positive_int("k"), default=20,
+    pt.add_argument("--epochs", type=int, default=100)
+    pt.add_argument("--batch", type=int, default=32)
+    pt.add_argument("--k", type=int, default=20,
                     help="segments pooled per proposal; the model keeps it for prediction")
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out", required=True)
@@ -308,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--features", required=True)
     pp.add_argument("--timestamps", required=True, type=_spans,
                     help='semicolon-separated "start,end" spans')
-    pp.add_argument("--top", type=_positive_int("top"), default=10)
+    pp.add_argument("--top", type=int, default=10)
     pp.add_argument("--out")
     pp.set_defaults(func=_cmd_concepts_predict)
 
@@ -319,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-dir")
     p.add_argument("--window-ratio", type=float, default=0.5)
     p.add_argument("--direction", choices=["uni", "bi"], default="bi")
-    p.add_argument("--pool", choices=["mean", "max"], default="mean")
+    p.add_argument("--pool", choices=list(contexts_mod.POOLS), default="mean")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_contexts)
 

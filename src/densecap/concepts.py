@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, read_container,
-                   read_field, read_interval, read_items, read_json, read_object,
+from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, check_count,
+                   read_container, read_field, read_interval, read_items, read_json, read_object,
                    read_rows, segment_range, write_container)
 
 LOGIT_CLAMP = 30.0
@@ -64,8 +64,7 @@ class LinearConceptModel:
             raise ValueError("weight rows must match vocabulary size")
         if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
             raise ValueError("model parameters must be finite")
-        if not self.k_segments >= 1:
-            raise ValueError("k_segments must be >= 1")
+        check_count("k_segments", self.k_segments)
 
     @property
     def n_concepts(self) -> int:
@@ -95,15 +94,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails every check
+        # written so that NaN fails the check
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        if not self.epochs >= 1:
-            raise ValueError("epochs must be >= 1")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.k_segments >= 1:
-            raise ValueError("k_segments must be >= 1")
+        for name in ("epochs", "batch_size", "k_segments"):
+            check_count(name, getattr(self, name))
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -116,8 +111,7 @@ def select_even_segments(proposal: TimeInterval, meta: VideoMeta, k: int) -> Lis
     linspace over [i, j-1] with half-up rounding, in numpy's arithmetic;
     indices repeat when the range is shorter than K.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k)
     i, j = segment_range(proposal, meta)
     if k == 1:
         return [i]
@@ -296,6 +290,7 @@ def top_concepts(probs: np.ndarray, vocabulary: ConceptVocabulary,
                  k: int) -> List[Tuple[str, float]]:
     """The k most probable concepts with their probabilities; ties go to
     the earlier vocabulary entry."""
+    check_count("k", k)
     top = np.argsort(-np.asarray(probs, dtype=np.float64), kind="stable")[:k]
     return [(vocabulary.concepts[i], float(probs[i])) for i in top.tolist()]
 
@@ -303,6 +298,7 @@ def top_concepts(probs: np.ndarray, vocabulary: ConceptVocabulary,
 def predict_report(model: LinearConceptModel, grid: SegmentGrid,
                    proposals: Sequence[TimeInterval], top: int = 10) -> List[dict]:
     """Per proposal, its `top` concepts by `predict_proposal`, as JSON-ready rows."""
+    check_count("top", top)
     return [{"timestamp": [p.start_s, p.end_s],
              "top_concepts": [{"concept": c, "probability": v} for c, v in
                               top_concepts(predict_proposal(model, grid, p),

@@ -18,8 +18,17 @@ from .core import (Corpus, CorpusFormatError, SegmentGrid, TimeInterval, VideoMe
                    segment_range)
 
 
+POOLS = {"mean": np.ndarray.mean, "max": np.ndarray.max}  # pooling mode -> row reduction
+
+
 class EmptyContext(Exception):
     """Pooling was asked for an empty segment selection."""
+
+
+def _pool(mode: str):
+    if mode not in POOLS:
+        raise ValueError(f"unknown pooling mode {mode!r}")
+    return POOLS[mode]
 
 
 @dataclass
@@ -34,6 +43,7 @@ class EventContextBundle:
     def to_dict(self, grid: Optional[SegmentGrid] = None, mode: str = "mean") -> dict:
         """The fields for JSON, the mask as 0/1; with a feature grid, also each
         view pooled by `pool_features`, and a zero vector for an empty view."""
+        _pool(mode)
         row = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
         row["global_mask"] = self.global_mask.astype(int).tolist()
         if grid is not None:
@@ -122,6 +132,7 @@ def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarra
     ValueError. Raises EmptyContext on an empty selection so the caller can
     substitute a zero vector of the right size.
     """
+    pool = _pool(mode)
     if isinstance(selection, tuple) and len(selection) == 2:
         start, end = selection
         if (isinstance(start, bool) or isinstance(end, bool)
@@ -138,11 +149,7 @@ def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarra
         raise ValueError("selection is neither a (start, end) range nor a segment mask")
     if rows.shape[0] == 0:
         raise EmptyContext("empty segment selection")
-    if mode == "mean":
-        return rows.mean(axis=0)
-    if mode == "max":
-        return rows.max(axis=0)
-    raise ValueError(f"unknown pooling mode {mode!r}")
+    return pool(rows, axis=0)
 
 
 def build_bundle(events: Sequence[TimeInterval], target: int, meta: VideoMeta,
@@ -172,6 +179,7 @@ def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],
     the sentence history. A video with a grid in `grids` also gets pooled
     vectors; its grid must have the video's segment count.
     """
+    _pool(mode)
     out = {}
     for vid in corpus.video_ids():
         record = corpus.videos[vid]

@@ -31,6 +31,12 @@ class CorpusFormatError(ValueError):
     """Raised when a groundtruth/prediction/feature file violates the format."""
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless `value` is an int (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class TimeInterval:
     """A [start, end] span in seconds with start < end."""
@@ -412,8 +418,9 @@ def load_predictions(path, corpus: Optional[Corpus] = None):
     """Load a predictions file.
 
     Returns {video_id: [PredictionEntry, ...]} preserving file order. When a
-    corpus is given, entries are attached to it, and predictions for unknown
-    video ids are skipped and counted. Returns (predictions, skipped_count).
+    corpus is given, every corpus video gets the file's list, or [] where the
+    file lacks it, and predictions for unknown video ids are skipped and
+    counted. Returns (predictions, skipped_count).
     """
     results = read_field(read_json(path), "results", dict, path)
 
@@ -439,8 +446,9 @@ def load_predictions(path, corpus: Optional[Corpus] = None):
                                            where, None),
             ))
         predictions[video_id] = parsed
-        if corpus is not None:
-            corpus.videos[video_id].predictions = parsed
+    if corpus is not None:
+        for video_id, record in corpus.videos.items():
+            record.predictions = predictions.get(video_id, [])
     return predictions, skipped
 
 

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .core import (CorpusFormatError, IntervalArray, PredictionEntry, TimeInterval, VideoMeta,
-                   as_bounds, read_field, read_intervals, read_items, read_json, read_object)
+                   as_bounds, check_count, read_field, read_intervals, read_items, read_json,
+                   read_object)
 from .intervals import tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -64,6 +65,7 @@ class CandidatePool:
     def from_windows(cls, windows: Sequence[TimeInterval], scorer: PointwiseScorer,
                      cap: int = 80) -> "CandidatePool":
         """Dedup near-identical windows, score them, keep the top `cap` by f_s."""
+        check_count("cap", cap)
         bounds = as_bounds(windows)
         kept = np.flatnonzero(_dedup(bounds))
         scores = np.asarray(scorer.scores(bounds[kept]), dtype=float)
@@ -78,12 +80,8 @@ class FusionConfig:
     candidate_cap: int = 80
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.candidate_cap < 1:
-            raise ValueError("candidate_cap must be >= 1")
+        for name in ("k", "max_steps", "candidate_cap"):
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Corpus
+from .core import Corpus, check_count
 from .intervals import check_thresholds, video_matches
 
 _STRIP = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
@@ -425,8 +425,7 @@ def captions_by_set(prediction_sets: Sequence[dict]) -> Dict[str, List[List[str]
 def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:
     """SelfB/RE per annotation set and with a video's sets pooled, from one
     per-video table of both metrics. Captions are strings or token lists."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be >= 1 and an int, got {n!r}")
+    check_count("n", n)
     scorers = (("self_bleu", _video_self_bleu),
                ("repetition", lambda sents: _video_repetition(sents, n)))
     per_video = {}

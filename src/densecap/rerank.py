@@ -18,7 +18,7 @@ import numpy as np
 
 from .concepts import ConceptVocabulary, LinearConceptModel, predict_proposal, top_concepts
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
-                   TimeInterval, VideoMeta, as_bounds)
+                   TimeInterval, VideoMeta, as_bounds, check_count)
 from .intervals import tiou_matrix
 from .metrics import tokenize
 
@@ -33,10 +33,10 @@ class RerankWeights:
     length: float = 1.0
     top_n: int = 5
 
-    def __post_init__(self):  # written so that NaN fails the check
-        if not (np.isfinite([self.quality, self.describability, self.position,
-                             self.length]).all() and self.top_n >= 1):
-            raise ValueError("re-rank weights must be finite and top_n >= 1")
+    def __post_init__(self):
+        if not np.isfinite([self.quality, self.describability, self.position, self.length]).all():
+            raise ValueError("re-rank weights must be finite")
+        check_count("top_n", self.top_n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,9 +124,10 @@ class CaptionRerankParams:
     beta: float = 0.5   # concept-match weight
     top_concepts: int = 20
 
-    def __post_init__(self):  # written so that NaN fails the check
-        if not (np.isfinite([self.alpha, self.beta]).all() and self.top_concepts >= 1):
-            raise ValueError("alpha and beta must be finite and top_concepts >= 1")
+    def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta]).all():
+            raise ValueError("alpha and beta must be finite")
+        check_count("top_concepts", self.top_concepts)
 
 
 def caption_rerank(hypotheses: Sequence[str], concept_probs: np.ndarray,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .concepts import MimlExample
 from .core import (AnnotationSet, Corpus, IntervalArray, PredictionEntry, SegmentGrid,
-                   TimeInterval, VideoMeta, VideoRecord)
+                   TimeInterval, VideoMeta, VideoRecord, check_count)
 
 SUBJECTS = ["man", "woman", "dog", "girl", "boy", "chef"]
 VERBS = ["runs", "jumps", "cooks", "dances", "sings", "slides"]
@@ -75,11 +75,11 @@ def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
     video. With `two_sets`, each video carries a second, jittered and
     paraphrased annotation set the way validation videos do.
     """
-    if n_videos < 1:
-        raise ValueError("n_videos must be >= 1")
     lo, hi = events_range
-    if not (1 <= lo <= hi):
-        raise ValueError("events_range must satisfy 1 <= lo <= hi")
+    for name, value in (("n_videos", n_videos), ("events_range[0]", lo), ("events_range[1]", hi)):
+        check_count(name, value)
+    if lo > hi:
+        raise ValueError("events_range must satisfy lo <= hi")
     rng = np.random.default_rng(seed)
     corpus = Corpus()
     for v in range(n_videos):

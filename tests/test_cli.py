@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -69,11 +70,42 @@ class TestDispatchBasics:
         assert exc.value.code == 1
 
     def test_bad_k_exits_1(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            dispatch(["fuse", "--meta", "m", "--scores", "s", "--out", "o",
-                      "--k", "0"])
-        assert exc.value.code == 1
+        assert dispatch(["fuse", "--meta", "m", "--scores", "s", "--out", "o",
+                         "--k", "0"]) == 1
         assert "k must be >= 1" in capsys.readouterr().err
+
+    # each former range-checking flag set to 0, with the library field that
+    # rejects it; fuse, rerank-proposals, rerank-captions and concepts train
+    # get input paths that do not exist, so their config is built before any I/O
+    @pytest.mark.parametrize("argv, field", [
+        (["gen-synthetic", "--videos", "0"], "n_videos"),
+        (["gen-synthetic", "--videos", "1", "--events-min", "0"], "events_range[0]"),
+        (["gen-synthetic", "--videos", "1", "--events-max", "0"], "events_range[1]"),
+        (["eval-diversity", "--pred", "{pred.json}", "--n", "0"], "n"),
+        (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--k", "0"], "k"),
+        (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--cap", "0"], "candidate_cap"),
+        (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--max-steps", "0"], "max_steps"),
+        (["rerank-proposals", "--pred", "{nope}", "--meta", "{nope}", "--top", "0"], "top_n"),
+        (["rerank-captions", "--pred-multi", "{nope}", "--top-concepts", "0"], "top_concepts"),
+        (["concepts", "train", "--features-dir", "{nope}", "--labels", "{nope}",
+          "--epochs", "0"], "epochs"),
+        (["concepts", "train", "--features-dir", "{nope}", "--labels", "{nope}",
+          "--batch", "0"], "batch_size"),
+        (["concepts", "train", "--features-dir", "{nope}", "--labels", "{nope}",
+          "--k", "0"], "k_segments"),
+        (["concepts", "predict", "--model", "{model.bin}", "--features", "{v1.feat}",
+          "--timestamps", "0,8", "--top", "0"], "top"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+    def test_count_below_one_exits_1(self, tmp_path, capsys, argv, field):
+        one_concept_files(tmp_path)
+        (tmp_path / "pred.json").write_text(json.dumps({"results": {}}))
+        out = tmp_path / "out"
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+        argv += ["--out-dir" if argv[0] == "gen-synthetic" else "--out", str(out)]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {field} must be >= 1 and an int, got 0"]
+        assert captured.out == "" and not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert dispatch(["eval-proposals", "--pred", str(tmp_path / "nope.json"),
@@ -171,6 +203,19 @@ def test_cli_imports_neither_json_nor_numpy():
     library calls, so the CLI needs neither."""
     tree = ast.parse(Path(cli.__file__).read_text())
     assert not top_level_imports(tree) & {"json", "numpy"}
+
+
+def test_cli_converters_only_parse():
+    """Every argparse `type=` only parses; range rules live in the library."""
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for subparser in action.choices.values():
+                    yield from actions(subparser)
+
+    types = {action.type for action in actions(cli.build_parser())} - {None}
+    assert types == {int, float, cli._float_list, cli._spans}
 
 
 def test_only_core_opens_files_or_imports_json_or_struct():

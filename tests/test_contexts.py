@@ -146,6 +146,12 @@ class TestPoolFeatures:
             with pytest.raises(EmptyContext):
                 pool_features(self.grid(), (i, i), "mean")
 
+    @pytest.mark.parametrize("selection", [(0, 2), (1, 1), np.zeros(4, dtype=bool)],
+                             ids=["range", "empty-range", "empty-mask"])
+    def test_unknown_mode_raises_before_the_selection_is_read(self, selection):
+        with pytest.raises(ValueError, match="unknown pooling mode 'median'"):
+            pool_features(self.grid(), selection, "median")
+
     @pytest.mark.parametrize("selection", [
         [0, 3], np.array([0, 3]), np.array([0.0, 3.0]), (0, 1, 2),
         np.array([True, False, True]), [True, False, False, True],
@@ -219,6 +225,13 @@ class TestSerialisedBundles:
         assert [r["event_range"] for r in rows] == [[0, 2], [2, 4]]
         assert [r["sentence_history"] for r in rows] == [[], ["first"]]
         assert rows[1]["event_vector"] == [5.0, 6.0]
+
+    def test_unknown_mode_raises_without_a_grid(self):
+        corpus = make_corpus(v1=make_video("v1", 16.0, [([[0, 8]], ["a"])], fps=16.0))
+        with pytest.raises(ValueError, match="unknown pooling mode 'median'"):
+            corpus_bundles(corpus, {}, mode="median")
+        with pytest.raises(ValueError, match="unknown pooling mode 'median'"):
+            build_bundle([iv(0, 8)], 0, self.META).to_dict(mode="median")
 
     def test_grid_must_have_the_meta_segment_count(self):
         corpus = make_corpus(v1=make_video("v1", 16.0, [([[0, 8]], ["a"])]))  # 25 fps

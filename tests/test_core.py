@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from densecap import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry, SegmentGrid,
-                      TimeInterval, VideoMeta, load_features, load_ground_truth,
-                      load_meta, load_predictions, save_features, save_ground_truth,
-                      save_meta, save_predictions, segment_range)
-from densecap.core import (IntervalArray, load_features_dir, read_interval, read_intervals,
-                           write_json)
+from densecap import (AnnotationSet, CandidatePool, CaptionRerankParams, ConceptVocabulary,
+                      CorpusFormatError, FusionConfig, HeuristicPointwiseScorer,
+                      LinearConceptModel, PredictionEntry, RerankWeights, SegmentGrid,
+                      TimeInterval, TrainConfig, VideoMeta, diversity_report, load_features,
+                      load_ground_truth, load_meta, load_predictions, save_features,
+                      save_ground_truth, save_meta, save_predictions, segment_range,
+                      select_even_segments)
+from densecap.concepts import predict_report, top_concepts
+from densecap.core import (IntervalArray, check_count, load_features_dir, read_interval,
+                           read_intervals, write_json)
 from densecap.synthetic import gen_synthetic
 
 
@@ -18,6 +22,50 @@ def write_gt(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+TWO_WINDOWS = [TimeInterval(0, 8), TimeInterval(4, 12)]
+ONE_CONCEPT = LinearConceptModel(np.zeros((1, 2)), np.zeros(1), ConceptVocabulary(["run"]), 2)
+GRID_16S = SegmentGrid(VideoMeta("v1", 16.0, fps=16.0), np.ones((4, 2)))  # four 4 s segments
+COUNT_ARGUMENTS = {
+    "check_count": lambda v: check_count("n", v),
+    "FusionConfig.k": lambda v: FusionConfig(k=v),
+    "FusionConfig.max_steps": lambda v: FusionConfig(max_steps=v),
+    "FusionConfig.candidate_cap": lambda v: FusionConfig(candidate_cap=v),
+    "CandidatePool.from_windows.cap": lambda v: CandidatePool.from_windows(
+        TWO_WINDOWS, HeuristicPointwiseScorer(TWO_WINDOWS), cap=v),
+    "TrainConfig.epochs": lambda v: TrainConfig(epochs=v),
+    "TrainConfig.batch_size": lambda v: TrainConfig(batch_size=v),
+    "TrainConfig.k_segments": lambda v: TrainConfig(k_segments=v),
+    "LinearConceptModel.k_segments": lambda v: LinearConceptModel(
+        ONE_CONCEPT.W, ONE_CONCEPT.b, ONE_CONCEPT.vocabulary, v),
+    "select_even_segments.k": lambda v: select_even_segments(
+        TimeInterval(0, 8), GRID_16S.meta, v),
+    "top_concepts.k": lambda v: top_concepts(np.array([0.5]), ONE_CONCEPT.vocabulary, v),
+    "predict_report.top": lambda v: predict_report(ONE_CONCEPT, GRID_16S, [], top=v),
+    "RerankWeights.top_n": lambda v: RerankWeights(top_n=v),
+    "CaptionRerankParams.top_concepts": lambda v: CaptionRerankParams(top_concepts=v),
+    "diversity_report.n": lambda v: diversity_report({"v": [["a b c", "a b d"]]}, n=v),
+    "gen_synthetic.n_videos": lambda v: gen_synthetic(v),
+    "gen_synthetic.events_range[0]": lambda v: gen_synthetic(1, events_range=(v, 5)),
+    "gen_synthetic.events_range[1]": lambda v: gen_synthetic(1, events_range=(1, v)),
+}
+
+
+class TestCheckCount:
+    """Every count the library takes goes through `check_count`: an int or
+    numpy integer, not a bool, of at least 1."""
+
+    @pytest.mark.parametrize("call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS.keys())
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, math.nan, 4.0, "4"],
+                             ids=["0", "-1", "1.5", "True", "nan", "4.0", "str"])
+    def test_rejected(self, call, value):
+        with pytest.raises(ValueError, match=r"must be >= 1 and an int, got "):
+            call(value)
+
+    @pytest.mark.parametrize("call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS.keys())
+    def test_numpy_integer_accepted(self, call):
+        call(np.int64(3))
 
 
 class TestGroundTruthLoading:
@@ -303,6 +351,20 @@ class TestPredictionLoading:
             "ghost": [{"timestamp": [0, 5]}]}}))
         preds, skipped = load_predictions(path, corpus=corpus)
         assert skipped == 1 and "ghost" not in preds
+
+    def test_second_load_replaces_every_video(self, tmp_path):
+        """A video the second file lacks keeps no prediction of the first."""
+        corpus = load_ground_truth(write_gt(tmp_path, "gt.json", {
+            vid: {"duration": 30, "timestamps": [[0, 10]], "sentences": ["s"]}
+            for vid in ("v1", "v2", "v3")}))
+        for name, vids in (("a", ["v1", "v2", "v3"]), ("b", ["v2"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"results": {
+                vid: [{"timestamp": [0, 5], "sentence": f"file {name}"}] for vid in vids}}))
+            load_predictions(path, corpus=corpus)
+        assert {vid: [p.sentence for p in record.predictions]
+                for vid, record in corpus.videos.items()} == {
+            "v1": [], "v2": ["file b"], "v3": []}
 
 
     def test_non_finite_values_are_not_written(self, tmp_path):
