@@ -49,19 +49,18 @@ def _write_json(payload, path):
         core.write_json(payload, path)
 
 
-def _finish_eval(result, left_out, skipped, out) -> int:
+def _finish_eval(result, left_out, skipped, out):
     if result.zero_prediction_videos:
         print(f"videos without predictions ({left_out}): {result.zero_prediction_videos}")
     if skipped:
         print(f"skipped predictions for {skipped} unknown videos")
     _write_json(result.to_dict(), out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_gen_synthetic(args) -> int:
+def _cmd_gen_synthetic(args):
     corpus = synthetic.gen_synthetic(
         args.videos, events_range=(args.events_min, args.events_max),
         seed=args.seed, two_sets=not args.single_set)
@@ -71,25 +70,26 @@ def _cmd_gen_synthetic(args) -> int:
         core.save_ground_truth(corpus, os.path.join(args.out_dir, "gt_set2.json"), 1)
     core.save_meta(corpus, os.path.join(args.out_dir, "meta.json"))
     print(f"wrote {args.videos} videos to {args.out_dir}")
-    return 0
 
 
-def _cmd_eval_proposals(args) -> int:
+def _cmd_eval_proposals(args):
+    thresholds = intervals.check_thresholds(args.tiou)
     corpus = _load_corpus(args.gt)
     _, skipped = core.load_predictions(args.pred, corpus=corpus)
-    table = intervals.precision_recall(corpus, args.tiou)
+    table = intervals.precision_recall(corpus, thresholds)
     header = f"{'tIoU':>6} {'precision':>10} {'recall':>10}"
     print(header)
     for t, p, r in table.rows():
         print(f"{t:>6.2f} {p:>10.4f} {r:>10.4f}")
     print(f"avg proposals/video: {table.avg_proposals_per_video:.2f}")
-    return _finish_eval(table, "precision counted as 0", skipped, args.out)
+    _finish_eval(table, "precision counted as 0", skipped, args.out)
 
 
-def _cmd_eval_captions(args) -> int:
+def _cmd_eval_captions(args):
+    thresholds = intervals.check_thresholds(args.tiou)
     corpus = _load_corpus(args.gt)
     _, skipped = core.load_predictions(args.pred, corpus=corpus)
-    report = metrics.dense_eval(corpus, args.tiou)
+    report = metrics.dense_eval(corpus, thresholds)
     print(f"{'tIoU':>6} {'BLEU4':>8} {'BLEU4raw':>9} {'CIDEr':>8} "
           f"{'matched':>8} {'unmatched':>10}")
     for t in report.thresholds:
@@ -98,10 +98,11 @@ def _cmd_eval_captions(args) -> int:
               f"{report.matched[t]:>8} {report.unmatched[t]:>10}")
     print(f"average BLEU4 (smoothed): {report.avg_bleu4_smoothed:.4f}")
     print(f"average CIDEr: {report.avg_cider:.4f}")
-    return _finish_eval(report, "left out of the averages", skipped, args.out)
+    _finish_eval(report, "left out of the averages", skipped, args.out)
 
 
-def _cmd_eval_diversity(args) -> int:
+def _cmd_eval_diversity(args):
+    core.check_count("n", args.n)
     sets = [core.load_predictions(path)[0] for path in [args.pred] + (args.pred2 or [])]
     report = metrics.diversity_report(metrics.captions_by_set(sets), n=args.n)
     print(f"SelfB:  {report.self_bleu:8.4f}")
@@ -112,10 +113,9 @@ def _cmd_eval_diversity(args) -> int:
         print(f"videos excluded from SelfB (<2 captions): "
               f"{report.excluded_self_bleu_videos}")
     _write_json(report.to_dict(), args.out)
-    return 0
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args):
     cfg = fusion.FusionConfig(k=args.k, max_steps=args.max_steps, candidate_cap=args.cap)
     metas = core.load_meta(args.meta)
     scorers = fusion.load_scores(args.scores)
@@ -123,10 +123,9 @@ def _cmd_fuse(args) -> int:
     core.save_predictions(predictions, args.out)
     print(f"selected {sum(map(len, predictions.values()))} proposals "
           f"over {len(predictions)} videos")
-    return 0
 
 
-def _cmd_rerank_proposals(args) -> int:
+def _cmd_rerank_proposals(args):
     if len(args.weights) != 4:
         raise ValueError("--weights needs four values: "
                          "quality,describability,position,length")
@@ -138,10 +137,9 @@ def _cmd_rerank_proposals(args) -> int:
     if flagged:
         print(f"candidates missing caption_logprob (factor set to 0): {flagged}")
     print(f"kept top {args.top} proposals for {len(out)} videos")
-    return 0
 
 
-def _cmd_rerank_captions(args) -> int:
+def _cmd_rerank_captions(args):
     if bool(args.concept_model) != bool(args.features_dir):
         missing = "--features-dir" if args.concept_model else "--concept-model"
         raise ValueError(f"--concept-model and --features-dir go together: {missing} is missing")
@@ -154,20 +152,18 @@ def _cmd_rerank_captions(args) -> int:
     core.save_predictions(out, args.out)
     print(f"re-ranked captions for {len(out)} videos "
           f"from {len(pred_files)} hypothesis files")
-    return 0
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args):
     corpus = _load_corpus([args.gt])
     preds, _ = core.load_predictions(args.pred, corpus=corpus)
     payload = rerank.augment_corpus(corpus, preds)
     _write_json(payload, args.out)
     print(f"emitted {sum(map(len, payload.values()))} augmented pairs "
           f"for {len(payload)} videos")
-    return 0
 
 
-def _cmd_concepts_train(args) -> int:
+def _cmd_concepts_train(args):
     cfg = concepts_mod.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                    batch_size=args.batch, k_segments=args.k, seed=args.seed)
     vocab, examples = concepts_mod.load_labels(
@@ -176,10 +172,10 @@ def _cmd_concepts_train(args) -> int:
     concepts_mod.save_model(model, args.out)
     print(f"trained on {len(examples)} proposals; "
           f"final loss {trace[-1]:.6f}")
-    return 0
 
 
-def _cmd_concepts_predict(args) -> int:
+def _cmd_concepts_predict(args):
+    core.check_count("top", args.top)
     model = concepts_mod.load_model(args.model)
     grid = core.load_features(args.features)
     rows = concepts_mod.predict_report(
@@ -189,10 +185,9 @@ def _cmd_concepts_predict(args) -> int:
                          for r in row["top_concepts"][:5])
         print("[{:.1f}, {:.1f}] {}".format(*row["timestamp"], head))
     _write_json(rows, args.out)
-    return 0
 
 
-def _cmd_contexts(args) -> int:
+def _cmd_contexts(args):
     metas = core.load_meta(args.meta) if args.meta else None
     corpus = _load_corpus([args.events], metas)
     grids = core.load_features_dir(args.features_dir) if args.features_dir else {}
@@ -201,7 +196,6 @@ def _cmd_contexts(args) -> int:
     _write_json(payload, args.out)
     print(f"wrote {sum(map(len, payload.values()))} context bundles "
           f"for {len(payload)} videos")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +313,7 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (FileNotFoundError, PermissionError, IsADirectoryError,
             CorpusFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -327,6 +321,7 @@ def dispatch(argv=None) -> int:
     except (ValueError, fusion.FusionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -96,8 +96,7 @@ def global_context(event: TimeInterval, meta: VideoMeta) -> np.ndarray:
     return mask
 
 
-def event_neighbors(events: Sequence[TimeInterval], target: int,
-                    direction: str = "uni") -> List[int]:
+def event_neighbors(events: Sequence[TimeInterval], target: int, direction: str) -> List[int]:
     """Neighbor event indices in temporal order.
 
     "uni" returns only past events (indices before the target in start-time

@@ -49,7 +49,7 @@ class SequentialScorer(Protocol):
 
 @dataclass
 class CandidatePool:
-    """Deduplicated candidate intervals with their pointwise scores."""
+    """Candidate intervals with their pointwise scores."""
 
     candidates: IntervalArray  # a list of TimeIntervals is converted
     scores: Optional[np.ndarray] = None  # f_s per candidate, aligned with `candidates`
@@ -64,13 +64,13 @@ class CandidatePool:
     @classmethod
     def from_windows(cls, windows: Sequence[TimeInterval], scorer: PointwiseScorer,
                      cap: int = 80) -> "CandidatePool":
-        """Dedup near-identical windows, score them, keep the top `cap` by f_s."""
+        """Score `windows` as given (the enumerator has removed near duplicates)
+        and keep the top `cap` by f_s, in window order."""
         check_count("cap", cap)
         bounds = as_bounds(windows)
-        kept = np.flatnonzero(_dedup(bounds))
-        scores = np.asarray(scorer.scores(bounds[kept]), dtype=float)
+        scores = np.asarray(scorer.scores(bounds), dtype=float)
         keep = np.sort(np.argsort(-scores, kind="stable")[:cap])  # enumeration order
-        return cls(IntervalArray(bounds[kept[keep]]), scores[keep])
+        return cls(IntervalArray(bounds[keep]), scores[keep])
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -25,14 +25,14 @@ class PRTable:
         return [(t, self.precision[t], self.recall[t]) for t in self.thresholds]
 
     def to_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds,
-            "precision": {str(t): self.precision[t] for t in self.thresholds},
-            "recall": {str(t): self.recall[t] for t in self.thresholds},
-            "avg_proposals_per_video": self.avg_proposals_per_video,
-            "videos": self.videos,
-            "zero_prediction_videos": self.zero_prediction_videos,
-        }
+        return report_dict(self)
+
+
+def report_dict(report) -> dict:
+    """Every field of a per-threshold report dataclass, JSON-ready: a
+    `{threshold: value}` field is keyed by `str(threshold)`."""
+    return {name: {str(t): v for t, v in value.items()} if isinstance(value, dict) else value
+            for name, value in asdict(report).items()}
 
 
 def tiou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Corpus, check_count
-from .intervals import check_thresholds, video_matches
+from .intervals import check_thresholds, report_dict, video_matches
 
 _STRIP = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
 
@@ -128,21 +128,17 @@ def _add_counts(a, b):
 # ---------------------------------------------------------------------------
 # CIDEr-D
 
-class _Idf(dict):
-    """gram -> log(documents) - log(max(document frequency, 1)), computed on a
-    gram's first use, so one CIDEr-D pair does not pay for the whole table."""
-
-    def __init__(self, df: Dict, n_docs: int):
-        self.df, self.log_n = df, math.log(max(n_docs, 1))
-
-    def __missing__(self, gram):
-        self[gram] = idf = self.log_n - math.log(max(self.df.get(gram, 0.0), 1.0))
-        return idf
+def _idf(df: Dict, n_docs: int):
+    """({gram: log(documents) - log(max(document frequency, 1))}, log(documents)),
+    the second being the idf of a gram the table lacks."""
+    log_n = math.log(max(n_docs, 1))
+    return {gram: log_n - math.log(max(d, 1.0)) for gram, d in df.items()}, log_n
 
 
-def _cider_vector(sent: _Sentence, idf: _Idf):
+def _cider_vector(sent: _Sentence, idf: Dict, log_n: float):
     """Per-n TF-IDF vectors, their norms, and the token length."""
-    vecs = [{gram: count * idf[gram] for gram, count in grams.items()} for grams in sent.grams]
+    vecs = [{gram: count * idf.get(gram, log_n) for gram, count in grams.items()}
+            for grams in sent.grams]
     return vecs, [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs], sent.length
 
 
@@ -187,9 +183,9 @@ def cider_d_pair(candidate: Sequence[str], references: Sequence[Sequence[str]],
     """CIDEr-D of one candidate against one event's reference set."""
     if not references:
         raise ValueError("references must be non-empty")
-    idf = _Idf(df, n_docs)
-    return _cider(_cider_vector(_sentence(candidate), idf),
-                  [_cider_vector(_sentence(ref), idf) for ref in references])
+    idf, log_n = _idf(df, n_docs)
+    return _cider(_cider_vector(_sentence(candidate), idf, log_n),
+                  [_cider_vector(_sentence(ref), idf, log_n) for ref in references])
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +215,8 @@ class DenseEvalReport:
         return _mean([self.cider[t] for t in self.thresholds])
 
     def to_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds,
-            "bleu4_smoothed": {str(t): self.bleu4_smoothed[t] for t in self.thresholds},
-            "bleu4_unsmoothed": {str(t): self.bleu4_unsmoothed[t] for t in self.thresholds},
-            "bleu4_corpus": {str(t): self.bleu4_corpus[t] for t in self.thresholds},
-            "cider": {str(t): self.cider[t] for t in self.thresholds},
-            "matched": {str(t): self.matched[t] for t in self.thresholds},
-            "unmatched": {str(t): self.unmatched[t] for t in self.thresholds},
-            "avg_bleu4_smoothed": self.avg_bleu4_smoothed,
-            "avg_bleu4_unsmoothed": self.avg_bleu4_unsmoothed,
-            "avg_cider": self.avg_cider,
-            "zero_prediction_videos": self.zero_prediction_videos,
-        }
+        return {**report_dict(self), "avg_bleu4_smoothed": self.avg_bleu4_smoothed,
+                "avg_bleu4_unsmoothed": self.avg_bleu4_unsmoothed, "avg_cider": self.avg_cider}
 
 
 def dense_eval(corpus: Corpus,
@@ -246,8 +231,9 @@ def dense_eval(corpus: Corpus,
     thresholds = check_thresholds(thresholds)
     # document frequencies over all groundtruth events, one doc per event; a
     # video's records are built only when it is scored, and dropped after
-    idf = _Idf(*build_document_frequency([tokenize(s)] for record in corpus.videos.values()
-                                         for ann in record.annotation_sets for s in ann.sentences))
+    idf, log_n = _idf(*build_document_frequency(
+        [tokenize(s)] for record in corpus.videos.values()
+        for ann in record.annotation_sets for s in ann.sentences))
 
     # (3, T) means of each scored video: smoothed, unsmoothed BLEU-4 and CIDEr-D
     per_video = np.empty((3, len(thresholds), len(corpus.videos)))
@@ -273,7 +259,7 @@ def dense_eval(corpus: Corpus,
         gt_vecs = [None] * len(gt)  # built when a matched prediction first refers to one
         for p in np.flatnonzero(hits.any(axis=(1, 2))).tolist():
             cand = _sentence(tokenize(preds[p].sentence))
-            cand_vec = _cider_vector(cand, idf)
+            cand_vec = _cider_vector(cand, idf, log_n)
             scored = {}  # a prediction's reference sets repeat across thresholds
             for t, row in enumerate(hits[p].T.tolist()):
                 refs = tuple(j for j, hit in enumerate(row) if hit)
@@ -282,7 +268,7 @@ def dense_eval(corpus: Corpus,
                 if refs not in scored:
                     for j in refs:
                         if gt_vecs[j] is None:
-                            gt_vecs[j] = _cider_vector(gt[j], idf)
+                            gt_vecs[j] = _cider_vector(gt[j], idf, log_n)
                     counts = _bleu_counts(cand, [gt[j] for j in refs])
                     scored[refs] = counts, (_bleu_from_counts(*counts, smoothing=True),
                                             _bleu_from_counts(*counts, smoothing=False),

@@ -11,7 +11,7 @@ match exceeds tIoU 0.3 (strictly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -209,10 +209,7 @@ def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],
                 continue
             probs, vocab = ((predict_proposal(model, grids[vid], entry.interval),
                              model.vocabulary) if vid in grids else no_concepts)
-            merged.append(PredictionEntry(entry.interval,
-                                          sentence=caption_rerank(hyps, probs, vocab, params),
-                                          proposal_score=entry.proposal_score,
-                                          caption_logprob=entry.caption_logprob))
+            merged.append(replace(entry, sentence=caption_rerank(hyps, probs, vocab, params)))
         out[vid] = merged
     return out
 

@@ -97,10 +97,10 @@ def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
     return corpus
 
 
-def identity_predictions(corpus: Corpus, set_index: int = 0) -> Corpus:
-    """Copy a groundtruth set into the prediction slots (for metric identities)."""
+def identity_predictions(corpus: Corpus) -> Corpus:
+    """Copy groundtruth set 0 into the prediction slots (for metric identities)."""
     for record in corpus.videos.values():
-        ann = record.annotation_sets[set_index]
+        ann = record.annotation_sets[0]
         record.predictions = [
             PredictionEntry(iv, sentence=sent, proposal_score=1.0)
             for iv, sent in zip(ann.intervals, ann.sentences)

@@ -75,13 +75,13 @@ class TestDispatchBasics:
         assert "k must be >= 1" in capsys.readouterr().err
 
     # each former range-checking flag set to 0, with the library field that
-    # rejects it; fuse, rerank-proposals, rerank-captions and concepts train
-    # get input paths that do not exist, so their config is built before any I/O
+    # rejects it, and each bad --tiou with the library's message; every input
+    # path does not exist, so each check runs before any I/O
     @pytest.mark.parametrize("argv, field", [
         (["gen-synthetic", "--videos", "0"], "n_videos"),
         (["gen-synthetic", "--videos", "1", "--events-min", "0"], "events_range[0]"),
         (["gen-synthetic", "--videos", "1", "--events-max", "0"], "events_range[1]"),
-        (["eval-diversity", "--pred", "{pred.json}", "--n", "0"], "n"),
+        (["eval-diversity", "--pred", "{nope}", "--n", "0"], "n"),
         (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--k", "0"], "k"),
         (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--cap", "0"], "candidate_cap"),
         (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--max-steps", "0"], "max_steps"),
@@ -93,18 +93,22 @@ class TestDispatchBasics:
           "--batch", "0"], "batch_size"),
         (["concepts", "train", "--features-dir", "{nope}", "--labels", "{nope}",
           "--k", "0"], "k_segments"),
-        (["concepts", "predict", "--model", "{model.bin}", "--features", "{v1.feat}",
+        (["concepts", "predict", "--model", "{nope}", "--features", "{nope}",
           "--timestamps", "0,8", "--top", "0"], "top"),
+        *[([command, "--pred", "{nope}", "--gt", "{nope}", "--tiou", tiou], message)
+          for command in ("eval-proposals", "eval-captions")
+          for tiou, message in [("2", "tIoU threshold 2.0 is not in [0, 1]"),
+                                ("nan", "tIoU threshold nan is not in [0, 1]"),
+                                ("0.5,0.5", "repeated tIoU threshold in [0.5, 0.5]")]],
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
     def test_count_below_one_exits_1(self, tmp_path, capsys, argv, field):
-        one_concept_files(tmp_path)
-        (tmp_path / "pred.json").write_text(json.dumps({"results": {}}))
         out = tmp_path / "out"
         argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
         argv += ["--out-dir" if argv[0] == "gen-synthetic" else "--out", str(out)]
         assert dispatch(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: {field} must be >= 1 and an int, got 0"]
+        message = field if " " in field else f"{field} must be >= 1 and an int, got 0"
+        assert captured.err.splitlines() == [f"error: {message}"]
         assert captured.out == "" and not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):

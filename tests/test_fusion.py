@@ -321,11 +321,18 @@ class TestArrayKernelsMatchOracles:
     def test_dedup_matches_greedy_oracle(self, windows):
         assert _dedup_pairs(_pairs(windows)) == oracle_dedup(_pairs(windows), DEDUP_TOL_S)
 
-    @given(interval_lists(max_size=16))
-    def test_pool_dedups_before_scoring(self, windows):
+    @given(interval_lists(max_size=16), st.integers(1, 40))
+    def test_pool_keeps_given_windows_up_to_cap(self, windows, cap):
+        """The enumerator dedups; `from_windows` scores every window it is
+        given, exact and near duplicates too, and only `cap` drops any."""
+        windows = windows + windows
         scorer = HeuristicPointwiseScorer(windows[:2])
-        pool = CandidatePool.from_windows(windows, scorer, cap=len(windows) + 1)
-        assert _pairs(pool.candidates) == oracle_dedup(_pairs(windows), DEDUP_TOL_S)
+        kept = _pairs(CandidatePool.from_windows(windows, scorer, cap=cap).candidates)
+        assert len(kept) == min(cap, len(windows))
+        given_order = iter(_pairs(windows))
+        assert all(pair in given_order for pair in kept)  # a subsequence: window order
+        if cap >= len(windows):
+            assert kept == _pairs(windows)
 
     @given(interval_lists(), interval_lists(max_size=5))
     def test_pointwise_scores_match_oracle(self, cands, attractors):

@@ -10,6 +10,9 @@ is intended, regenerate the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
+which first prints the argv of each call whose entry differs from the
+manifest's.
+
 `concepts train`, `concepts predict` and `rerank-captions --concept-model`
 go through BLAS products, so their digests are compared only under the BLAS
 the manifest records.
@@ -187,6 +190,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         calls = replay(Path(tmp))
+    old = json.loads(MANIFEST.read_text())["calls"] if MANIFEST.exists() else []
+    for call in calls:
+        if call not in old:
+            print(f"changed: {' '.join(call['argv'])}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps({"blas": blas(), "calls": calls}, indent=1) + "\n")
     print(f"wrote {len(calls)} calls to {MANIFEST}")

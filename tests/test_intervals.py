@@ -108,6 +108,15 @@ class TestPrecisionRecall:
             "thresholds": [0.5], "precision": {"0.5": 1.0}, "recall": {"0.5": 0.5},
             "avg_proposals_per_video": 1.0, "videos": 1, "zero_prediction_videos": 0}
 
+    def test_dict_keys(self):
+        corpus = make_corpus(v1=make_video(
+            "v1", 40, [([[0, 10]], ["a"])], predictions=[pred(0, 10)]))
+        d = precision_recall(corpus, [0.9, 0.25]).to_dict()
+        assert set(d) == {"thresholds", "precision", "recall", "avg_proposals_per_video",
+                          "videos", "zero_prediction_videos"}
+        assert d["thresholds"] == [0.9, 0.25]
+        assert list(d["precision"]) == list(d["recall"]) == ["0.9", "0.25"]
+
     def test_identity(self):
         corpus = make_corpus(v1=make_video(
             "v1", 40, [([[0, 10], [20, 30]], ["a", "b"])],

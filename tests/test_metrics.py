@@ -383,6 +383,16 @@ class TestDenseEval:
         assert report.to_dict() == oracle_dense_eval_loop(corpus, [0.5])
         assert precision_recall(corpus, [0.5]).zero_prediction_videos == 1
 
+    def test_dict_keys(self):
+        d = dense_eval(matched_and_decoy_corpus(), [0.9, 0.25]).to_dict()
+        per_threshold = ["bleu4_smoothed", "bleu4_unsmoothed", "bleu4_corpus", "cider",
+                         "matched", "unmatched"]
+        assert set(d) == {"thresholds", *per_threshold, "avg_bleu4_smoothed",
+                          "avg_bleu4_unsmoothed", "avg_cider", "zero_prediction_videos"}
+        assert d["thresholds"] == [0.9, 0.25]
+        for key in per_threshold:
+            assert list(d[key]) == ["0.9", "0.25"]
+
     @pytest.mark.parametrize("thresholds", [[], [math.nan], [math.inf], [1.5], [-0.1],
                                             [0.5, 0.5], [0.3, 0.5, 0.3]])
     def test_bad_thresholds_rejected(self, thresholds):
