@@ -188,6 +188,7 @@ def _cmd_concepts_predict(args):
 
 
 def _cmd_contexts(args):
+    contexts_mod.check_window_ratio(args.window_ratio)
     metas = core.load_meta(args.meta) if args.meta else None
     corpus = _load_corpus([args.events], metas)
     grids = core.load_features_dir(args.features_dir) if args.features_dir else {}

@@ -15,9 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta, check_count,
-                   read_container, read_field, read_interval, read_items, read_json, read_object,
-                   read_rows, segment_range, write_container)
+from .core import (DURATION_SLOP_S, CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta,
+                   check_count, read_container, read_field, read_interval, read_items, read_json,
+                   read_object, read_rows, segment_range, write_container)
 
 LOGIT_CLAMP = 30.0
 PROB_CLAMP = 1e-7
@@ -299,6 +299,10 @@ def predict_report(model: LinearConceptModel, grid: SegmentGrid,
                    proposals: Sequence[TimeInterval], top: int = 10) -> List[dict]:
     """Per proposal, its `top` concepts by `predict_proposal`, as JSON-ready rows."""
     check_count("top", top)
+    for p in proposals:  # a span past the features is refused, as `load_labels` does
+        if p.end_s > grid.meta.duration_s + DURATION_SLOP_S:
+            raise ValueError(f"span [{p.start_s}, {p.end_s}] ends past duration "
+                             f"{grid.meta.duration_s}")
     return [{"timestamp": [p.start_s, p.end_s],
              "top_concepts": [{"concept": c, "probability": v} for c, v in
                               top_concepts(predict_proposal(model, grid, p),

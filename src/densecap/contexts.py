@@ -58,6 +58,12 @@ class EventContextBundle:
         return row
 
 
+def check_window_ratio(ratio: float) -> None:
+    """Raise ValueError unless the local-context window ratio is finite and > 0."""
+    if not 0 < ratio < np.inf:  # written so that NaN fails the check
+        raise ValueError(f"window_ratio must be finite and > 0, not {ratio}")
+
+
 def local_context(event: TimeInterval, meta: VideoMeta,
                   window_ratio: float = 0.5):
     """Segment ranges of the windows immediately before and after the event.
@@ -67,8 +73,7 @@ def local_context(event: TimeInterval, meta: VideoMeta,
     so they never overlap it. Empty ranges (i == j) occur at the video
     boundaries.
     """
-    if not 0 < window_ratio < np.inf:  # written so that NaN fails the check
-        raise ValueError(f"window_ratio must be finite and > 0, not {window_ratio}")
+    check_window_ratio(window_ratio)
     ev_i, ev_j = segment_range(event, meta)
     w = window_ratio * event.length_s
 

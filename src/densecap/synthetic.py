@@ -21,6 +21,8 @@ SUBJECTS = ["man", "woman", "dog", "girl", "boy", "chef"]
 VERBS = ["runs", "jumps", "cooks", "dances", "sings", "slides"]
 OBJECTS = ["ball", "guitar", "cake", "rope", "stage", "board"]
 ADVERBS = ["quickly", "slowly", "gracefully", "loudly", "carefully", "twice"]
+TEMPLATE = "the {} {} with the {} {}"
+SLOTS = (SUBJECTS, VERBS, OBJECTS, ADVERBS)
 
 SYNONYMS = {
     "man": "guy", "woman": "lady", "dog": "puppy", "girl": "child",
@@ -29,6 +31,7 @@ SYNONYMS = {
     "slides": "glides", "quickly": "fast", "slowly": "gently",
     "ball": "sphere", "guitar": "instrument", "cake": "dessert",
 }
+PARAPHRASE_SLOTS = tuple([SYNONYMS.get(w, w) for w in slot] for slot in SLOTS)
 
 MIN_DURATION_S = 30.0
 MAX_DURATION_S = 300.0
@@ -36,14 +39,11 @@ EVENT_LEN_FRAC = (0.06, 0.16)
 JITTER_FRAC = 0.1
 
 
-def _template_sentence(rng: np.random.Generator) -> str:
-    return ("the {} {} with the {} {}"
-            .format(rng.choice(SUBJECTS), rng.choice(VERBS),
-                    rng.choice(OBJECTS), rng.choice(ADVERBS)))
-
-
-def _paraphrase(sentence: str) -> str:
-    return " ".join(SYNONYMS.get(tok, tok) for tok in sentence.split())
+def _captions(n_events: int, rng: np.random.Generator) -> List[List[str]]:
+    """Sentences and their paraphrases from one draw, in the stream of one rng.choice per word."""
+    words = rng.integers(list(map(len, SLOTS)), size=(n_events, len(SLOTS))).tolist()
+    return [[TEMPLATE.format(subj[s], verb[v], obj[o], adv[a]) for s, v, o, a in words]
+            for subj, verb, obj, adv in (SLOTS, PARAPHRASE_SLOTS)]
 
 
 def _plant_events(duration: float, n_events: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,13 +87,11 @@ def gen_synthetic(n_videos: int, events_range: Tuple[int, int] = (2, 5),
         duration = float(rng.uniform(MIN_DURATION_S, MAX_DURATION_S))
         n_events = int(rng.integers(lo, hi + 1))
         events = _plant_events(duration, n_events, rng)
-        sentences = [_template_sentence(rng) for _ in range(n_events)]
+        sentences, paraphrases = _captions(n_events, rng)
         sets = [AnnotationSet(IntervalArray(events), sentences)]
         if two_sets:
-            sets.append(AnnotationSet(IntervalArray(_jitter(events, duration, rng)),
-                                      [_paraphrase(s) for s in sentences]))
-        meta = VideoMeta(video_id, duration)
-        corpus.videos[video_id] = VideoRecord(meta, sets)
+            sets.append(AnnotationSet(IntervalArray(_jitter(events, duration, rng)), paraphrases))
+        corpus.videos[video_id] = VideoRecord(VideoMeta(video_id, duration), sets)
     return corpus
 
 

@@ -75,8 +75,8 @@ class TestDispatchBasics:
         assert "k must be >= 1" in capsys.readouterr().err
 
     # each former range-checking flag set to 0, with the library field that
-    # rejects it, and each bad --tiou with the library's message; every input
-    # path does not exist, so each check runs before any I/O
+    # rejects it, and each bad --tiou and --window-ratio with the library's
+    # message; every input path does not exist, so each check runs before any I/O
     @pytest.mark.parametrize("argv, field", [
         (["gen-synthetic", "--videos", "0"], "n_videos"),
         (["gen-synthetic", "--videos", "1", "--events-min", "0"], "events_range[0]"),
@@ -100,6 +100,9 @@ class TestDispatchBasics:
           for tiou, message in [("2", "tIoU threshold 2.0 is not in [0, 1]"),
                                 ("nan", "tIoU threshold nan is not in [0, 1]"),
                                 ("0.5,0.5", "repeated tIoU threshold in [0.5, 0.5]")]],
+        *[(["contexts", "--events", "{nope}", "--window-ratio", ratio],
+           f"window_ratio must be finite and > 0, not {float(ratio)}")
+          for ratio in ("0", "-1", "nan", "inf")],
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
     def test_count_below_one_exits_1(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -590,6 +593,19 @@ class TestConceptsCli:
         assert capsys.readouterr().err == (
             "error: interval end 600.0 exceeds duration 64.0 at v1[0]\n")
         assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize("span, code", [("0,99999", 1), ("8,16.0000005", 0)])
+    def test_span_past_the_features_end_exits_1(self, tmp_path, capsys, span, code):
+        model, feat = one_concept_files(tmp_path)  # a 16 s video
+        out = tmp_path / "probs.json"
+        argv = predict_args(model, feat)[:-1] + [span, "--out", str(out)]
+        assert dispatch(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "error: span [0.0, 99999.0] ends past duration 16.0\n"
+            assert captured.out == "" and not out.exists()
+        else:
+            assert captured.err == "" and out.exists()
 
     def test_rerank_captions_pools_over_the_trained_k(self, synthetic_dir, tmp_path):
         """A model trained at --k 4 picks each caption from probabilities

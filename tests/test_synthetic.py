@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from densecap import TimeInterval, gen_synthetic, tiou
-from densecap.synthetic import (EVENT_LEN_FRAC, JITTER_FRAC, _jitter, _plant_events,
+from densecap.synthetic import (ADVERBS, EVENT_LEN_FRAC, JITTER_FRAC, OBJECTS, SUBJECTS,
+                                SYNONYMS, VERBS, _captions, _jitter, _plant_events,
                                 make_separable_miml)
 
 
@@ -30,6 +33,31 @@ def loop_jitter(interval, duration, rng):
     if end <= start:
         return interval
     return TimeInterval(start, end)
+
+
+def loop_template_sentence(rng):
+    """One sentence, one `rng.choice` per word, as `_captions` drew them
+    before it drew a video's word indices in one call."""
+    return ("the {} {} with the {} {}"
+            .format(rng.choice(SUBJECTS), rng.choice(VERBS),
+                    rng.choice(OBJECTS), rng.choice(ADVERBS)))
+
+
+def loop_paraphrase(sentence):
+    """The synonym of each word, looked up token by token."""
+    return " ".join(SYNONYMS.get(tok, tok) for tok in sentence.split())
+
+
+def corpus_digest(corpus):
+    """SHA-256 over each video's id, duration, bounds bytes and sentences."""
+    h = hashlib.sha256()
+    for vid, record in corpus.videos.items():
+        h.update(vid.encode())
+        h.update(np.float64(record.meta.duration_s).tobytes())
+        for ann in record.annotation_sets:
+            h.update(ann.intervals.bounds.tobytes())
+            h.update("\n".join(ann.sentences).encode() + b"\0")
+    return h.hexdigest()
 
 
 class TestGenSynthetic:
@@ -104,6 +132,26 @@ class TestWholeArrayGeneration:
         want = [loop_jitter(iv, clip_to, old) for iv in want]
         assert _jitter(events, clip_to, new).tolist() == [[iv.start_s, iv.end_s] for iv in want]
         assert new.random() == old.random()
+
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_captions_match_one_choice_per_word(self, seed):
+        """Same sentences and paraphrases as one `rng.choice` per word, and
+        the generator left at the same place."""
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n_events in range(1, 13):
+            want = [loop_template_sentence(old) for _ in range(n_events)]
+            assert _captions(n_events, new) == [want, [loop_paraphrase(s) for s in want]]
+            assert new.random() == old.random()
+
+    # digests of the benchmark's inputs, computed before the word draws were
+    # batched; a change to the draw order or the formatting fails here
+    @pytest.mark.parametrize("n_videos, digest", [
+        (1000, "9c3fd15d269a69a4ffd14f7db1abc6c2a8b39bb5dc5bb950cefd309784b72cb6"),
+        (500, "0db4778ff98ba0a281fe1702824ddc65ca58329f05738d3f362faaa22ccca803"),
+    ])
+    def test_seed_7_corpora_are_unchanged(self, n_videos, digest):
+        assert corpus_digest(gen_synthetic(n_videos, seed=7)) == digest
 
 
 class TestSeparableMiml:
