@@ -11,8 +11,7 @@ from .concepts import (ConceptVocabulary, LinearConceptModel, MimlExample,
                        TrainConfig, bce_loss, load_model, predict_proposal,
                        save_model, select_even_segments, train)
 from .contexts import (EmptyContext, EventContextBundle, build_bundle,
-                       event_neighbors, global_context, local_context,
-                       pool_features, sentence_history)
+                       local_context, pool_features)
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry,
                    SegmentGrid, TimeInterval, VideoMeta, VideoRecord,
                    load_features, load_ground_truth, load_meta, load_predictions,

@@ -218,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", action="append", required=True,
                    help="groundtruth file; repeat for a second annotation set")
-    p.add_argument("--tiou", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
+    p.add_argument("--tiou", type=_float_list, default=metrics.DENSE_EVAL_THRESHOLDS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_proposals)
 
     p = sub.add_parser("eval-captions", help="tIoU-thresholded BLEU/CIDEr evaluation")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", action="append", required=True)
-    p.add_argument("--tiou", type=_float_list, default=[0.3, 0.5, 0.7, 0.9])
+    p.add_argument("--tiou", type=_float_list, default=metrics.DENSE_EVAL_THRESHOLDS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_captions)
 

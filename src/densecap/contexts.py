@@ -1,10 +1,7 @@
 """Context extraction over the segment grid.
 
-Five kinds of context around a target event, all realized as deterministic
-index-set extraction plus feature pooling: segment-level features come from
-the grid itself, local windows sit immediately before/after the event,
-global context is everything outside the event, event context is the other
-events, and sentence context is the captions generated so far.
+Five kinds of context around a target event (`build_bundle` lists them),
+all realized as deterministic index-set extraction plus feature pooling.
 """
 
 from __future__ import annotations
@@ -93,41 +90,6 @@ def local_context(event: TimeInterval, meta: VideoMeta,
     return before, after
 
 
-def global_context(event: TimeInterval, meta: VideoMeta) -> np.ndarray:
-    """Boolean mask selecting every segment outside the event's range."""
-    i, j = segment_range(event, meta)
-    mask = np.ones(meta.segment_count, dtype=bool)
-    mask[i:j] = False
-    return mask
-
-
-def event_neighbors(events: Sequence[TimeInterval], target: int, direction: str) -> List[int]:
-    """Neighbor event indices in temporal order.
-
-    "uni" returns only past events (indices before the target in start-time
-    order), "bi" returns all other events. `events` must already be sorted
-    by start time.
-    """
-    if direction not in ("uni", "bi"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if not (0 <= target < len(events)):
-        raise IndexError(f"target {target} out of range")
-    if direction == "uni":
-        return list(range(target))
-    return [i for i in range(len(events)) if i != target]
-
-
-def sentence_history(captions: Sequence[str], target: int) -> List[str]:
-    """Captions generated for events before the target, in order.
-
-    Callers decode events sequentially, so asking for event i's history only
-    makes sense once events 0..i-1 have captions.
-    """
-    if not (0 <= target <= len(captions)):
-        raise IndexError(f"target {target} out of range")
-    return list(captions[:target])
-
-
 def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarray:
     """Mean or max pool the selected feature rows into one vector.
 
@@ -157,21 +119,36 @@ def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarra
 
 
 def build_bundle(events: Sequence[TimeInterval], target: int, meta: VideoMeta,
-                 captions: Optional[Sequence[str]] = None,
-                 window_ratio: float = 0.5,
+                 captions: Sequence[str], window_ratio: float = 0.5,
                  direction: str = "bi") -> EventContextBundle:
-    """Assemble the full context bundle for one event of a sorted event list."""
+    """The five contexts of event `target` in a start-sorted event list.
+
+    - segment: `event_range`, the event's own segment range;
+    - local: `local_before` and `local_after`, from `local_context`;
+    - global: `global_mask`, every segment outside `event_range`;
+    - event: `neighbor_events`, the earlier events' indices for direction
+      "uni", every other event's for "bi";
+    - sentence: `sentence_history`, the captions of the earlier events.
+
+    `captions` holds one caption per event.
+    """
+    if direction not in ("uni", "bi"):
+        raise ValueError(f"unknown direction {direction!r}")
+    if len(captions) != len(events):
+        raise ValueError(f"{len(captions)} captions for {len(events)} events")
+    if not 0 <= target < len(events):
+        raise IndexError(f"target {target} out of range")
     event = events[target]
     before, after = local_context(event, meta, window_ratio)
-    history = sentence_history(captions, target) if captions is not None else []
+    i, j = segment_range(event, meta)
+    mask = np.ones(meta.segment_count, dtype=bool)
+    mask[i:j] = False
+    neighbors = range(target) if direction == "uni" else (
+        k for k in range(len(events)) if k != target)
     return EventContextBundle(
-        event_range=segment_range(event, meta),
-        local_before=before,
-        local_after=after,
-        global_mask=global_context(event, meta),
-        neighbor_events=event_neighbors(events, target, direction),
-        sentence_history=history,
-    )
+        event_range=(i, j), local_before=before, local_after=after,
+        global_mask=mask, neighbor_events=list(neighbors),
+        sentence_history=list(captions[:target]))
 
 
 def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],
@@ -196,8 +173,6 @@ def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],
             raise CorpusFormatError(
                 f"{vid}: {grid.meta.segment_count} feature segments for "
                 f"{record.meta.segment_count} in the video's meta")
-        out[vid] = [build_bundle(events, target, record.meta, captions=captions,
-                                 window_ratio=window_ratio,
-                                 direction=direction).to_dict(grid, mode)
-                    for target in range(len(events))]
+        out[vid] = [build_bundle(events, t, record.meta, captions, window_ratio, direction)
+                    .to_dict(grid, mode) for t in range(len(events))]
     return out

@@ -184,9 +184,9 @@ def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],
                    ) -> Dict[str, List[PredictionEntry]]:
     """One caption per proposal from several captioners' prediction maps.
 
-    The files list the same proposals in the same order; the i-th entries of
-    a video are the i-th proposal's hypotheses, and an interval that differs
-    from the first file's is a CorpusFormatError. `caption_rerank` picks
+    The files that list a video list the same proposals in the same order; a
+    count or interval that differs from the first file's is a CorpusFormatError.
+    The i-th entries are the i-th proposal's hypotheses; `caption_rerank` picks
     among the sentences, with `model`'s concepts where `grids` has the
     video's features. Proposals without any sentence pass through.
     """
@@ -195,9 +195,13 @@ def merge_captions(hypothesis_files: Sequence[Dict[str, List[PredictionEntry]]],
     out = {}
     for vid in sorted(set().union(*hypothesis_files)):
         files = [p[vid] for p in hypothesis_files if vid in p]
+        for entries in files:
+            if len(entries) != len(files[0]):
+                raise CorpusFormatError(f"{vid}: hypothesis files list {len(files[0])} "
+                                        f"and {len(entries)} proposals")
         merged = []
         for i, entry in enumerate(files[0]):
-            at_i = [entries[i] for entries in files if i < len(entries)]
+            at_i = [entries[i] for entries in files]
             for other in at_i[1:]:
                 if other.interval != entry.interval:
                     raise CorpusFormatError(

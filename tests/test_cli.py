@@ -1,5 +1,6 @@
 import argparse
 import ast
+import inspect
 import json
 import math
 import shlex
@@ -9,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densecap import (PredictionEntry, SegmentGrid, VideoMeta,
-                      load_features, load_ground_truth, load_predictions, save_features,
-                      save_predictions)
+from densecap import (FusionConfig, PredictionEntry, RerankWeights, SegmentGrid, TrainConfig,
+                      VideoMeta, dense_eval, diversity_report, gen_synthetic, load_features,
+                      load_ground_truth, load_predictions, save_features, save_predictions)
 from densecap import cli
 from densecap.cli import dispatch
-from densecap.concepts import ConceptVocabulary, LinearConceptModel, load_model, save_model
+from densecap.concepts import (ConceptVocabulary, LinearConceptModel, load_model,
+                               predict_report, save_model)
+from densecap.contexts import corpus_bundles
+from densecap.metrics import DENSE_EVAL_THRESHOLDS
 from densecap.rerank import CaptionRerankParams, merge_captions
 from densecap.synthetic import synthetic_grid
 
@@ -103,6 +107,8 @@ class TestDispatchBasics:
         *[(["contexts", "--events", "{nope}", "--window-ratio", ratio],
            f"window_ratio must be finite and > 0, not {float(ratio)}")
           for ratio in ("0", "-1", "nan", "inf")],
+        (["gen-synthetic", "--videos", "1", "--events-min", "5", "--events-max", "2"],
+         "events_range must satisfy lo <= hi"),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
     def test_count_below_one_exits_1(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -113,6 +119,14 @@ class TestDispatchBasics:
         message = field if " " in field else f"{field} must be >= 1 and an int, got 0"
         assert captured.err.splitlines() == [f"error: {message}"]
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("spans", ["1,2,3", "1", "0,8;4"])
+    def test_span_without_an_end_exits_1(self, tmp_path, capsys, spans):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["concepts", "predict", "--model", str(tmp_path / "nope"),
+                      "--features", str(tmp_path / "nope"), "--timestamps", spans])
+        assert exc.value.code == 1
+        assert "argument --timestamps: invalid _spans value" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert dispatch(["eval-proposals", "--pred", str(tmp_path / "nope.json"),
@@ -166,6 +180,10 @@ class TestDispatchBasics:
                      id="contexts-meta-list"),
         pytest.param({"meta.json": {"v1": {"duration": 12}}}, CONTEXTS,
                      id="contexts-meta-duration-mismatch"),
+        pytest.param({"pred.json": {"results": {}}, "gt2.json": {"v1": {
+            "duration": 31, "timestamps": [[0, 10]], "sentences": ["a man runs"]}}},
+            ["eval-proposals", "--pred", "{pred.json}", "--gt", "{gt.json}",
+             "--gt", "{gt2.json}"], id="groundtruth-files-duration-mismatch"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, files, argv):
         code = dispatch(with_files(tmp_path, argv, {**DEFAULT_FILES, **files}))
@@ -238,6 +256,62 @@ def test_only_core_opens_files_or_imports_json_or_struct():
                  and isinstance(node.func, ast.Name) and node.func.id == "open"]
         assert not top_level_imports(tree) & {"json", "struct"}, path.name
         assert not opens, f"{path.name} calls open at lines {opens}"
+
+
+def default_of(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+FUSION, TRAIN = FusionConfig(), TrainConfig()
+WEIGHTS, CAPTION_PARAMS = RerankWeights(), CaptionRerankParams()
+# each subcommand with only its required arguments, and the library default
+# of every flag it leaves out
+CLI_DEFAULTS = [
+    (["gen-synthetic", "--videos", "1", "--out-dir", "o"],
+     {"seed": default_of(gen_synthetic, "seed"),
+      "events_min": default_of(gen_synthetic, "events_range")[0],
+      "events_max": default_of(gen_synthetic, "events_range")[1],
+      "single_set": not default_of(gen_synthetic, "two_sets")}),
+    (["eval-proposals", "--pred", "p", "--gt", "g"], {"tiou": DENSE_EVAL_THRESHOLDS}),
+    (["eval-captions", "--pred", "p", "--gt", "g"],
+     {"tiou": default_of(dense_eval, "thresholds")}),
+    (["eval-diversity", "--pred", "p"], {"n": default_of(diversity_report, "n")}),
+    (["fuse", "--meta", "m", "--scores", "s", "--out", "o"],
+     {"k": FUSION.k, "cap": FUSION.candidate_cap, "max_steps": FUSION.max_steps}),
+    (["rerank-proposals", "--pred", "p", "--meta", "m", "--out", "o"],
+     {"weights": [WEIGHTS.quality, WEIGHTS.describability, WEIGHTS.position, WEIGHTS.length],
+      "top": WEIGHTS.top_n}),
+    (["rerank-captions", "--pred-multi", "p", "--out", "o"],
+     {"alpha": CAPTION_PARAMS.alpha, "beta": CAPTION_PARAMS.beta,
+      "top_concepts": CAPTION_PARAMS.top_concepts}),
+    (["concepts", "train", "--features-dir", "f", "--labels", "l", "--out", "o"],
+     {"lr": TRAIN.learning_rate, "epochs": TRAIN.epochs, "batch": TRAIN.batch_size,
+      "k": TRAIN.k_segments, "seed": TRAIN.seed}),
+    (["concepts", "predict", "--model", "m", "--features", "f", "--timestamps", "0,8"],
+     {"top": default_of(predict_report, "top")}),
+    (["augment", "--pred", "p", "--gt", "g", "--out", "o"], {}),
+    (["contexts", "--events", "e", "--out", "o"],
+     {"window_ratio": default_of(corpus_bundles, "window_ratio"),
+      "direction": default_of(corpus_bundles, "direction"),
+      "pool": default_of(corpus_bundles, "mode")}),
+]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """Every flag a subcommand defaults takes the library's default, and the
+    table above names every defaulted flag of every subcommand."""
+    parser = cli.build_parser()
+    handlers = set()
+    for argv, defaults in CLI_DEFAULTS:
+        args = parser.parse_args(argv)
+        handlers.add(args.func.__name__)
+        given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+        defaulted = {dest: value for dest, value in vars(args).items()
+                     if value is not None and dest not in given
+                     and dest not in ("command", "concepts_command", "func")}
+        assert defaulted == defaults, argv
+    assert handlers == {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert sum(map(len, (defaults for _, defaults in CLI_DEFAULTS))) == 24
 
 
 def readme_command_lines():
@@ -435,6 +509,19 @@ class TestRerankCli:
         preds, _ = load_predictions(out)
         assert preds
 
+    def test_rerank_captions_rejects_different_proposal_counts(self, synthetic_dir, tmp_path,
+                                                              capsys):
+        pred = identity_pred_file(synthetic_dir, tmp_path)
+        preds, _ = load_predictions(pred)
+        vid = sorted(preds)[0]
+        fewer = tmp_path / "fewer.json"
+        save_predictions({**preds, vid: preds[vid][:-1]}, fewer)
+        for files in (f"{pred},{fewer}", f"{fewer},{pred}"):
+            assert dispatch(["rerank-captions", "--pred-multi", files,
+                             "--out", str(tmp_path / "best.json")]) == 2
+            assert "hypothesis files list" in capsys.readouterr().err
+        assert not (tmp_path / "best.json").exists()
+
     def test_rerank_captions_rejects_disagreeing_files(self, synthetic_dir, tmp_path, capsys):
         pred = identity_pred_file(synthetic_dir, tmp_path)
         preds, _ = load_predictions(pred)
@@ -562,6 +649,16 @@ class TestConceptsCli:
         model, feat = one_concept_files(tmp_path)
         model.write_bytes(model.read_bytes()[:-6])
         assert dispatch(predict_args(model, feat)) == 2
+
+    @pytest.mark.parametrize("index", [0, 3], ids=["weight", "bias"])
+    def test_nan_model_value_exits_2(self, tmp_path, capsys, index):
+        model, feat = one_concept_files(tmp_path)
+        raw = bytearray(model.read_bytes())  # the payload is W (1 x 3), then b (1)
+        start = len(raw) - 8 * (4 - index)
+        raw[start:start + 8] = np.array([math.nan], "<f8").tobytes()
+        model.write_bytes(bytes(raw))
+        assert dispatch(predict_args(model, feat)) == 2
+        assert "model parameters must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["n_concepts", "dim", "vocabulary", "k_segments"])
     def test_model_header_field_missing_exits_2(self, tmp_path, rewrite_header, key):

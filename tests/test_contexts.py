@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from densecap import (CorpusFormatError, EmptyContext, SegmentGrid, TimeInterval,
-                      VideoMeta, build_bundle, event_neighbors, global_context,
-                      local_context, pool_features, sentence_history,
+                      VideoMeta, build_bundle, local_context, pool_features,
                       segment_range)
 from densecap.contexts import corpus_bundles
 from conftest import make_corpus, make_video
@@ -51,14 +50,22 @@ class TestLocalContext:
             local_context(iv(4, 8), simple_meta, ratio)
 
 
+def bundle(events, target, meta=VideoMeta("v", 16.0, fps=16.0), direction="bi",
+           captions=None):
+    """`build_bundle` with a placeholder caption per event unless given."""
+    if captions is None:
+        captions = [f"c{k}" for k in range(len(events))]
+    return build_bundle(events, target, meta, captions, direction=direction)
+
+
 class TestGlobalContext:
     def test_whole_video_event(self, simple_meta):
-        mask = global_context(iv(0, 16), simple_meta)
+        mask = bundle([iv(0, 16)], 0, simple_meta).global_mask
         assert not mask.any()
 
     def test_complement(self):
         meta = VideoMeta("v", 16.0, fps=16.0)  # 4 segments
-        mask = global_context(iv(4, 12), meta)  # segments [1, 3)
+        mask = bundle([iv(4, 12)], 0, meta).global_mask  # segments [1, 3)
         assert mask.tolist() == [True, False, False, True]
 
     def test_partition(self):
@@ -66,57 +73,59 @@ class TestGlobalContext:
         for a, b in [(0, 4), (3, 11), (20, 24), (0.1, 23.9)]:
             ev = iv(a, b)
             i, j = segment_range(ev, meta)
-            mask = global_context(ev, meta)
+            mask = bundle([ev], 0, meta).global_mask
             covered = set(np.nonzero(mask)[0]) | set(range(i, j))
             assert covered == set(range(meta.segment_count))
             assert not mask[i:j].any()
 
     def test_adjacent_events_complement_on_union(self):
         meta = VideoMeta("v", 24.0, fps=16.0)  # 6 segments
-        m1 = global_context(iv(0, 8), meta)    # segments [0, 2)
-        m2 = global_context(iv(8, 24), meta)   # segments [2, 6)
+        events = [iv(0, 8), iv(8, 24)]  # segments [0, 2) and [2, 6)
+        m1, m2 = (bundle(events, t, meta).global_mask for t in (0, 1))
         assert (~m1 | ~m2).all()
         assert not (~m1 & ~m2).any()
 
 
 class TestEventNeighbors:
+    EVENTS = [iv(0, 1), iv(2, 3), iv(4, 5), iv(6, 7)]
+
     def test_first_event_uni_empty(self):
-        events = [iv(0, 1), iv(2, 3), iv(4, 5), iv(6, 7)]
-        assert event_neighbors(events, 0, "uni") == []
+        assert bundle(self.EVENTS, 0, direction="uni").neighbor_events == []
 
     def test_uni(self):
-        events = [iv(0, 1), iv(2, 3), iv(4, 5), iv(6, 7)]
-        assert event_neighbors(events, 2, "uni") == [0, 1]
+        assert bundle(self.EVENTS, 2, direction="uni").neighbor_events == [0, 1]
 
     def test_bi(self):
-        events = [iv(0, 1), iv(2, 3), iv(4, 5), iv(6, 7)]
-        assert event_neighbors(events, 2, "bi") == [0, 1, 3]
+        assert bundle(self.EVENTS, 2, direction="bi").neighbor_events == [0, 1, 3]
 
     def test_bi_extends_uni_disjointly(self):
         events = [iv(i, i + 1) for i in range(0, 12, 2)]
         for target in range(len(events)):
-            uni = set(event_neighbors(events, target, "uni"))
-            bi = set(event_neighbors(events, target, "bi"))
+            uni = set(bundle(events, target, direction="uni").neighbor_events)
+            bi = set(bundle(events, target, direction="bi").neighbor_events)
             future = bi - uni
             assert uni <= bi
             assert all(f > target for f in future)
 
     def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            event_neighbors([iv(0, 1)], 0, "sideways")
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            bundle([iv(0, 1)], 0, direction="sideways")
 
 
 class TestSentenceHistory:
+    EVENTS = [iv(0, 1), iv(2, 3), iv(4, 5)]
+
     def test_first(self):
-        assert sentence_history(["a", "b", "c"], 0) == []
+        assert bundle(self.EVENTS, 0, captions=["a", "b", "c"]).sentence_history == []
 
     def test_prefix(self):
-        assert sentence_history(["a", "b", "c"], 2) == ["a", "b"]
+        assert bundle(self.EVENTS, 2, captions=["a", "b", "c"]).sentence_history == ["a", "b"]
 
     def test_order_preserved(self):
+        events = [iv(i, i + 1) for i in range(0, 12, 2)]
         caps = [f"s{i}" for i in range(6)]
         for t in range(len(caps)):
-            assert sentence_history(caps, t) == caps[:t]
+            assert bundle(events, t, captions=caps).sentence_history == caps[:t]
 
 
 class TestPoolFeatures:
@@ -201,6 +210,19 @@ class TestBundle:
         assert bundle.sentence_history == ["one"]
         assert not bundle.global_mask[1]
 
+    @pytest.mark.parametrize("caps", [[], ["one"], ["one", "two", "three", "four"]],
+                             ids=["none", "fewer", "more"])
+    def test_captions_must_be_one_per_event(self, simple_meta, caps):
+        events = [iv(0, 4), iv(4, 8), iv(10, 16)]
+        with pytest.raises(ValueError, match=f"{len(caps)} captions for 3 events"):
+            build_bundle(events, 0, simple_meta, caps)
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_target_out_of_range(self, simple_meta, target):
+        with pytest.raises(IndexError, match=f"target {target} out of range"):
+            build_bundle([iv(0, 4), iv(4, 8), iv(10, 16)], target, simple_meta,
+                         ["a", "b", "c"])
+
 
 class TestSerialisedBundles:
     META = VideoMeta("v1", 16.0, fps=16.0)  # four 4 s segments
@@ -231,7 +253,7 @@ class TestSerialisedBundles:
         with pytest.raises(ValueError, match="unknown pooling mode 'median'"):
             corpus_bundles(corpus, {}, mode="median")
         with pytest.raises(ValueError, match="unknown pooling mode 'median'"):
-            build_bundle([iv(0, 8)], 0, self.META).to_dict(mode="median")
+            build_bundle([iv(0, 8)], 0, self.META, ["a"]).to_dict(mode="median")
 
     def test_grid_must_have_the_meta_segment_count(self):
         corpus = make_corpus(v1=make_video("v1", 16.0, [([[0, 8]], ["a"])]))  # 25 fps

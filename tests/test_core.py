@@ -452,6 +452,18 @@ class TestRoundTrip:
         assert loaded["v1"][1].sentence is None
         assert loaded["v1"][1].proposal_score is None
 
+    def test_predictions_from_a_corpus(self, tmp_path):
+        """A corpus writes the predictions its records hold, as the map of its
+        videos with predictions would; a video without any is left out."""
+        preds = [PredictionEntry(TimeInterval(0.5, 9.5), sentence="a man runs")]
+        corpus = gen_synthetic(3, seed=1)
+        first = corpus.video_ids()[0]
+        corpus.videos[first].predictions = preds
+        save_predictions(corpus, tmp_path / "corpus.json")
+        save_predictions({first: preds}, tmp_path / "map.json")
+        assert (tmp_path / "corpus.json").read_bytes() == (tmp_path / "map.json").read_bytes()
+        assert load_predictions(tmp_path / "corpus.json")[0] == {first: preds}
+
     @pytest.mark.parametrize("binary", [True, False])
     def test_features(self, tmp_path, binary):
         meta = VideoMeta("v1", 16.0, fps=16.0)
@@ -556,6 +568,11 @@ class TestRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(CorpusFormatError, match="features"):
             load_features(path)
+
+    @pytest.mark.parametrize("features", [np.ones(4), np.ones((4, 2, 1))], ids=["1-D", "3-D"])
+    def test_features_must_be_2d(self, features):
+        with pytest.raises(CorpusFormatError, match="features must be a 2-D array"):
+            SegmentGrid(VideoMeta("v1", 16.0, fps=16.0), features)
 
     def test_feature_row_count_enforced(self):
         meta = VideoMeta("v1", 16.0, fps=16.0)

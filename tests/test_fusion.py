@@ -71,6 +71,11 @@ def table_scorer_pair(pool, f_s_vals, steps):
 
 
 class TestFuseSelect:
+    def test_empty_pool_raises(self):
+        pool = CandidatePool([], np.array([]))
+        with pytest.raises(ValueError, match="candidate pool is empty"):
+            fuse_select(pool, None, TableSequentialScorer([]))
+
     def test_immediate_eos(self):
         pool = CandidatePool([iv(0, 10)], np.array([0.9]))
         f_s, f_e = table_scorer_pair(pool, [0.9], [[0.1, 0.9]])

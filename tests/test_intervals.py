@@ -150,6 +150,13 @@ class TestPrecisionRecall:
         assert table.zero_prediction_videos == 1
         assert table.precision[0.5] == 0.5  # second video counted as 0
 
+    @pytest.mark.parametrize("videos", [{}, {"v1": make_video("v1", 40, [],
+                                                              predictions=[pred(0, 10)])}],
+                             ids=["no-videos", "no-annotation-sets"])
+    def test_corpus_without_groundtruth_raises(self, videos):
+        with pytest.raises(ValueError, match="corpus has no videos with groundtruth"):
+            precision_recall(make_corpus(**videos), [0.5])
+
     @pytest.mark.parametrize("thresholds", [[], [math.nan], [-math.inf], [1.01], [-0.5],
                                             [0.5, 0.5], [0.0, 1.0, -0.0]])
     def test_bad_thresholds_rejected(self, thresholds):

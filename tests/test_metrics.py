@@ -160,6 +160,13 @@ class TestCiderD:
         assert cider_d_pair(tokenize("purple elephants dance wildly"), refs, df, n) == 0.0
 
 
+@pytest.mark.parametrize("score", [bleu4, lambda cand, refs: cider_d_pair(cand, refs, {}, 1)],
+                         ids=["bleu4", "cider_d_pair"])
+def test_no_references_raises(score):
+    with pytest.raises(ValueError, match="references must be non-empty"):
+        score(tokenize("a man runs"), [])
+
+
 def brute_force_document_frequency(docs):
     grams = {tuple(tokens[i:i + n]) for doc in docs for tokens in doc
              for n in range(1, MAX_N + 1) for i in range(len(tokens) - n + 1)}

@@ -157,6 +157,15 @@ class TestCaptionRerank:
                                                  top_concepts=1))
         assert out == "he holds a guitar now"
 
+    @pytest.mark.parametrize("hypotheses, best", [
+        (["", "a man runs"], "a man runs"),
+        (["!!! ...", "a man runs"], "a man runs"),
+        (["", "!!! ..."], ""),  # both score 0, so the first wins
+    ])
+    def test_hypothesis_without_tokens_scores_zero(self, hypotheses, best):
+        params = CaptionRerankParams(alpha=1.0, beta=1.0)
+        assert caption_rerank(hypotheses, np.zeros(3), self.vocab, params) == best
+
     def test_duplicate_hypotheses_first_wins(self):
         probs = np.zeros(3)
         out = caption_rerank(["same caption here", "same caption here"],
@@ -172,7 +181,8 @@ class TestMergeCaptions:
     def test_picks_per_proposal_and_passes_captionless_through(self):
         first = {"v1": [cand(0, 10, 0.5, -1.0, "a man a man"), cand(10, 20, 0.4)],
                  "v2": [cand(0, 5, 0.3, sentence="only here")]}
-        second = {"v1": [PredictionEntry(iv(0, 10), sentence="a man runs")]}
+        second = {"v1": [PredictionEntry(iv(0, 10), sentence="a man runs"),
+                         PredictionEntry(iv(10, 20))]}
         merged = merge_captions([first, second], CaptionRerankParams(beta=0.0))
         assert merged == {
             "v1": [cand(0, 10, 0.5, -1.0, "a man runs"), cand(10, 20, 0.4)],
@@ -183,6 +193,13 @@ class TestMergeCaptions:
         second = {"v1": first["v1"][::-1]}
         with pytest.raises(CorpusFormatError, match=r"v1\[0\]"):
             merge_captions([first, second])
+
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)])
+    def test_different_proposal_counts_rejected_in_either_order(self, counts):
+        entries = [cand(a, a + 10, 0.5, sentence=s) for a, s in ((0, "a"), (10, "b"), (20, "c"))]
+        with pytest.raises(CorpusFormatError,
+                           match="v1: hypothesis files list {} and {} proposals".format(*counts)):
+            merge_captions([{"v1": entries[:n]} for n in counts])
 
 
 class TestCorpusLoops:
