@@ -10,8 +10,7 @@ stages run against synthetic oracles in place of neural models.
 from .concepts import (ConceptVocabulary, LinearConceptModel, MimlExample,
                        TrainConfig, bce_loss, load_model, predict_proposal,
                        save_model, select_even_segments, train)
-from .contexts import (EmptyContext, EventContextBundle, build_bundle,
-                       local_context, pool_features)
+from .contexts import EmptyContext, EventContextBundle, build_bundle, pool_features
 from .core import (AnnotationSet, Corpus, CorpusFormatError, PredictionEntry,
                    SegmentGrid, TimeInterval, VideoMeta, VideoRecord,
                    load_features, load_ground_truth, load_meta, load_predictions,

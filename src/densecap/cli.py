@@ -27,14 +27,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(value):
-    return [float(x) for x in value.split(",") if x]
+    try:  # argparse shows an ArgumentTypeError's text, but not a ValueError's
+        return [float(x) for x in value.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {value!r}") from None
 
 
 def _spans(value):
     spans = [_float_list(span) for span in value.split(";")]
     if any(len(span) != 2 for span in spans):
-        raise ValueError("each span needs a start and an end")
-    return spans
+        raise argparse.ArgumentTypeError("each span needs a start and an end")
+    try:
+        return [TimeInterval(*span) for span in spans]
+    except CorpusFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_corpus(gt_paths, metas=None) -> core.Corpus:
@@ -178,8 +184,7 @@ def _cmd_concepts_predict(args):
     core.check_count("top", args.top)
     model = concepts_mod.load_model(args.model)
     grid = core.load_features(args.features)
-    rows = concepts_mod.predict_report(
-        model, grid, [TimeInterval(s, e) for s, e in args.timestamps], args.top)
+    rows = concepts_mod.predict_report(model, grid, args.timestamps, args.top)
     for row in rows:
         head = ", ".join(f"{r['concept']}:{r['probability']:.3f}"
                          for r in row["top_concepts"][:5])

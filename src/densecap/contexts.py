@@ -1,18 +1,16 @@
-"""Context extraction over the segment grid.
-
-Five kinds of context around a target event (`build_bundle` lists them),
-all realized as deterministic index-set extraction plus feature pooling.
-"""
+"""Context extraction over the segment grid: the five kinds of context around a
+target event (`build_bundle` lists them), as segment index sets plus feature pooling."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (Corpus, CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta,
-                   segment_range)
+                   as_bounds, segment_range)
 
 
 POOLS = {"mean": np.ndarray.mean, "max": np.ndarray.max}  # pooling mode -> row reduction
@@ -61,35 +59,6 @@ def check_window_ratio(ratio: float) -> None:
         raise ValueError(f"window_ratio must be finite and > 0, not {ratio}")
 
 
-def local_context(event: TimeInterval, meta: VideoMeta,
-                  window_ratio: float = 0.5):
-    """Segment ranges of the windows immediately before and after the event.
-
-    Each window has length window_ratio * |event|, clipped to the video; the
-    resulting ranges are additionally clipped against the event's own range
-    so they never overlap it. Empty ranges (i == j) occur at the video
-    boundaries.
-    """
-    check_window_ratio(window_ratio)
-    ev_i, ev_j = segment_range(event, meta)
-    w = window_ratio * event.length_s
-
-    before_start = max(0.0, event.start_s - w)
-    if before_start < event.start_s:
-        b_i, b_j = segment_range(TimeInterval(before_start, event.start_s), meta)
-        before = (min(b_i, ev_i), min(b_j, ev_i))
-    else:
-        before = (ev_i, ev_i)
-
-    after_end = min(meta.duration_s, event.end_s + w)
-    if after_end > event.end_s:
-        a_i, a_j = segment_range(TimeInterval(event.end_s, after_end), meta)
-        after = (max(a_i, ev_j), max(a_j, ev_j))
-    else:
-        after = (ev_j, ev_j)
-    return before, after
-
-
 def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarray:
     """Mean or max pool the selected feature rows into one vector.
 
@@ -123,32 +92,44 @@ def build_bundle(events: Sequence[TimeInterval], target: int, meta: VideoMeta,
                  direction: str = "bi") -> EventContextBundle:
     """The five contexts of event `target` in a start-sorted event list.
 
-    - segment: `event_range`, the event's own segment range;
-    - local: `local_before` and `local_after`, from `local_context`;
+    - segment: `event_range` = (i, j) = `segment_range(event, meta)`;
+    - local: `local_before` = (min(floor(max(0, start - w) / seg), n - 1), i) and
+      `local_after` = (j, max(j, min(max(floor(end / seg) + [e > end], ceil(e / seg)), n))),
+      e = min(duration, end + w), the segments of the windows of length w = window_ratio
+      * |event| before and after the event (seg: segment duration, n: segment count);
     - global: `global_mask`, every segment outside `event_range`;
     - event: `neighbor_events`, the earlier events' indices for direction
       "uni", every other event's for "bi";
     - sentence: `sentence_history`, the captions of the earlier events.
 
-    `captions` holds one caption per event.
+    `captions` holds one caption per event; events out of start order are a ValueError.
     """
+    check_window_ratio(window_ratio)
     if direction not in ("uni", "bi"):
         raise ValueError(f"unknown direction {direction!r}")
     if len(captions) != len(events):
         raise ValueError(f"{len(captions)} captions for {len(events)} events")
     if not 0 <= target < len(events):
         raise IndexError(f"target {target} out of range")
+    starts = as_bounds(events)[:, 0].tolist()
+    for k, (a, b) in enumerate(zip(starts, starts[1:])):
+        if b < a:
+            raise ValueError(f"event {k + 1} starts before event {k}: {b} < {a}")
     event = events[target]
-    before, after = local_context(event, meta, window_ratio)
     i, j = segment_range(event, meta)
-    mask = np.ones(meta.segment_count, dtype=bool)
+    w, seg, n = window_ratio * event.length_s, meta.segment_duration_s, meta.segment_count
+    end = min(meta.duration_s, event.end_s + w)
+    # a non-empty after window claims a segment, as segment_range gives every interval one
+    last = max(math.floor(event.end_s / seg) + (end > event.end_s), math.ceil(end / seg))
+    mask = np.ones(n, dtype=bool)
     mask[i:j] = False
     neighbors = range(target) if direction == "uni" else (
         k for k in range(len(events)) if k != target)
     return EventContextBundle(
-        event_range=(i, j), local_before=before, local_after=after,
-        global_mask=mask, neighbor_events=list(neighbors),
-        sentence_history=list(captions[:target]))
+        event_range=(i, j),
+        local_before=(min(math.floor(max(0.0, event.start_s - w) / seg), n - 1), i),
+        local_after=(j, max(j, min(last, n))), global_mask=mask,
+        neighbor_events=list(neighbors), sentence_history=list(captions[:target]))
 
 
 def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],

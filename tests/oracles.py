@@ -4,7 +4,8 @@ Everything here is written from first principles with plain loops and
 dicts, deliberately not sharing code paths with the package. The exceptions
 are the exactness references for the n-gram statistics and the proposal
 re-ranking, which reuse the package's record type and float helpers so that
-results compare with ==.
+results compare with ==, and the local-context reference, which maps its
+windows with the package's `segment_range`.
 """
 
 import math
@@ -13,6 +14,8 @@ from collections import Counter
 
 import numpy as np
 
+from densecap.contexts import check_window_ratio
+from densecap.core import TimeInterval, segment_range
 from densecap.metrics import DenseEvalReport, _bleu_from_counts, _cider, _Sentence, tokenize
 from densecap.rerank import _znorm
 
@@ -165,6 +168,38 @@ def oracle_proposal_rerank(candidates, meta, weights):
     order = sorted(range(len(candidates)),
                    key=lambda i: (-fused[i], candidates[i].interval.start_s, i))
     return [candidates[i] for i in order[:weights.top_n]], int((~have_desc).sum())
+
+
+# ---------------------------------------------------------------------------
+# local context (the per-window mapping that `build_bundle`'s closed form
+# replaced: each window becomes a TimeInterval, mapped and then clipped)
+
+def oracle_local_context(event, meta, window_ratio=0.5):
+    """Segment ranges of the windows immediately before and after the event.
+
+    Each window has length window_ratio * |event|, clipped to the video; the
+    resulting ranges are additionally clipped against the event's own range
+    so they never overlap it. Empty ranges (i == j) occur at the video
+    boundaries.
+    """
+    check_window_ratio(window_ratio)
+    ev_i, ev_j = segment_range(event, meta)
+    w = window_ratio * event.length_s
+
+    before_start = max(0.0, event.start_s - w)
+    if before_start < event.start_s:
+        b_i, b_j = segment_range(TimeInterval(before_start, event.start_s), meta)
+        before = (min(b_i, ev_i), min(b_j, ev_i))
+    else:
+        before = (ev_i, ev_i)
+
+    after_end = min(meta.duration_s, event.end_s + w)
+    if after_end > event.end_s:
+        a_i, a_j = segment_range(TimeInterval(event.end_s, after_end), meta)
+        after = (max(a_i, ev_j), max(a_j, ev_j))
+    else:
+        after = (ev_j, ev_j)
+    return before, after
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,32 @@ class TestDispatchBasics:
             dispatch(["concepts", "predict", "--model", str(tmp_path / "nope"),
                       "--features", str(tmp_path / "nope"), "--timestamps", spans])
         assert exc.value.code == 1
-        assert "argument --timestamps: invalid _spans value" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: argument --timestamps: each span needs a start and an end\n")
+
+    # argparse refuses each span that is not an interval, with TimeInterval's
+    # message, before any file is opened (the paths do not exist)
+    @pytest.mark.parametrize("spans, message", [
+        ("8,0", "inverted interval [8.0, 0.0]"), ("-1,2", "negative start -1.0"),
+        ("2,2", "inverted interval [2.0, 2.0]"), ("0,nan", "inverted interval [0.0, nan]"),
+        ("0,inf", "non-finite end inf"), ("0,8;0,1e400", "non-finite end inf"),
+        ("0,a", "not a list of numbers: '0,a'"),
+    ])
+    def test_bad_span_exits_1_before_any_file_opens(self, tmp_path, capsys, spans, message):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["concepts", "predict", "--model", str(tmp_path / "nope"),
+                      "--features", str(tmp_path / "nope"), f"--timestamps={spans}"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(f"error: argument --timestamps: {message}\n")
+
+    @pytest.mark.parametrize("command", ["eval-proposals", "eval-captions"])
+    def test_tiou_that_is_not_numbers_exits_1(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, "--pred", str(tmp_path / "nope"), "--gt", str(tmp_path / "nope"),
+                      "--tiou", "a,b"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --tiou: not a list of numbers: 'a,b'\n")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert dispatch(["eval-proposals", "--pred", str(tmp_path / "nope.json"),
@@ -801,16 +826,23 @@ class TestConceptsErrorSweep:
 
     @pytest.mark.parametrize("case, code, message", [
         ("model-width", 1, "v1: feature dim 3, expected 5"),
-        ("inverted-span", 2, "inverted interval [8.0, 0.0]"),
-        ("infinite-span", 2, "non-finite end inf"),
-        ("overflowing-span", 2, "non-finite end inf"),
+        ("inverted-span", 1, "argument --timestamps: inverted interval [8.0, 0.0]"),
+        ("infinite-span", 1, "argument --timestamps: non-finite end inf"),
+        ("overflowing-span", 1, "argument --timestamps: non-finite end inf"),
         ("no-features-file", 1, "no training examples"),
         ("two-widths", 1, "v2: feature dim 3, expected 8"),
     ])
     def test_exits_with_error_line(self, tmp_path, capsys, case, code, message):
-        assert dispatch(concepts_error_case(tmp_path, case)) == code
-        out = capsys.readouterr()
-        assert out.err == f"error: {message}\n"
+        try:
+            exit_code = dispatch(concepts_error_case(tmp_path, case))
+        except SystemExit as exc:
+            exit_code = exc.code
+        err = capsys.readouterr().err
+        assert exit_code == code
+        if case.endswith("-span"):  # argparse refuses a bad span, after its usage lines
+            assert err.startswith("usage: ")
+            err = err[err.index("error: "):]
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "out.bin").exists()
 
 

@@ -1,22 +1,68 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densecap import (CorpusFormatError, EmptyContext, SegmentGrid, TimeInterval,
-                      VideoMeta, build_bundle, local_context, pool_features,
-                      segment_range)
+                      VideoMeta, build_bundle, pool_features, segment_range)
 from densecap.contexts import corpus_bundles
+from densecap.core import IntervalArray, as_bounds
 from conftest import make_corpus, make_video
+from oracles import oracle_local_context
 
 
 def iv(a, b):
     return TimeInterval(a, b)
 
 
+def local_context(event, meta, window_ratio):
+    """`build_bundle`'s (local_before, local_after) for a one-event video."""
+    bundle = build_bundle([event], 0, meta, ["c"], window_ratio)
+    return bundle.local_before, bundle.local_after
+
+
+@st.composite
+def local_cases(draw):
+    """(event, meta, ratio) over fps 1 to 30, four segment sizes, durations
+    from 1e-6 to 400 s or on the segment grid, and ratios from 5e-324 to
+    1e308; event ends fall anywhere, on the segment grid, or on 0 and the
+    duration, and two equal ends make an event one ulp long."""
+    fps = draw(st.sampled_from([1.0, 16.0, 23.976, 25.0, 29.97, 30.0]) | st.floats(1.0, 30.0))
+    per_segment = draw(st.sampled_from([1, 8, 16, 64]))
+    seg = per_segment / fps
+    duration = draw(st.floats(1e-6, 400.0)
+                    | st.integers(1, max(1, int(400 / seg))).map(lambda k: k * seg))
+    meta = VideoMeta("v", duration, fps=fps, frames_per_segment=per_segment)
+    ends = (st.floats(0.0, duration) | st.sampled_from([0.0, duration])
+            | st.integers(0, meta.segment_count).map(lambda k: min(k * seg, duration)))
+    start, end = sorted((draw(ends), draw(ends)))
+    if start == end:
+        start, end = ((start, math.nextafter(start, math.inf)) if start < duration
+                      else (math.nextafter(end, 0.0), end))
+    ratio = draw(st.sampled_from([5e-324, 1e-9, 0.5, 1.7, 40.0, 1e308])
+                 | st.floats(5e-324, 1e308, allow_subnormal=True))
+    return iv(start, end), meta, ratio
+
+
 class TestLocalContext:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(local_cases())
+    # an event one ulp before the end of a video 1055 segments long, whose
+    # start divides out to segment 1055 and must be clamped to the last one
+    @example((iv(44.002335669002335, 44.00233566900234),
+              VideoMeta("v", 44.00233566900234, fps=23.976, frames_per_segment=1), 1e-9))
+    # an after window one ulp long past an end on the grid: end / seg and
+    # (end + w) / seg both round to 37.0, yet the window claims segment 37
+    @example((iv(38.64906526502101, 63.12690978566947),
+              VideoMeta("v", 291.9676008311732, fps=9.377934101478713, frames_per_segment=16),
+              2.5683782018395703e-16))
+    def test_closed_form_matches_the_window_mapping(self, case):
+        event, meta, ratio = case
+        assert local_context(event, meta, ratio) == oracle_local_context(event, meta, ratio)
+
     def test_whole_video_event(self, simple_meta):
         before, after = local_context(iv(0, 16), simple_meta, 1.0)
         assert before[0] == before[1]
@@ -222,6 +268,22 @@ class TestBundle:
         with pytest.raises(IndexError, match=f"target {target} out of range"):
             build_bundle([iv(0, 4), iv(4, 8), iv(10, 16)], target, simple_meta,
                          ["a", "b", "c"])
+
+    @pytest.mark.parametrize("array", [False, True], ids=["list", "interval-array"])
+    @pytest.mark.parametrize("spans, message", [
+        ([(8, 16), (0, 8)], "event 1 starts before event 0: 0.0 < 8.0"),
+        ([(0, 4), (8, 12), (4, 8), (2, 3)], "event 2 starts before event 1: 4.0 < 8.0"),
+    ], ids=["swapped", "first-pair-named"])
+    def test_events_out_of_start_order_raise(self, spans, message, array):
+        events = [iv(*span) for span in spans]
+        if array:
+            events = IntervalArray(as_bounds(events))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bundle(events, len(spans) - 1, direction="uni")
+
+    def test_equal_starts_are_in_order(self):
+        events = [iv(0, 8), iv(0, 4), iv(4, 16)]
+        assert bundle(events, 1, direction="uni").neighbor_events == [0]
 
 
 class TestSerialisedBundles:
