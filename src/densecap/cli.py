@@ -108,15 +108,14 @@ def _cmd_eval_captions(args):
 
 
 def _cmd_eval_diversity(args):
-    core.check_count("n", args.n)
     sets = [core.load_predictions(path)[0] for path in [args.pred] + (args.pred2 or [])]
-    report = metrics.diversity_report(metrics.captions_by_set(sets), n=args.n)
+    report = metrics.diversity_report(metrics.captions_by_set(sets))
     print(f"SelfB:  {report.self_bleu:8.4f}")
     print(f"RE:     {report.repetition:8.4f}")
     print(f"SelfB2: {report.self_bleu_combined:8.4f}")
     print(f"RE2:    {report.repetition_combined:8.4f}")
     if report.excluded_self_bleu_videos:
-        print(f"videos excluded from SelfB (<2 captions): "
+        print(f"caption sets excluded from SelfB (<2 captions): "
               f"{report.excluded_self_bleu_videos}")
     _write_json(report.to_dict(), args.out)
 
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--pred2", action="append",
                    help="second caption set; repeat for more")
-    p.add_argument("--n", type=int, default=4)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_diversity)
 

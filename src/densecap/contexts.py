@@ -9,8 +9,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Corpus, CorpusFormatError, SegmentGrid, TimeInterval, VideoMeta,
-                   as_bounds, segment_range)
+from .core import (Corpus, CorpusFormatError, IntervalArray, SegmentGrid, TimeInterval,
+                   VideoMeta, as_bounds, segment_range)
 
 
 POOLS = {"mean": np.ndarray.mean, "max": np.ndarray.max}  # pooling mode -> row reduction
@@ -147,7 +147,7 @@ def corpus_bundles(corpus: Corpus, grids: Dict[str, SegmentGrid],
         record = corpus.videos[vid]
         ann = record.annotation_sets[0]
         order = np.argsort(ann.intervals.bounds[:, 0], kind="stable").tolist()
-        events = [ann.intervals[i] for i in order]
+        events = IntervalArray(ann.intervals.bounds[order])  # build_bundle's as_bounds: no copy
         captions = [ann.sentences[i] for i in order]
         grid = grids.get(vid)
         if grid is not None and grid.meta.segment_count != record.meta.segment_count:

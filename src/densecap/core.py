@@ -125,7 +125,6 @@ class SegmentGrid:
 
     meta: VideoMeta
     features: np.ndarray  # (segment_count, D) float array
-    feature_tag: str = "basic"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -501,7 +500,6 @@ def save_features(grid: SegmentGrid, path, binary: bool = True) -> None:
         "video_id": grid.meta.video_id,
         "segment_count": grid.meta.segment_count,
         "dim": grid.dim,
-        "feature_tag": grid.feature_tag,
         **_meta_fields(grid.meta),
     }
     write_container(path, _FEATURE_MAGIC, header, {"features": grid.features}, "<f4", binary)
@@ -522,8 +520,7 @@ def load_features(path) -> SegmentGrid:
     if data.size != rows * dim:
         raise CorpusFormatError(f"{path}: {data.size} feature values for {rows} x {dim}")
     features = np.asarray(data, dtype=np.float64).reshape(rows, dim)
-    tag = read_field(header, "feature_tag", str, path, "basic")
-    return SegmentGrid(meta, features, feature_tag=tag)
+    return SegmentGrid(meta, features)
 
 
 def load_features_dir(path) -> Dict[str, SegmentGrid]:

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .core import (CorpusFormatError, IntervalArray, PredictionEntry, TimeInterval, VideoMeta,
-                   as_bounds, check_count, read_field, read_intervals, read_items, read_json,
-                   read_object)
+                   as_bounds, check_count, read_field, read_interval, read_intervals, read_items,
+                   read_json, read_object)
 from .intervals import tiou_matrix
 
 DEFAULT_SCALES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -330,8 +330,8 @@ def select_proposals(scorers: Dict[str, tuple], metas: Dict[str, VideoMeta],
     """`fuse_select` per video of a `load_scores` map, as predictions whose
     score is the fused one capped at 1.
 
-    A video without a pool gets the sliding windows of its meta, and is left
-    out when it has no meta either.
+    A video without a pool gets its meta's sliding windows, or is left out
+    without a meta; a pool's candidates must pass `read_interval` against its duration.
     """
     cfg = cfg if cfg is not None else FusionConfig()
     out = {}
@@ -341,6 +341,9 @@ def select_proposals(scorers: Dict[str, tuple], metas: Dict[str, VideoMeta],
                 continue
             pool = CandidatePool.from_windows(enumerate_sliding_windows(metas[vid]),
                                               f_s, cap=cfg.candidate_cap)
+        elif vid in metas:
+            for k, pair in enumerate(pool.candidates.bounds.tolist()):
+                read_interval(pair, metas[vid].duration_s, f"{vid}[{k}]")
         out[vid] = [PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
                     for p in fuse_select(pool, f_s, f_e, cfg)]
     return out

@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Corpus, check_count
+from .core import Corpus
 from .intervals import check_thresholds, report_dict, video_matches
 
 _STRIP = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
@@ -43,22 +43,20 @@ def tokenize(sentence: str) -> List[str]:
 
 
 class _Sentence(NamedTuple):
-    """A tokenized sentence's length and its n-gram counts for n = 1, 2, ...,
+    """A tokenized sentence's length and its n-gram counts for n = 1..MAX_N,
     each a dict in first-occurrence order (CIDEr-D sums in that order)."""
 
     length: int
     grams: Tuple[Dict[tuple, int], ...]
 
 
-def _sentence(tokens: Sequence[str], top_n: int = MAX_N) -> _Sentence:
-    """The record of `tokens` with grams up to `top_n`, at least up to `MAX_N`;
-    orders past the caption's length, which would be empty, are left out."""
-    top_n = max(MAX_N, min(top_n, len(tokens)))
+def _sentence(tokens: Sequence[str]) -> _Sentence:
+    """The record of `tokens`: its length and its 1- to `MAX_N`-gram counts."""
+    tails = [tokens[k:] for k in range(MAX_N)]
     grams = []
-    for n in range(1, top_n + 1):
+    for n in range(1, MAX_N + 1):
         counts = {}
-        for i in range(len(tokens) - n + 1):
-            gram = tuple(tokens[i:i + n])
+        for gram in zip(*tails[:n]):
             counts[gram] = counts.get(gram, 0) + 1
         grams.append(counts)
     return _Sentence(len(tokens), tuple(grams))
@@ -303,7 +301,7 @@ class DiversityReport:
     self_bleu_combined: float
     repetition_combined: float
     per_video: Dict[str, dict] = field(default_factory=dict)
-    excluded_self_bleu_videos: int = 0
+    excluded_self_bleu_videos: int = 0  # (video, caption set) pairs with < 2 captions
 
     def to_dict(self) -> dict:
         return {
@@ -356,12 +354,11 @@ def _video_self_bleu(sents: Sequence[_Sentence]) -> Optional[float]:
     return 100.0 * _mean(scores)
 
 
-def _video_repetition(sents: Sequence[_Sentence], n: int) -> Optional[float]:
-    """Repeated-occurrence fraction of the video's pooled n-grams, times 100."""
+def _video_repetition(sents: Sequence[_Sentence]) -> Optional[float]:
+    """Repeated-occurrence fraction of the video's pooled 4-grams, times 100."""
     counts = Counter()
     for sent in sents:
-        if n <= len(sent.grams):  # records stop at their caption's length
-            counts.update(sent.grams[n - 1])
+        counts.update(sent.grams[MAX_N - 1])
     total = sum(counts.values())
     if total == 0:
         return None
@@ -391,9 +388,9 @@ def self_bleu(captions_by_set_by_video) -> float:
     return diversity_report(captions_by_set_by_video).self_bleu
 
 
-def repetition(captions_by_set_by_video, n: int = 4) -> float:
-    """Corpus n-gram repetition score in [0, 100]."""
-    return diversity_report(captions_by_set_by_video, n).repetition
+def repetition(captions_by_set_by_video) -> float:
+    """Corpus 4-gram repetition score in [0, 100]."""
+    return diversity_report(captions_by_set_by_video).repetition
 
 
 def captions_by_set(prediction_sets: Sequence[dict]) -> Dict[str, List[List[str]]]:
@@ -408,15 +405,13 @@ def captions_by_set(prediction_sets: Sequence[dict]) -> Dict[str, List[List[str]
     return by_video
 
 
-def diversity_report(captions_by_set_by_video, n: int = 4) -> DiversityReport:
+def diversity_report(captions_by_set_by_video) -> DiversityReport:
     """SelfB/RE per annotation set and with a video's sets pooled, from one
     per-video table of both metrics. Captions are strings or token lists."""
-    check_count("n", n)
-    scorers = (("self_bleu", _video_self_bleu),
-               ("repetition", lambda sents: _video_repetition(sents, n)))
+    scorers = (("self_bleu", _video_self_bleu), ("repetition", _video_repetition))
     per_video = {}
     for vid, sets in sorted(captions_by_set_by_video.items()):
-        sets = [[_sentence(tokenize(c) if isinstance(c, str) else list(c), n)
+        sets = [[_sentence(tokenize(c) if isinstance(c, str) else list(c))
                  for c in one_set] for one_set in sets]
         pooled = [sent for one_set in sets for sent in one_set]
         per_video[vid] = {

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from densecap import (FusionConfig, PredictionEntry, RerankWeights, SegmentGrid, TrainConfig,
-                      VideoMeta, dense_eval, diversity_report, gen_synthetic, load_features,
+                      VideoMeta, dense_eval, gen_synthetic, load_features,
                       load_ground_truth, load_predictions, save_features, save_predictions)
 from densecap import cli
 from densecap.cli import dispatch
@@ -85,7 +85,6 @@ class TestDispatchBasics:
         (["gen-synthetic", "--videos", "0"], "n_videos"),
         (["gen-synthetic", "--videos", "1", "--events-min", "0"], "events_range[0]"),
         (["gen-synthetic", "--videos", "1", "--events-max", "0"], "events_range[1]"),
-        (["eval-diversity", "--pred", "{nope}", "--n", "0"], "n"),
         (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--k", "0"], "k"),
         (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--cap", "0"], "candidate_cap"),
         (["fuse", "--meta", "{nope}", "--scores", "{nope}", "--max-steps", "0"], "max_steps"),
@@ -215,6 +214,22 @@ class TestDispatchBasics:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_table_candidate_past_the_video_exits_2(self, tmp_path, capsys):
+        scores = {"mode": "tables", "videos": {"v1": {
+            "candidates": [[40, 5000]], "f_s": [0.5], "f_e_steps": []}}}
+        files = {**DEFAULT_FILES, "meta.json": {"v1": {"duration": 100}}, "scores.json": scores}
+        assert dispatch(with_files(tmp_path, FUSE, files)) == 2
+        assert capsys.readouterr().err == (
+            "error: interval end 5000.0 exceeds duration 100.0 at v1[0]\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_order_flag_is_gone(self, tmp_path, capsys):
+        """RE is the repeated 4-gram ratio; `--n` is no longer an option."""
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["eval-diversity", "--pred", str(tmp_path / "nope"), "--n", "4"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --n 4" in capsys.readouterr().err
+
     def test_nan_caption_logprob_exits_2(self, tmp_path, capsys):
         argv = ["rerank-proposals", "--pred", "{pred.json}", "--meta", "{meta.json}",
                 "--out", "{out.json}"]
@@ -283,6 +298,35 @@ def test_only_core_opens_files_or_imports_json_or_struct():
         assert not opens, f"{path.name} calls open at lines {opens}"
 
 
+def test_every_private_helper_is_used():
+    """Each module-level private name (a leading underscore, not a dunder)
+    that a library module defines is read somewhere in the library, so a
+    deletion cannot strand a helper."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+    defined = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {(name, t.id) for t in targets if isinstance(t, ast.Name)}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    private = {(module, name) for module, name in defined if name.startswith("_")
+               and not (name.startswith("__") and name.endswith("__"))}
+    assert len(private) > 20
+    assert not {(module, name) for module, name in private if name not in read}
+
+
 def default_of(function, name):
     return inspect.signature(function).parameters[name].default
 
@@ -300,7 +344,7 @@ CLI_DEFAULTS = [
     (["eval-proposals", "--pred", "p", "--gt", "g"], {"tiou": DENSE_EVAL_THRESHOLDS}),
     (["eval-captions", "--pred", "p", "--gt", "g"],
      {"tiou": default_of(dense_eval, "thresholds")}),
-    (["eval-diversity", "--pred", "p"], {"n": default_of(diversity_report, "n")}),
+    (["eval-diversity", "--pred", "p"], {}),
     (["fuse", "--meta", "m", "--scores", "s", "--out", "o"],
      {"k": FUSION.k, "cap": FUSION.candidate_cap, "max_steps": FUSION.max_steps}),
     (["rerank-proposals", "--pred", "p", "--meta", "m", "--out", "o"],
@@ -336,7 +380,7 @@ def test_cli_defaults_are_the_library_defaults():
                      and dest not in ("command", "concepts_command", "func")}
         assert defaulted == defaults, argv
     assert handlers == {name for name in vars(cli) if name.startswith("_cmd_")}
-    assert sum(map(len, (defaults for _, defaults in CLI_DEFAULTS))) == 24
+    assert sum(map(len, (defaults for _, defaults in CLI_DEFAULTS))) == 23
 
 
 def readme_command_lines():
@@ -450,13 +494,23 @@ class TestEvalDiversity:
     def test_report_fields(self, synthetic_dir, tmp_path):
         pred = identity_pred_file(synthetic_dir, tmp_path)
         out = tmp_path / "div.json"
-        code = dispatch(["eval-diversity", "--pred", str(pred),
-                         "--n", "4", "--out", str(out)])
+        code = dispatch(["eval-diversity", "--pred", str(pred), "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         for key in ("SelfB", "RE", "SelfB2", "RE2"):
             assert key in report
             assert 0.0 <= report[key] <= 100.0
+
+    def test_excluded_count_is_of_caption_sets(self, tmp_path, capsys):
+        """One video with one caption in each of two files: two sets are
+        left out of SelfB, not two videos."""
+        argv = ["eval-diversity", "--pred", "{a.json}", "--pred2", "{b.json}"]
+        files = {name: {"results": {"v1": [{"timestamp": [0, 5], "sentence": sentence}]}}
+                 for name, sentence in (("a.json", "a man runs"), ("b.json", "a dog jumps"))}
+        assert dispatch(with_files(tmp_path, argv, files)) == 0
+        out = capsys.readouterr().out
+        assert "caption sets excluded from SelfB (<2 captions): 2\n" in out
+        assert "videos excluded" not in out
 
 
 class TestFuse:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from densecap import (AnnotationSet, CandidatePool, CaptionRerankParams, ConceptVocabulary,
                       CorpusFormatError, FusionConfig, HeuristicPointwiseScorer,
                       LinearConceptModel, PredictionEntry, RerankWeights, SegmentGrid,
-                      TimeInterval, TrainConfig, VideoMeta, diversity_report, load_features,
+                      TimeInterval, TrainConfig, VideoMeta, load_features,
                       load_ground_truth, load_meta, load_predictions, save_features,
                       save_ground_truth, save_meta, save_predictions, segment_range,
                       select_even_segments)
@@ -45,7 +45,6 @@ COUNT_ARGUMENTS = {
     "predict_report.top": lambda v: predict_report(ONE_CONCEPT, GRID_16S, [], top=v),
     "RerankWeights.top_n": lambda v: RerankWeights(top_n=v),
     "CaptionRerankParams.top_concepts": lambda v: CaptionRerankParams(top_concepts=v),
-    "diversity_report.n": lambda v: diversity_report({"v": [["a b c", "a b d"]]}, n=v),
     "gen_synthetic.n_videos": lambda v: gen_synthetic(v),
     "gen_synthetic.events_range[0]": lambda v: gen_synthetic(1, events_range=(v, 5)),
     "gen_synthetic.events_range[1]": lambda v: gen_synthetic(1, events_range=(1, v)),
@@ -469,17 +468,26 @@ class TestRoundTrip:
         meta = VideoMeta("v1", 16.0, fps=16.0)
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((meta.segment_count, 6)).astype(np.float32)
-        grid = SegmentGrid(meta, feats, feature_tag="context")
+        grid = SegmentGrid(meta, feats)
         path = tmp_path / "v1.feat"
         save_features(grid, path, binary=binary)
         loaded = load_features(path)
         assert loaded.meta.video_id == "v1"
-        assert loaded.feature_tag == "context"
         np.testing.assert_allclose(loaded.features, feats, atol=1e-9)
         # save -> load is stable once values are representable
         save_features(loaded, path, binary=binary)
         again = load_features(path)
         np.testing.assert_array_equal(again.features, loaded.features)
+
+    def test_feature_header_unknown_keys_ignored(self, tmp_path, rewrite_header):
+        # files written with the former `feature_tag` key still load
+        meta = VideoMeta("v1", 16.0, fps=16.0)
+        path = tmp_path / "v1.feat"
+        save_features(SegmentGrid(meta, np.ones((meta.segment_count, 3))), path)
+        rewrite_header(path, lambda header: header.update({"feature_tag": "context"}))
+        loaded = load_features(path)
+        assert loaded.meta == meta
+        np.testing.assert_array_equal(loaded.features, np.ones((meta.segment_count, 3)))
 
     @pytest.mark.parametrize("cut", [6, 8])
     def test_truncated_binary_features_rejected(self, tmp_path, cut):
@@ -501,7 +509,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("key, value", [
         ("dim", "3"), ("segment_count", 4.0), ("duration", None), ("fps", "fast"),
-        ("frames_per_segment", True), ("feature_tag", 7), ("video_id", 1),
+        ("frames_per_segment", True), ("video_id", 1),
     ])
     def test_feature_header_field_type_checked(self, tmp_path, rewrite_header,
                                                key, value):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from densecap import fusion
 from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, DEFAULT_SCALES, EOS_WEIGHT_OPEN,
                              SCORE_FLOOR, FusionError, TableSequentialScorer, _dedup,
                              load_scores, select_proposals)
-from densecap.core import IntervalArray, as_bounds
+from densecap.core import DURATION_SLOP_S, IntervalArray, as_bounds
 from densecap.synthetic import gen_synthetic
 from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
                      resimulate_selection)
@@ -623,6 +624,23 @@ class TestScoresFiles:
         (got,) = select_proposals(load_scores(path), {})["v1"]
         assert got.interval == iv(10.0, 20.0)
         assert got.proposal_score == pytest.approx(0.5 * 0.5)
+
+    # a table candidate ends within the meta's duration, give or take
+    # DURATION_SLOP_S, as `read_interval` requires of groundtruth and predictions
+    @pytest.mark.parametrize("end, ok", [(30.0, True), (30.0 + DURATION_SLOP_S, True),
+                                         (30.0 + 2 * DURATION_SLOP_S, False), (5000.0, False)])
+    def test_tables_candidates_end_within_the_meta(self, tmp_path, end, ok):
+        path = write_scores(tmp_path, {"mode": "tables", "videos": {"v1": {
+            "candidates": [[0, 10], [20, end]], "f_s": [0.9, 0.5],
+            "f_e_steps": [{"probs": {"1": 0.9}, "eos": 0.1}]}}})
+        metas = {"v1": VideoMeta("v1", 30.0)}
+        if ok:
+            (got,) = select_proposals(load_scores(path), metas)["v1"]
+            assert got.interval == iv(20.0, end)
+        else:
+            error = f"interval end {end} exceeds duration 30.0 at v1[1]"
+            with pytest.raises(CorpusFormatError, match=re.escape(error)):
+                select_proposals(load_scores(path), metas)
 
     @pytest.mark.parametrize("payload", [
         ["heuristic"],
