@@ -102,7 +102,10 @@ class TrainConfig:
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)))
+    z = np.maximum(logits, -LOGIT_CLAMP)  # np.clip's ufuncs, then in place
+    np.minimum(z, LOGIT_CLAMP, out=z)
+    np.exp(np.negative(z, out=z), out=z)
+    return np.divide(1.0, np.add(z, 1.0, out=z), out=z)
 
 
 def select_even_segments(proposal: TimeInterval, meta: VideoMeta, k: int) -> List[int]:
@@ -130,9 +133,9 @@ def predict_proposal(model: LinearConceptModel, grid: SegmentGrid,
                      proposal: TimeInterval) -> np.ndarray:
     """Max-pooled per-concept probabilities over the model's K selected segments."""
     picks = select_even_segments(proposal, grid.meta, model.k_segments)
-    feats = _features(grid, model.dim)[picks]
-    logits = feats @ model.W.T + model.b  # (k, C)
-    return _sigmoid(logits).max(axis=0)
+    logits = _features(grid, model.dim)[picks] @ model.W.T  # (k, C)
+    logits += model.b
+    return np.maximum.reduce(_sigmoid(logits), axis=0)
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -140,21 +143,6 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     p = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1 - PROB_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
     return -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p), axis=-1)
-
-
-def _pooled_forward(W: np.ndarray, b: np.ndarray, bags: np.ndarray,
-                    labels: np.ndarray):
-    """Forward pass over stacked (n, K, D) bags.
-
-    Returns the per-bag BCE losses (n,), the first argmax segment of the
-    clamped logits per bag and concept (n, C), the logits there (n, C) and
-    the max-pooled probabilities (n, C).
-    """
-    logits = bags @ W.T + b  # (n, K, C)
-    first = np.argmax(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP), axis=1)
-    top = np.take_along_axis(logits, first[:, None, :], axis=1)[:, 0]
-    pooled = _sigmoid(top)
-    return bce_loss(pooled, labels), first, top, pooled
 
 
 def _sum_over_bags(terms: np.ndarray, total=0.0):
@@ -189,7 +177,10 @@ def objective_and_gradient(W: np.ndarray, b: np.ndarray,
     bags = np.asarray(feature_bags, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     (n, k, d), c = bags.shape, W.shape[0]
-    losses, first, top, pooled = _pooled_forward(W, b, bags, labels)
+    logits = bags @ W.T + b  # (n, K, C)
+    first = np.argmax(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP), axis=1)  # per bag, concept
+    top = np.take_along_axis(logits, first[:, None, :], axis=1)[:, 0]
+    pooled = _sigmoid(top)
     # d(BCE)/d(logit) at the pooled probability; clamps and the BCE
     # probability clip kill the gradient outside their linear region
     p_clip = np.clip(pooled, PROB_CLAMP, 1 - PROB_CLAMP)
@@ -199,41 +190,31 @@ def objective_and_gradient(W: np.ndarray, b: np.ndarray,
     at = first + k * np.arange(n)[:, None]  # rows of the (n * K, D) view
     rows = np.take(bags.reshape(n * k, d), at, axis=0)
     rows *= g[:, :, None]  # (n, C, D)
-    return float(_sum_over_bags(losses)) / n, _sum_over_bags(rows), _sum_over_bags(g)
+    return (float(_sum_over_bags(bce_loss(pooled, labels))) / n, _sum_over_bags(rows),
+            _sum_over_bags(g))
 
 
-def _dataset_loss(W: np.ndarray, b: np.ndarray, table: np.ndarray, rows: np.ndarray,
-                  labels: np.ndarray, stacked: np.ndarray) -> float:
+def _gather(grids: Sequence[np.ndarray], picks: np.ndarray, idx, stacked: np.ndarray):
+    """The bags of examples `idx`, each taken from its own grid, in `stacked`'s first slots."""
+    out = stacked[:len(idx)]
+    for slot, i in enumerate(idx):
+        grids[i].take(picks[i], axis=0, out=out[slot], mode="clip")
+    return out
+
+
+def _dataset_loss(W: np.ndarray, b: np.ndarray, grids: Sequence[np.ndarray],
+                  picks: np.ndarray, labels: np.ndarray, stacked: np.ndarray) -> float:
     """Mean BCE over all bags, gathered a chunk at a time into `stacked`."""
     total = 0.0
     chunk = len(stacked)
-    for lo in range(0, len(rows), chunk):
-        part = rows[lo:lo + chunk]
-        bags = np.take(table, part, axis=0, out=stacked[:len(part)], mode="clip")
-        total = _sum_over_bags(_pooled_forward(W, b, bags, labels[lo:lo + chunk])[0], total)
-    return float(total) / len(rows)
-
-
-def _feature_table(examples: Sequence[MimlExample], k: int):
-    """The bags as (n, K) row indices into one (R, D) feature table.
-
-    The table holds each (grid, segment) row that some bag picks once.
-    Grids are told apart by identity: `load_labels` gives every proposal of
-    a video the same grid object.
-    """
-    seen, owner, picks = {}, [], []
-    for ex in examples:
-        owner.append(seen.setdefault(id(ex.grid), (len(seen), ex.grid))[0])
-        picks.append(select_even_segments(ex.proposal, ex.grid.meta, k))
-    grids = [grid for _, grid in seen.values()]
-    # number all grids' segments in one range and keep the picked numbers
-    bases = np.cumsum([0] + [grid.meta.segment_count for grid in grids])
-    used, rows = np.unique(np.add(picks, bases[owner, None]), return_inverse=True)
-    table = np.empty((len(used), grids[0].dim))
-    cuts = np.searchsorted(used, bases)
-    for grid, base, lo, hi in zip(grids, bases, cuts, cuts[1:]):
-        np.take(_features(grid, table.shape[1]), used[lo:hi] - base, axis=0, out=table[lo:hi])
-    return table, rows.reshape(len(examples), k)
+    for lo in range(0, len(picks), chunk):
+        bags = _gather(grids, picks, range(lo, min(lo + chunk, len(picks))), stacked)
+        # the clamp is monotone, so the clamped max logit is the clamped logit at the
+        # first clamped argmax that `objective_and_gradient` takes: bit-identical, past
+        # +-LOGIT_CLAMP, for ties after clamping, +-inf and NaN
+        pooled = _sigmoid(np.maximum.reduce(bags @ W.T + b, axis=1))
+        total = _sum_over_bags(bce_loss(pooled, labels[lo:lo + chunk]), total)
+    return float(total) / len(picks)
 
 
 def _check_labels(examples: Sequence[MimlExample], c: int) -> None:
@@ -256,30 +237,33 @@ def train(examples: Sequence[MimlExample], cfg: Optional[TrainConfig] = None,
         raise ValueError("no training examples")
     c = len(examples[0].labels)
     _check_labels(examples, c)
-    table, rows = _feature_table(examples, cfg.k_segments)
+    picks = np.array([select_even_segments(ex.proposal, ex.grid.meta, cfg.k_segments)
+                      for ex in examples])
+    dim = examples[0].grid.dim
+    grids = [_features(ex.grid, dim) for ex in examples]
     labels = np.stack([ex.labels for ex in examples])
     if vocabulary is None:
         vocabulary = ConceptVocabulary([f"concept_{i}" for i in range(c)])
 
     rng = np.random.default_rng(cfg.seed)
-    W = rng.normal(scale=WEIGHT_INIT_SCALE, size=(c, table.shape[1]))
+    W = rng.normal(scale=WEIGHT_INIT_SCALE, size=(c, dim))
     b = np.zeros(c)
 
-    # one batch-sized buffer serves every mini-batch and loss chunk (np.take fills
-    # it in place; mode "raise" would buffer): a fresh (n, K, D) stack per step makes
-    # the heap hand its pages back and fault them in again on every step
-    stacked = np.empty((min(cfg.batch_size, len(rows)), cfg.k_segments, table.shape[1]))
+    # one batch-sized buffer, filled in place from the grids, serves every mini-batch and
+    # loss chunk (mode "raise" would buffer): a fresh (n, K, D) stack per step makes the
+    # heap hand its pages back and fault them in again on every step
+    stacked = np.empty((min(cfg.batch_size, len(examples)), cfg.k_segments, dim))
     trace = []
     order = np.arange(len(examples))
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            batch = np.take(table, rows[idx], axis=0, out=stacked[:len(idx)], mode="clip")
+            batch = _gather(grids, picks, idx, stacked)
             _, dW, db = objective_and_gradient(W, b, batch, labels[idx])
             W -= cfg.learning_rate * dW
             b -= cfg.learning_rate * db
-        loss = _dataset_loss(W, b, table, rows, labels, stacked)
+        loss = _dataset_loss(W, b, grids, picks, labels, stacked)
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
         trace.append(loss)

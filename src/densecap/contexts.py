@@ -13,7 +13,9 @@ from .core import (Corpus, CorpusFormatError, IntervalArray, SegmentGrid, TimeIn
                    VideoMeta, as_bounds, segment_range)
 
 
-POOLS = {"mean": np.ndarray.mean, "max": np.ndarray.max}  # pooling mode -> row reduction
+# pooling mode -> row reduction, by the ufunc calls of ndarray.mean and ndarray.max
+POOLS = {"mean": lambda rows: np.add.reduce(rows, axis=0) / len(rows),
+         "max": lambda rows: np.maximum.reduce(rows, axis=0)}
 
 
 class EmptyContext(Exception):
@@ -84,7 +86,7 @@ def pool_features(grid: SegmentGrid, selection, mode: str = "mean") -> np.ndarra
         raise ValueError("selection is neither a (start, end) range nor a segment mask")
     if rows.shape[0] == 0:
         raise EmptyContext("empty segment selection")
-    return pool(rows, axis=0)
+    return pool(rows)
 
 
 def build_bundle(events: Sequence[TimeInterval], target: int, meta: VideoMeta,

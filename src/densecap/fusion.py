@@ -341,9 +341,10 @@ def select_proposals(scorers: Dict[str, tuple], metas: Dict[str, VideoMeta],
                 continue
             pool = CandidatePool.from_windows(enumerate_sliding_windows(metas[vid]),
                                               f_s, cap=cfg.candidate_cap)
-        elif vid in metas:
-            for k, pair in enumerate(pool.candidates.bounds.tolist()):
-                read_interval(pair, metas[vid].duration_s, f"{vid}[{k}]")
+        elif vid in metas:  # read_interval clamps an end just past the duration to it
+            pool = CandidatePool(IntervalArray(
+                [read_interval(pair, metas[vid].duration_s, f"{vid}[{k}]")
+                 for k, pair in enumerate(pool.candidates.bounds.tolist())]), pool.scores)
         out[vid] = [PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
                     for p in fuse_select(pool, f_s, f_e, cfg)]
     return out

@@ -11,8 +11,8 @@ from densecap import (ConceptVocabulary, CorpusFormatError, LinearConceptModel,
                       SegmentGrid, TimeInterval, TrainConfig, VideoMeta, bce_loss,
                       load_model, predict_proposal, save_model, select_even_segments,
                       train)
-from densecap.concepts import (WEIGHT_INIT_SCALE, MimlExample, TrainingDiverged,
-                               _feature_table, load_labels, objective_and_gradient,
+from densecap.concepts import (LOGIT_CLAMP, WEIGHT_INIT_SCALE, MimlExample,
+                               TrainingDiverged, load_labels, objective_and_gradient,
                                predict_report, proposal_accuracy, top_concepts)
 from densecap.core import write_json
 from densecap.synthetic import make_separable_miml
@@ -258,6 +258,22 @@ class TestTrainConfig:
         assert issubclass(TrainingDiverged, ValueError)
 
 
+def train_like_oracle(examples, cfg):
+    """`train`'s model, after checking that its weights, bias and loss trace have
+    the bits of `oracle_train`'s; also the (K, D) bags the oracle trained on."""
+    model, trace = train(examples, cfg)
+    bags = [ex.grid.features[select_even_segments(ex.proposal, ex.grid.meta,
+                                                  cfg.k_segments)]
+            for ex in examples]
+    labels = np.stack([ex.labels for ex in examples])
+    W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
+                              cfg.batch_size, cfg.seed, WEIGHT_INIT_SCALE)
+    assert same_bits(model.W, W)
+    assert same_bits(model.b, b)
+    assert trace == want
+    return model, bags
+
+
 class TestTraining:
     def test_zero_learning_rate_keeps_init(self):
         examples = make_separable_miml(20, seed=1)
@@ -309,21 +325,32 @@ class TestTraining:
         # short, the others long enough (8 or more) for numpy to sum in pairs
         cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=11, k_segments=6,
                           seed=seed)
-        model, trace = train(examples, cfg)
-        bags = [ex.grid.features[select_even_segments(ex.proposal, ex.grid.meta,
-                                                      cfg.k_segments)]
-                for ex in examples]
-        labels = np.stack([ex.labels for ex in examples])
-        W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
-                                  cfg.batch_size, cfg.seed, WEIGHT_INIT_SCALE)
-        assert same_bits(model.W, W)
-        assert same_bits(model.b, b)
-        assert trace == want
+        model, _ = train_like_oracle(examples, cfg)
         assert model.k_segments == cfg.k_segments
 
+    @pytest.mark.parametrize("seed", [3, 19, 23])
+    def test_matches_per_bag_oracle_trainer_past_the_clamp(self, seed):
+        # features scaled by 300 put nearly every logit past +-LOGIT_CLAMP, so the
+        # loss pass's max over clamped logits meets ties on most bags
+        examples = [MimlExample(ex.proposal, SegmentGrid(ex.grid.meta, 300 * ex.grid.features),
+                                ex.labels)
+                    for ex in make_separable_miml(45, n_concepts=5, dim=12, seed=seed)]
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=11, k_segments=6,
+                          seed=seed)
+        model, bags = train_like_oracle(examples, cfg)
+        assert np.mean(np.abs(np.stack(bags) @ model.W.T + model.b) >= LOGIT_CLAMP) > 0.99
 
-class TestFeatureTable:
-    """Training bags are row indices into one table of the picked segment rows."""
+    def test_nan_feature_diverges_at_epoch_0(self):
+        examples = make_separable_miml(20, seed=4)
+        examples[7].grid.features[2, 5] = np.nan
+        with pytest.raises(TrainingDiverged) as caught:
+            train(examples, TrainConfig(epochs=3, k_segments=4))
+        assert caught.value.epoch == 0
+
+
+class TestGridGather:
+    """Training gathers each bag's picked rows from its own grid; no copy of the
+    rows outlives one mini-batch or loss chunk."""
 
     def test_peak_memory(self):
         examples = make_separable_miml(2000, 20, 128)
@@ -333,9 +360,10 @@ class TestFeatureTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the picked rows are 2000 grids x 4 segments x 128 float64 = 8.2 MB;
-        # a (K, D) copy per bag would be 2000 x 20 x 128 float64 = 41 MB
-        assert peak < 16e6
+        # the bags are gathered from the grids into one (32, 20, 128) float64
+        # buffer of 0.66 MB; a table of the picked rows, 2000 grids x 4 segments
+        # x 128 float64, would add 8.2 MB, and a (K, D) copy per bag 41 MB
+        assert peak < 4e6
 
     def shared_grid_examples(self, tmp_path):
         """Examples as `load_labels` reads them: every proposal of a video
@@ -356,31 +384,10 @@ class TestFeatureTable:
         path.write_text(json.dumps({"vocabulary": vocab, "examples": rows}))
         return load_labels(path, grids)[1]
 
-    def test_shared_grid_rows_kept_once(self, tmp_path):
-        examples = self.shared_grid_examples(tmp_path)
-        picks = [select_even_segments(ex.proposal, ex.grid.meta, 9) for ex in examples]
-        table, rows = _feature_table(examples, 9)
-        assert rows.shape == (len(examples), 9)
-        assert len(table) <= 30 + 7  # never more than the grids' segments
-        assert len(table) == len({(ex.grid.meta.video_id, s)
-                                  for ex, p in zip(examples, picks) for s in p})
-        assert len(np.unique(table, axis=0)) == len(table)
-        for ex, p, r in zip(examples, picks, rows):
-            assert same_bits(table[r], ex.grid.features[p])
-
     def test_shared_grid_matches_per_bag_oracle_trainer(self, tmp_path):
         examples = self.shared_grid_examples(tmp_path)
-        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=9, k_segments=9, seed=5)
-        model, trace = train(examples, cfg)
-        bags = [ex.grid.features[select_even_segments(ex.proposal, ex.grid.meta,
-                                                      cfg.k_segments)]
-                for ex in examples]
-        labels = np.stack([ex.labels for ex in examples])
-        W, b, want = oracle_train(bags, labels, cfg.learning_rate, cfg.epochs,
-                                  cfg.batch_size, cfg.seed, WEIGHT_INIT_SCALE)
-        assert same_bits(model.W, W)
-        assert same_bits(model.b, b)
-        assert trace == want
+        train_like_oracle(examples, TrainConfig(learning_rate=0.5, epochs=3, batch_size=9,
+                                                k_segments=9, seed=5))
 
     @pytest.mark.parametrize("features, message", [
         (np.ones((4, 5)), "v2: feature dim 5, expected 3"),

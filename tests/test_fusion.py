@@ -626,7 +626,8 @@ class TestScoresFiles:
         assert got.proposal_score == pytest.approx(0.5 * 0.5)
 
     # a table candidate ends within the meta's duration, give or take
-    # DURATION_SLOP_S, as `read_interval` requires of groundtruth and predictions
+    # DURATION_SLOP_S, and an end past it is clamped to it, as `read_interval`
+    # reads groundtruth and predictions
     @pytest.mark.parametrize("end, ok", [(30.0, True), (30.0 + DURATION_SLOP_S, True),
                                          (30.0 + 2 * DURATION_SLOP_S, False), (5000.0, False)])
     def test_tables_candidates_end_within_the_meta(self, tmp_path, end, ok):
@@ -636,7 +637,7 @@ class TestScoresFiles:
         metas = {"v1": VideoMeta("v1", 30.0)}
         if ok:
             (got,) = select_proposals(load_scores(path), metas)["v1"]
-            assert got.interval == iv(20.0, end)
+            assert got.interval == iv(20.0, 30.0)
         else:
             error = f"interval end {end} exceeds duration 30.0 at v1[1]"
             with pytest.raises(CorpusFormatError, match=re.escape(error)):
