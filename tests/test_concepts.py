@@ -348,9 +348,10 @@ class TestTraining:
         assert caught.value.epoch == 0
 
 
-class TestGridGather:
-    """Training gathers each bag's picked rows from its own grid; no copy of the
-    rows outlives one mini-batch or loss chunk."""
+class TestFeatureTable:
+    """The training set's feature table is its grids: each bag's picked rows are
+    gathered from its own grid, and no copy of them outlives one mini-batch or
+    loss chunk."""
 
     def test_peak_memory(self):
         examples = make_separable_miml(2000, 20, 128)
