@@ -63,6 +63,11 @@ def _finish_eval(result, left_out, skipped, out):
     _write_json(result.to_dict(), out)
 
 
+def _print_skipped(skipped):
+    if skipped:
+        print(f"skipped {skipped} videos without a meta")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -124,10 +129,11 @@ def _cmd_fuse(args):
     cfg = fusion.FusionConfig(k=args.k, max_steps=args.max_steps, candidate_cap=args.cap)
     metas = core.load_meta(args.meta)
     scorers = fusion.load_scores(args.scores)
-    predictions = fusion.select_proposals(scorers, metas, cfg)
+    predictions, skipped = fusion.select_proposals(scorers, metas, cfg)
     core.save_predictions(predictions, args.out)
     print(f"selected {sum(map(len, predictions.values()))} proposals "
           f"over {len(predictions)} videos")
+    _print_skipped(skipped)
 
 
 def _cmd_rerank_proposals(args):
@@ -137,11 +143,12 @@ def _cmd_rerank_proposals(args):
     weights = rerank.RerankWeights(*args.weights, top_n=args.top)
     metas = core.load_meta(args.meta)
     preds, _ = core.load_predictions(args.pred)
-    out, flagged = rerank.rerank_proposals(preds, metas, weights)
+    out, flagged, skipped = rerank.rerank_proposals(preds, metas, weights)
     core.save_predictions(out, args.out)
     if flagged:
         print(f"candidates missing caption_logprob (factor set to 0): {flagged}")
     print(f"kept top {args.top} proposals for {len(out)} videos")
+    _print_skipped(skipped)
 
 
 def _cmd_rerank_captions(args):

@@ -37,23 +37,28 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TimeInterval:
     """A [start, end] span in seconds with start < end."""
 
     start_s: float
     end_s: float
 
-    def __post_init__(self):  # one comparison, which NaN and infinite ends fail
-        if not 0 <= self.start_s < self.end_s < math.inf:
-            raise CorpusFormatError(f"inverted interval [{self.start_s}, {self.end_s}]"
-                                    if not self.start_s < self.end_s else
-                                    f"negative start {self.start_s}" if self.start_s < 0 else
-                                    f"non-finite end {self.end_s}")
+    def __init__(self, start_s: float, end_s: float):
+        if not 0 <= start_s < end_s < math.inf:  # one comparison: NaN and infinite ends fail
+            raise CorpusFormatError(f"inverted interval [{start_s}, {end_s}]"
+                                    if not start_s < end_s else
+                                    f"negative start {start_s}" if start_s < 0 else
+                                    f"non-finite end {end_s}")
+        _set_start(self, start_s)  # the slots' own setters, past the frozen __setattr__
+        _set_end(self, end_s)
 
     @property
     def length_s(self) -> float:
         return self.end_s - self.start_s
+
+
+_set_start, _set_end = TimeInterval.start_s.__set__, TimeInterval.end_s.__set__
 
 
 class IntervalArray(Sequence[TimeInterval]):
@@ -173,6 +178,9 @@ class PredictionEntry:
             raise CorpusFormatError(
                 f"score out of range: proposal_score={self.proposal_score}"
             )
+        # written so that NaN fails it, as an infinity does
+        if self.caption_logprob is not None and not abs(self.caption_logprob) < math.inf:
+            raise CorpusFormatError(f"non-finite caption_logprob={self.caption_logprob}")
 
 
 @dataclass

@@ -136,8 +136,9 @@ def enumerate_sliding_windows(meta: VideoMeta,
         length = scale * duration
         stride = stride_ratio * length
         k, last_end, tol = 0, 0.0, min(DEDUP_TOL_S, stride / 2)  # no window past the end
-        while (start := k * stride) + length <= duration + tol:
-            last_end = min(start + length, duration)
+        limit = duration + tol
+        while (start := k * stride) + length <= limit:
+            last_end = end if (end := start + length) < duration else duration
             starts.append(start)
             ends.append(last_end)
             k += 1
@@ -151,18 +152,19 @@ def enumerate_sliding_windows(meta: VideoMeta,
 
 
 def _checked_distribution(f_e: SequentialScorer, prefix, pool, remaining):
-    """The scorer's distribution as (probabilities aligned with `remaining`, EOS)."""
+    """The scorer's distribution as (probabilities aligned with `remaining`, EOS,
+    their max)."""
     probs, eos = f_e.distribution(prefix, pool)
     probs = np.asarray(probs, dtype=float)
     if probs.shape != remaining.shape:
         raise FusionError(f"f_e gave shape {probs.shape} for {remaining.size} candidates")
-    total = probs.sum() + eos
+    total, top = np.add.reduce(probs) + eos, np.maximum.reduce(probs)  # as .sum() and .max()
     # written so that NaN fails every comparison
     if not (abs(total - 1.0) <= DISTRIBUTION_TOL and 0.0 <= eos < math.inf
-            and 0.0 <= probs.min() and probs.max() < math.inf):
+            and 0.0 <= np.minimum.reduce(probs) and top < math.inf):
         raise FusionError(f"sequential scorer returned a non-distribution "
                           f"(sum={total}, eos={eos})")
-    return probs, eos
+    return probs, eos, top
 
 
 def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: SequentialScorer,
@@ -192,9 +194,9 @@ def fuse_select(pool: CandidatePool, f_s: Optional[PointwiseScorer], f_e: Sequen
         remaining = np.flatnonzero(~in_prefix)
         if remaining.size == 0:
             break
-        probs, eos = _checked_distribution(f_e, prefix, pool, remaining)
+        probs, eos, top = _checked_distribution(f_e, prefix, pool, remaining)
         # raw-f_e stopping rule; candidate ties beat EOS ties deterministically
-        if eos > probs.max():
+        if eos > top:
             break
         fused = f_s_vals[remaining] * probs
         ranked = np.argsort(-fused, kind="stable")  # ties: smaller index first
@@ -220,7 +222,8 @@ class HeuristicPointwiseScorer:
     attractors: List[TimeInterval]
 
     def scores(self, bounds: np.ndarray) -> np.ndarray:
-        return tiou_matrix(bounds, as_bounds(self.attractors)).max(axis=1, initial=SCORE_FLOOR)
+        return np.maximum.reduce(tiou_matrix(bounds, as_bounds(self.attractors)), axis=1,
+                                 initial=SCORE_FLOOR)
 
 
 @dataclass
@@ -233,17 +236,21 @@ class HeuristicSequentialScorer:
     """
 
     attractors: List[TimeInterval]
-    _tious: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _cache: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def distribution(self, prefix, pool: CandidatePool):
-        if self._tious[0] is not pool:  # selection asks about one pool at every step
-            self._tious = (pool, tiou_matrix(pool.candidates.bounds, as_bounds(self.attractors)))
-        tious = self._tious[1]  # pool x attractors
+        if self._cache[0] is not pool:  # selection asks about one pool at every step
+            tious = tiou_matrix(pool.candidates.bounds, as_bounds(self.attractors))
+            self._cache = (pool, tious, tious >= COVER_TIOU)
+        _, tious, covers = self._cache  # pool x attractors
         remaining = np.ones(len(tious), dtype=bool)
         remaining[prefix] = False
-        covered = (tious[~remaining] >= COVER_TIOU).any(axis=0)
-        weights = tious[remaining][:, ~covered].max(axis=1, initial=0.0)
-        eos = 1.0 if covered.all() else EOS_WEIGHT_OPEN
+        covered = np.logical_or.reduce(covers[prefix], axis=0)
+        # tIoUs are >= 0 and never -0.0, so zeros in the covered columns leave each
+        # row's max over the open ones
+        weights = np.maximum.reduce(np.where(covered, 0.0, tious), axis=1,
+                                    initial=0.0)[remaining]
+        eos = 1.0 if np.logical_and.reduce(covered) else EOS_WEIGHT_OPEN
         total = sum(weights.tolist()) + eos
         return weights / total, eos / total
 
@@ -326,12 +333,13 @@ def load_scores(path) -> Dict[str, tuple]:
 
 
 def select_proposals(scorers: Dict[str, tuple], metas: Dict[str, VideoMeta],
-                     cfg: Optional[FusionConfig] = None) -> Dict[str, List[PredictionEntry]]:
+                     cfg: Optional[FusionConfig] = None):
     """`fuse_select` per video of a `load_scores` map, as predictions whose
     score is the fused one capped at 1.
 
     A video without a pool gets its meta's sliding windows, or is left out
     without a meta; a pool's candidates must pass `read_interval` against its duration.
+    Returns ({video_id: [PredictionEntry]}, videos left out for want of a meta).
     """
     cfg = cfg if cfg is not None else FusionConfig()
     out = {}
@@ -347,4 +355,4 @@ def select_proposals(scorers: Dict[str, tuple], metas: Dict[str, VideoMeta],
                  for k, pair in enumerate(pool.candidates.bounds.tolist())]), pool.scores)
         out[vid] = [PredictionEntry(p.interval, proposal_score=min(1.0, p.score))
                     for p in fuse_select(pool, f_s, f_e, cfg)]
-    return out
+    return out, len(scorers) - len(out)

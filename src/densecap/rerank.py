@@ -11,6 +11,7 @@ match exceeds tIoU 0.3 (strictly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -34,7 +35,8 @@ class RerankWeights:
     top_n: int = 5
 
     def __post_init__(self):
-        if not np.isfinite([self.quality, self.describability, self.position, self.length]).all():
+        if not all(map(math.isfinite,
+                       (self.quality, self.describability, self.position, self.length))):
             raise ValueError("re-rank weights must be finite")
         check_count("top_n", self.top_n)
 
@@ -79,17 +81,13 @@ def proposal_rerank(candidates: Sequence[PredictionEntry], meta: VideoMeta,
     n = len(candidates)
     quality = _znorm(np.fromiter(scores, float, n))
 
-    desc_raw = np.zeros(n)
-    have_desc = np.zeros(n, dtype=bool)
-    for i, c in enumerate(candidates):
-        if c.caption_logprob is not None:
-            n_tok = max(1, len(tokenize(c.sentence)) if c.sentence else 1)
-            desc_raw[i] = c.caption_logprob / n_tok
-            have_desc[i] = True
+    logprobs = [c.caption_logprob for c in candidates]
+    missing = logprobs.count(None)
     desc = np.zeros(n)
-    if have_desc.any():
-        desc[have_desc] = _znorm(desc_raw[have_desc])
-    missing = int((~have_desc).sum())
+    if missing < n:
+        desc[[lp is not None for lp in logprobs]] = _znorm(np.array(
+            [lp / max(1, len(tokenize(c.sentence)) if c.sentence else 1)
+             for c, lp in zip(candidates, logprobs) if lp is not None], dtype=float))
 
     bounds = as_bounds([c.interval for c in candidates])
     position = _znorm(0.5 * (bounds[:, 0] + bounds[:, 1]) / meta.duration_s)
@@ -107,7 +105,7 @@ def rerank_proposals(predictions: Dict[str, List[PredictionEntry]],
     candidates keeps an empty list.
 
     Returns ({video_id: ranked candidates}, candidates missing a caption
-    log-probability, summed over videos).
+    log-probability, summed over videos, videos skipped for want of a meta).
     """
     out, missing = {}, 0
     for vid in sorted(predictions):
@@ -115,7 +113,7 @@ def rerank_proposals(predictions: Dict[str, List[PredictionEntry]],
             out[vid], flagged = (proposal_rerank(predictions[vid], metas[vid], weights)
                                  if predictions[vid] else ([], 0))
             missing += flagged
-    return out, missing
+    return out, missing, len(predictions) - len(out)
 
 
 @dataclass

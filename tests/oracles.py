@@ -4,8 +4,9 @@ Everything here is written from first principles with plain loops and
 dicts, deliberately not sharing code paths with the package. The exceptions
 are the exactness references for the n-gram statistics and the proposal
 re-ranking, which reuse the package's record type and float helpers so that
-results compare with ==, and the local-context reference, which maps its
-windows with the package's `segment_range`.
+results compare with ==, the local-context reference, which maps its
+windows with the package's `segment_range`, and the sliding-window
+reference, which deduplicates with the package's `_dedup`.
 """
 
 import math
@@ -15,7 +16,8 @@ from collections import Counter
 import numpy as np
 
 from densecap.contexts import check_window_ratio
-from densecap.core import TimeInterval, segment_range
+from densecap.core import IntervalArray, TimeInterval, VideoMeta, segment_range
+from densecap.fusion import DEDUP_TOL_S, DEFAULT_SCALES, _dedup
 from densecap.metrics import DenseEvalReport, _bleu_from_counts, _cider, _Sentence, tokenize
 from densecap.rerank import _znorm
 
@@ -200,6 +202,44 @@ def oracle_local_context(event, meta, window_ratio=0.5):
     else:
         after = (ev_j, ev_j)
     return before, after
+
+
+# ---------------------------------------------------------------------------
+# sliding windows (the enumerator before its loop computed `duration + tol`
+# once per scale and clamped each end with one comparison)
+
+def oracle_sliding_windows(meta: VideoMeta,
+                           scales=DEFAULT_SCALES,
+                           stride_ratio: float = 0.5) -> IntervalArray:
+    """Multi-scale sliding windows over [0, duration], sorted by (start, length).
+
+    For each scale, windows of length scale * duration start at multiples of
+    stride_ratio * length; a final window is clamped to end at the duration
+    when the regular stride would overshoot. Duplicates are removed. Ends may
+    miss the duration by DEDUP_TOL_S, or half a stride when that is less.
+    """
+    if not all(0 < s <= 1 for s in scales):
+        raise ValueError("scales must lie in (0, 1]")
+    if not (0 < stride_ratio <= 1):
+        raise ValueError("stride_ratio must lie in (0, 1]")
+    duration = meta.duration_s
+    starts, ends = [], []
+    for scale in scales:
+        length = scale * duration
+        stride = stride_ratio * length
+        k, last_end, tol = 0, 0.0, min(DEDUP_TOL_S, stride / 2)  # no window past the end
+        while (start := k * stride) + length <= duration + tol:
+            last_end = min(start + length, duration)
+            starts.append(start)
+            ends.append(last_end)
+            k += 1
+        if last_end < duration - tol:
+            starts.append(duration - length)
+            ends.append(duration)
+    bounds = np.array([starts, ends], dtype=float).T
+    bounds = bounds[_dedup(bounds)]
+    order = np.lexsort((bounds[:, 1] - bounds[:, 0], bounds[:, 0]))  # (start, length), stable
+    return IntervalArray(bounds[order])
 
 
 # ---------------------------------------------------------------------------

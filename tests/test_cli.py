@@ -462,6 +462,30 @@ def test_skipped_unknown_video_is_reported(synthetic_dir, tmp_path, capsys, comm
     assert "skipped predictions for 1 unknown videos" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["fuse", "rerank-proposals"])
+def test_videos_without_a_meta_are_counted(synthetic_dir, tmp_path, capsys, command):
+    """A video the meta file lacks is left out and counted; with every meta
+    there is no count line."""
+    gt = json.loads((synthetic_dir / "gt_set1.json").read_text())
+    metas = json.loads((synthetic_dir / "meta.json").read_text())
+    short = tmp_path / "short_meta.json"
+    short.write_text(json.dumps(dict(sorted(metas.items())[1:])))
+    if command == "fuse":
+        source = tmp_path / "scores.json"
+        source.write_text(json.dumps({"mode": "heuristic", "attractors": {
+            vid: entry["timestamps"] for vid, entry in gt.items()}}))
+        argv = ["fuse", "--scores", str(source)]
+    else:
+        argv = ["rerank-proposals", "--pred", str(identity_pred_file(synthetic_dir, tmp_path))]
+    for meta_path, line in ((short, ["skipped 1 videos without a meta"]),
+                            (synthetic_dir / "meta.json", [])):
+        out = tmp_path / "out.json"
+        assert dispatch(argv + ["--meta", str(meta_path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [s for s in lines if s.startswith("skipped")] == line
+        assert sorted(load_predictions(out)[0]) == sorted(json.loads(meta_path.read_text()))
+
+
 def test_eval_captions_reports_videos_without_predictions(synthetic_dir, tmp_path, capsys):
     pred = identity_pred_file(synthetic_dir, tmp_path)
     preds = json.loads(pred.read_text())

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -169,9 +172,9 @@ class TestReadIntervals:
                    "sentences": ["a", "b", "c"]},
             "v2": {"duration": 9, "timestamps": [[1, 2]], "sentences": ["d"]}})
         calls = []
-        checked = TimeInterval.__post_init__
-        monkeypatch.setattr(TimeInterval, "__post_init__",
-                            lambda self: calls.append(self) or checked(self))
+        checked = TimeInterval.__init__
+        monkeypatch.setattr(TimeInterval, "__init__",
+                            lambda self, *args: calls.append(self) or checked(self, *args))
         corpus = load_ground_truth(path)
         assert corpus.videos["v1"].annotation_sets[0].intervals.bounds.tolist() == [
             [0.0, 10.0], [12.0, 28.0], [5.0, 30.0]]
@@ -246,6 +249,48 @@ class TestTimeInterval:
         with pytest.raises(CorpusFormatError) as err:
             TimeInterval(start, end)
         assert str(err.value) == message
+        with pytest.raises(CorpusFormatError) as err:
+            TimeInterval(start_s=start, end_s=end)
+        assert str(err.value) == message
+
+    def test_positional_and_keyword_construction(self):
+        a = TimeInterval(1.5, 4)
+        assert (a.start_s, a.end_s, a.length_s) == (1.5, 4, 2.5)
+        assert TimeInterval(start_s=1.5, end_s=4) == TimeInterval(1.5, end_s=4) == a
+        assert repr(a) == "TimeInterval(start_s=1.5, end_s=4)"
+        with pytest.raises(TypeError):
+            TimeInterval(1.5)
+
+    def test_replace_checks_the_new_fields(self):
+        a = TimeInterval(1.0, 4.0)
+        assert dataclasses.replace(a, end_s=9.0) == TimeInterval(1.0, 9.0)
+        assert a == TimeInterval(1.0, 4.0)
+        with pytest.raises(CorpusFormatError, match=r"^inverted interval \[5.0, 4.0\]$"):
+            dataclasses.replace(a, start_s=5.0)
+
+    @pytest.mark.parametrize("round_trip", [lambda a: pickle.loads(pickle.dumps(a)),
+                                            copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_round_trips(self, round_trip):
+        a = TimeInterval(0.25, 7.0)
+        b = round_trip(a)
+        assert type(b) is TimeInterval and b == a and (b.start_s, b.end_s) == (0.25, 7.0)
+
+    def test_frozen(self):
+        a = TimeInterval(1.0, 4.0)
+        for name in ("start_s", "end_s"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, 2.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)
+        with pytest.raises((AttributeError, TypeError)):
+            a.other = 1  # slots: no instance dict
+        assert (a.start_s, a.end_s) == (1.0, 4.0)
+
+    def test_equal_and_hash(self):
+        a, b = TimeInterval(1.0, 4.0), TimeInterval(1, 4)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TimeInterval(1.0, 4.5) and a != (1.0, 4.0)
 
 
 class TestWriteJson:
@@ -368,10 +413,23 @@ class TestPredictionLoading:
 
     def test_non_finite_values_are_not_written(self, tmp_path):
         good = PredictionEntry(TimeInterval(0, 5), caption_logprob=-1.0)
-        bad = PredictionEntry(TimeInterval(0, 5), caption_logprob=math.nan)
+        bad = PredictionEntry(TimeInterval(0, 5), caption_logprob=-1.0)
+        bad.caption_logprob = math.nan  # past the constructor's check
         with pytest.raises(ValueError):
             save_predictions({"v1": [good] * 500, "v2": [bad]}, tmp_path / "pred.json")
         assert not (tmp_path / "pred.json").exists()
+
+
+class TestPredictionEntry:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_caption_logprob_rejected(self, value):
+        with pytest.raises(CorpusFormatError, match="non-finite caption_logprob"):
+            PredictionEntry(TimeInterval(0, 5), caption_logprob=value)
+
+    def test_finite_caption_logprob_accepted(self):
+        for value in (None, 0, -3.5, -1e308, np.float32(-2.0)):
+            assert PredictionEntry(TimeInterval(0, 5), caption_logprob=value).caption_logprob \
+                is value
 
 
 class TestSegmentRange:

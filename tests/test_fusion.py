@@ -17,8 +17,8 @@ from densecap.fusion import (COVER_TIOU, DEDUP_TOL_S, DEFAULT_SCALES, EOS_WEIGHT
                              load_scores, select_proposals)
 from densecap.core import DURATION_SLOP_S, IntervalArray, as_bounds
 from densecap.synthetic import gen_synthetic
-from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_tiou,
-                     resimulate_selection)
+from oracles import (oracle_dedup, oracle_heuristic_distribution, oracle_sliding_windows,
+                     oracle_tiou, resimulate_selection)
 
 
 def iv(a, b):
@@ -575,6 +575,64 @@ class TestIntervalArrayEquivalence:
             assert all(0 <= w.start_s < w.end_s <= duration for w in windows)
 
 
+class TestBitIdentity:
+    """The enumerator's bounds are `oracle_sliding_windows`' to the bit, and the
+    sequential scorer's per-pool cache answers any prefix of any pool."""
+
+    @staticmethod
+    def check_windows(duration, **kwargs):
+        meta = VideoMeta("v", duration)
+        got = enumerate_sliding_windows(meta, **kwargs).bounds
+        want = oracle_sliding_windows(meta, **kwargs).bounds
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_seed_7_durations(self):
+        for record in gen_synthetic(1000, seed=7).videos.values():
+            self.check_windows(record.meta.duration_s)
+
+    def test_random_durations(self):
+        for duration in 10.0 ** np.random.default_rng(0).uniform(-3, 4, 1000):
+            self.check_windows(float(duration))
+
+    @pytest.mark.parametrize("duration", [2 * DEDUP_TOL_S, DEDUP_TOL_S,
+                                          float(np.nextafter(DEDUP_TOL_S, 0)),
+                                          DEDUP_TOL_S / 2, 1e-7, 1e-9, 1e-12])
+    def test_durations_at_and_below_the_dedup_tolerance(self, duration):
+        self.check_windows(duration)
+        self.check_windows(duration, scales=[0.5, 1.0], stride_ratio=1.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(durations, st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+           st.floats(0.1, 1.0))
+    def test_scales_and_strides(self, duration, scales, stride_ratio):
+        self.check_windows(duration, scales=scales, stride_ratio=stride_ratio)
+
+    def test_scorer_cache_answers_prefixes_out_of_order_and_pools_in_turn(self):
+        (record,) = gen_synthetic(1, seed=3).videos.values()
+        attractors = record.annotation_sets[0].intervals
+        scorer = HeuristicSequentialScorer(attractors)
+        windows = enumerate_sliding_windows(record.meta)
+        f_s = HeuristicPointwiseScorer(attractors)
+        pools = [CandidatePool.from_windows(windows, f_s, cap=40),
+                 CandidatePool.from_windows(windows, f_s, cap=15),
+                 CandidatePool(attractors)]  # all of it as the prefix covers every attractor
+        rng = np.random.default_rng(5)
+        asked = []
+        for _ in range(20):
+            for pool in pools + pools[:1]:
+                order = rng.permutation(len(pool)).tolist()
+                asked.append((pool, order[:rng.integers(0, len(pool) + 1)]))
+        asked.append((pools[2], list(range(len(attractors)))[::-1]))
+        for pool, prefix in asked:
+            want_probs, want_eos = oracle_heuristic_distribution(
+                prefix, _pairs(pool.candidates), _pairs(attractors),
+                COVER_TIOU, EOS_WEIGHT_OPEN)
+            probs, eos = scorer.distribution(prefix, pool)
+            assert probs.tolist() == list(want_probs.values())  # index order
+            assert eos == want_eos
+        assert eos == 1.0  # the last prefix covered every attractor
+
+
 def test_windows_and_pool_allocate_no_per_interval_objects():
     """Windows and the pool of one video stay a few arrays: the gen-0 count of
     objects the collector tracks grows by far less than one per window."""
@@ -606,8 +664,8 @@ class TestScoresFiles:
             vid: [[iv.start_s, iv.end_s] for iv in rec.annotation_sets[0].intervals]
             for vid, rec in corpus.videos.items()}})
         cfg = FusionConfig(k=2, candidate_cap=40)
-        got = select_proposals(load_scores(path), metas, cfg)
-        assert sorted(got) == sorted(metas)  # a video without meta is left out
+        got, skipped = select_proposals(load_scores(path), metas, cfg)
+        assert sorted(got) == sorted(metas) and skipped == 1  # a video without meta is left out
         for vid, meta in metas.items():
             planted = corpus.videos[vid].annotation_sets[0].intervals
             f_s = HeuristicPointwiseScorer(planted)
@@ -621,7 +679,7 @@ class TestScoresFiles:
             "candidates": [[0, 10], [10, 20], [20, 30]], "f_s": [0.9, 0.5, 0.4],
             "f_e_steps": [{"probs": {"0": 0.2, "1": 0.5, "2": 0.2}, "eos": 0.1},
                           {"probs": {"0": 0.3, "2": 0.1}, "eos": 0.6}]}}})
-        (got,) = select_proposals(load_scores(path), {})["v1"]
+        (got,) = select_proposals(load_scores(path), {})[0]["v1"]
         assert got.interval == iv(10.0, 20.0)
         assert got.proposal_score == pytest.approx(0.5 * 0.5)
 
@@ -636,7 +694,7 @@ class TestScoresFiles:
             "f_e_steps": [{"probs": {"1": 0.9}, "eos": 0.1}]}}})
         metas = {"v1": VideoMeta("v1", 30.0)}
         if ok:
-            (got,) = select_proposals(load_scores(path), metas)["v1"]
+            (got,) = select_proposals(load_scores(path), metas)[0]["v1"]
             assert got.interval == iv(20.0, 30.0)
         else:
             error = f"interval end {end} exceeds duration 30.0 at v1[1]"

@@ -88,7 +88,9 @@ def test_evaluators_build_no_time_interval(monkeypatch):
     goes through a TimeInterval on the way."""
     corpus = identity_predictions(gen_synthetic(20, seed=7))
     built = []
-    monkeypatch.setattr(TimeInterval, "__post_init__", lambda self: built.append(self))
+    checked = TimeInterval.__init__
+    monkeypatch.setattr(TimeInterval, "__init__",
+                        lambda self, *args: built.append(self) or checked(self, *args))
     assert precision_recall(corpus, [0.5, 0.9]).precision[0.9] == 1.0
     assert dense_eval(corpus, [0.5, 0.9]).unmatched == {0.5: 0, 0.9: 0}
     assert built == []

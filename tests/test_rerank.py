@@ -206,15 +206,15 @@ class TestCorpusLoops:
     def test_rerank_proposals_per_video_with_meta(self):
         preds = {"v1": [cand(0, 10, 0.2), cand(10, 20, 0.9, -1.0, "a b")],
                  "ghost": [cand(0, 10, 0.2)]}
-        ranked, missing = rerank_proposals(preds, {"v1": META}, RerankWeights(top_n=1))
+        ranked, missing, skipped = rerank_proposals(preds, {"v1": META}, RerankWeights(top_n=1))
         assert ranked == {"v1": proposal_rerank(preds["v1"], META, RerankWeights(top_n=1))[0]}
-        assert missing == 1
+        assert missing == 1 and skipped == 1
 
     def test_rerank_proposals_keeps_a_video_without_candidates(self):
         preds = {"v0": [], "v1": [cand(0, 10, 0.2)]}
-        ranked, missing = rerank_proposals(preds, {"v0": META, "v1": META})
+        ranked, missing, skipped = rerank_proposals(preds, {"v0": META, "v1": META})
         assert ranked == {"v0": [], "v1": proposal_rerank(preds["v1"], META)[0]}
-        assert missing == 1
+        assert missing == 1 and skipped == 0
         with pytest.raises(ValueError, match="no candidates"):
             proposal_rerank([], META)
 
